@@ -28,7 +28,7 @@
    Below [threshold] total cost the whole layout collapses to a
    monolithic check: partitioning overhead (per-cluster extraction,
    solver warm-up, pool spin-up) dwarfs the work on small problems —
-   BENCH_table1.json historically showed jobs=2 as a net slowdown on
+   partitioned jobs=2 checks historically measured as a net slowdown on
    every table-1 row for exactly this reason. *)
 
 type cluster = {

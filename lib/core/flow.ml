@@ -187,58 +187,6 @@ let run ?engine ?jobs ?limits ?cache ?store ?period ?(skip_verify = false) a =
       stage_seconds = List.rev !stages;
     }
 
-(* Paired baseline for the bench's retime-speedup column: the same C/E/F/G
-   retiming work routed through the retained reference pipeline (per-stage
-   re-synthesis, naive cold-start FEAS bisection, unpruned W/D constraints,
-   pre-scaling flow core).  Returns the summed wall clock of the four
-   stages. *)
-let reference_retime_seconds ?period a =
-  let* () = regular_latches_only a in
-  let plan = Feedback.plan_structural a in
-  let exposed_names = List.map (Circuit.signal_name a) plan.Feedback.exposed in
-  let b = make_b a exposed_names in
-  let target, fallback =
-    match period with
-    | Some p -> (p, false)
-    | None -> (Circuit.delay (Synth_script.delay_script a), true)
-  in
-  let total = ref 0. in
-  let stage f =
-    let r, dt = Obs.timed_span ~name:"flow.retime_reference" f in
-    total := !total +. dt;
-    r
-  in
-  let min_period_ref ~exposed_names b =
-    let sy = Synth_script.delay_script b in
-    let* exposed = Verify.exposed_pred sy exposed_names in
-    Ok (fst (Retime.min_period_reference ~exposed sy))
-  in
-  let min_area_ref ~exposed_names b =
-    let sy = Synth_script.delay_script b in
-    let* exposed = Verify.exposed_pred sy exposed_names in
-    match Retime.constrained_min_area_reference ~exposed ~period:target sy with
-    | Ok (rt, _) -> Ok rt
-    | Error Retime.Infeasible_period ->
-        if fallback then Ok (fst (Retime.min_period_reference ~exposed sy))
-        else
-          Error
-            (Seqprob.Infeasible_period
-               { circuit = Circuit.name b; period = target })
-  in
-  let* (_ : Circuit.t) = stage (fun () -> min_period_ref ~exposed_names b) in
-  let* (_ : Circuit.t) = stage (fun () -> min_area_ref ~exposed_names b) in
-  let* (_ : Circuit.t) =
-    stage (fun () ->
-        min_period_ref ~exposed_names:[]
-          (Circuit.copy ~name:(Circuit.name a ^ "_Fref") a))
-  in
-  let* (_ : Circuit.t) =
-    stage (fun () ->
-        min_area_ref ~exposed_names:[]
-          (Circuit.copy ~name:(Circuit.name a ^ "_Gref") a))
-  in
-  Ok !total
-
 let exposure_report c =
   let total = Circuit.latch_count c in
   let structural = List.length (Feedback.plan_structural c).Feedback.exposed in

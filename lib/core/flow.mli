@@ -74,14 +74,6 @@ val circuits :
 (** Just [B] and [C] (exposed + optimized), for callers that want to verify
     or inspect them separately. *)
 
-val reference_retime_seconds :
-  ?period:int -> Circuit.t -> (float, Seqprob.diagnosis) result
-(** The summed wall clock of the [C]/[E]/[F]/[G] stages re-run through the
-    retained reference retiming pipeline (per-stage re-synthesis, naive
-    FEAS bisection, unpruned W/D constraints, pre-scaling flow core) — the
-    paired "before" measurement for the bench's retime-speedup column.
-    [period] as in {!run}. *)
-
 val exposure_report : Circuit.t -> int * int * int
 (** [(total_latches, structural_exposed, functional_exposed)] — the Table 2
     numbers plus the paper's predicted improvement from unateness

@@ -189,14 +189,13 @@ module Histogram : sig
 
   val bucket_bounds_of_value : float -> float * float
   (** [(lower, upper)] bounds of the bucket sample [v] falls in — the
-      interval a {!quantile} answer is accurate to.  Exposed for tests
-      and for the bench's histogram-vs-exact cross-check. *)
+      interval a {!quantile} answer is accurate to.  Exposed for tests. *)
 
   val nearest_rank : float array -> float -> float
   (** Exact nearest-rank percentile of a {e sorted} array: the element at
       rank [ceil (q * n)] (1-based), clamped to the array.  The reference
-      definition histogram quantiles are checked against; also the
-      bench's exact percentile. *)
+      definition histogram quantiles are checked against; also
+      perfbench's exact percentile. *)
 end
 
 (** Named gauges: last-written values (queue depth, in-flight requests,

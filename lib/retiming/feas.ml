@@ -3,8 +3,7 @@ open Vgraph
 (* ------------------------------------------------------------------ *)
 (* Naive reference engine: rebuilds the zero-weight subgraph and       *)
 (* re-sorts it on every FEAS round, and cold-starts every period       *)
-(* probed by the binary search.  Retained for differential tests and   *)
-(* paired benchmarks.                                                  *)
+(* probed by the binary search.  Retained for differential tests.      *)
 (* ------------------------------------------------------------------ *)
 
 module Naive = struct

@@ -34,8 +34,7 @@ val min_period : ?pool:Par.Pool.t -> Rgraph.t -> int * int array
     shared CSR). *)
 
 (** The original implementation: per-round zero-weight subgraph + topo
-    sort, cold-started bisection.  Reference for property tests and the
-    paired before/after benchmark rows. *)
+    sort, cold-started bisection.  Reference for property tests. *)
 module Naive : sig
   val arrival : Rgraph.t -> r:int array -> int array
 

@@ -29,8 +29,7 @@ let check_constraints r constraints =
 (* ------------------------------------------------------------------ *)
 
 (* Original generator: one {!Dijkstra.lexicographic} per source, every
-   violating pair emitted.  Reference for differential tests and paired
-   benchmarks. *)
+   violating pair emitted.  Reference for differential tests. *)
 let period_constraints_reference g ~period =
   let n = Digraph.node_count g.Rgraph.graph in
   let acc = ref [] in

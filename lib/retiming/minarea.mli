@@ -28,6 +28,5 @@ val solve :
     generation.  [reference] (default false) routes the whole solve
     through the retained original implementations — unpruned constraint
     generation, the pre-scaling flow core, naive FEAS repair — for
-    differential testing and paired benchmarks; both engines reach the
-    same optimal latch total, though tie-breaking between equal-cost
-    labelings may differ. *)
+    differential testing; both engines reach the same optimal latch
+    total, though tie-breaking between equal-cost labelings may differ. *)

@@ -40,20 +40,3 @@ let min_area ?exposed c =
   Obs.span ~name:"retime.min_area" @@ fun () ->
   let g = Rgraph.build ?exposed c in
   match Minarea.solve g with Some r -> finish g c r | None -> assert false
-
-(* Reference pipeline: naive FEAS bisection + unpruned constraints + the
-   pre-scaling flow core.  Used for differential tests and the paired
-   before/after bench rows. *)
-
-let min_period_reference ?exposed c =
-  let g = Rgraph.build ?exposed c in
-  let period, _ = Feas.Naive.min_period g in
-  match Minarea.solve ~period ~reference:true g with
-  | Some r -> finish g c r
-  | None -> assert false
-
-let constrained_min_area_reference ?exposed ~period c =
-  let g = Rgraph.build ?exposed c in
-  match Minarea.solve ~period ~reference:true g with
-  | Some r -> Ok (finish g c r)
-  | None -> Error Infeasible_period

@@ -33,19 +33,3 @@ val constrained_min_area :
 val min_area :
   ?exposed:(Circuit.signal -> bool) -> Circuit.t -> Circuit.t * report
 (** Minimizes latch count with no period constraint. *)
-
-(** {1 Reference pipeline}
-
-    The retained pre-optimization implementations (naive cold-start FEAS,
-    unpruned W/D constraints, pre-scaling flow core), for differential
-    testing and the paired before/after bench rows.  Same reports up to
-    tie-breaking between equal-latch-count optimal labelings. *)
-
-val min_period_reference :
-  ?exposed:(Circuit.signal -> bool) -> Circuit.t -> Circuit.t * report
-
-val constrained_min_area_reference :
-  ?exposed:(Circuit.signal -> bool) ->
-  period:int ->
-  Circuit.t ->
-  (Circuit.t * report, error) result

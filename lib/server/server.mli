@@ -158,7 +158,7 @@ val run : t -> unit
 
 val start : config -> t
 (** [create] plus {!run} on a background thread — the in-process form
-    used by tests and the bench harness. *)
+    used by tests. *)
 
 val request_stop : t -> unit
 (** Begin graceful shutdown.  Only sets a flag — safe from a signal
@@ -176,7 +176,7 @@ val metrics_port : t -> int option
     works in tests. *)
 
 (** Blocking single-connection client for the wire protocol — what
-    [seqver client] and the bench harness use.  One request at a time per
+    [seqver client] and the tests use.  One request at a time per
     connection; run several clients for concurrency. *)
 module Client : sig
   type t

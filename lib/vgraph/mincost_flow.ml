@@ -263,10 +263,10 @@ let solve ?init_potentials ~nodes ~arcs supply =
 
 (* ------------------------------------------------------------------ *)
 (* Reference solver: the original list-adjacency successive-shortest-  *)
-(* paths implementation, retained verbatim for differential tests and  *)
-(* the paired old/new bench rows.  Note its Bellman–Ford init silently *)
-(* proceeds with stale potentials on a negative-cost cycle — the fast  *)
-(* core rejects that input instead.                                    *)
+(* paths implementation, retained verbatim for differential tests.     *)
+(* Note its Bellman–Ford init silently proceeds with stale             *)
+(* potentials on a negative-cost cycle — the fast core rejects         *)
+(* that input instead.                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let solve_reference ~nodes ~arcs supply =

@@ -38,6 +38,6 @@ val solve :
 
 val solve_reference : nodes:int -> arcs:arc list -> int array -> result option
 (** The original (pre-scaling, list-adjacency) successive-shortest-paths
-    solver, retained as a differential-testing and benchmarking reference.
+    solver, retained as a differential-testing reference.
     Same contract as {!solve} except negative-cost cycles are not
     detected. *)

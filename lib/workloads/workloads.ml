@@ -646,47 +646,6 @@ let retime_suite () =
       (name, deep_datapath ~name ~width ~stages ~seed))
     retime_params
 
-(* Equivalent style pairs for the large tier: (name, style A, style B).
-   Sized so the adaptive layout's cost model is well above its monolithic
-   threshold — these are the workloads where partitioned checking has to
-   beat the monolithic path. *)
-let large_suite ?(smoke = false) () =
-  let fifo_pair ~entries ~width =
-    ( Printf.sprintf "fifo%dx%d" entries width,
-      fifo ~entries ~width ~style:`Sop (),
-      fifo ~entries ~width ~style:`Mux () )
-  in
-  let alu_pair ~lanes ~width ~stages =
-    ( Printf.sprintf "alu%dx%dx%d" lanes width stages,
-      lane_alu ~lanes ~width ~stages ~style:`Ripple (),
-      lane_alu ~lanes ~width ~stages ~style:`Select () )
-  in
-  (* Sizing: every pair must clear the adaptive layout's cost threshold
-     (or the bench would measure the monolithic fast path against itself)
-     while keeping the jobs=1 monolithic *baseline* tractable — which
-     means many medium cones, not a few huge ones.  The wide-lane ALUs
-     hit 2048+ flip-flops by lane count (64 cheap cones), not by lane
-     size: a 16-bit x 8-stage lane cone alone takes minutes to sweep. *)
-  if smoke then
-    [ fifo_pair ~entries:64 ~width:16; alu_pair ~lanes:8 ~width:8 ~stages:4 ]
-  else
-    [
-      fifo_pair ~entries:64 ~width:16;
-      fifo_pair ~entries:128 ~width:8;
-      alu_pair ~lanes:8 ~width:8 ~stages:4;
-      alu_pair ~lanes:64 ~width:8 ~stages:4;
-    ]
-
-(* Intentionally inequivalent pair (style A pristine, style B with the
-   write-mux bit swap): exercises first-counterexample cancellation across
-   partitions.  Same verdict must come back at every jobs value. *)
-let large_mutant () =
-  (* sized past the cost threshold so the adaptive layout partitions it —
-     the point is first-counterexample cancellation across clusters *)
-  ( "fifo64x16_bug",
-    fifo ~entries:64 ~width:16 ~style:`Sop (),
-    fifo ~entries:64 ~width:16 ~style:`Mux ~bug:true () )
-
 (* ---- hierarchical designs (the hier suite) ---- *)
 
 (* Wrap a generator circuit as a hier leaf: its inputs become the module
@@ -921,7 +880,9 @@ let registry () =
       add name (fun () -> deep_datapath ~name ~width ~stages ~seed))
     retime_params;
   (* large-tier circuits go by their own Circuit.name (the pair name plus
-     a style suffix, e.g. "fifo64x16s"), the mutant side by its _bug name *)
+     a style suffix, e.g. "fifo64x16s"), the mutant side by its _bug name;
+     every pair is sized past the adaptive layout's cost threshold, so a
+     jobs>1 check runs partitioned *)
   List.iter
     (fun (entries, width) ->
       add

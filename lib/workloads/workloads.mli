@@ -69,9 +69,10 @@ val table2_suite : unit -> (string * Circuit.t) list
 (** ex1..ex12 of Table 2 (published latch and exposure counts). *)
 
 val retime_suite : unit -> (string * Circuit.t) list
-(** Deep-datapath instances for the retiming bench tier ([bench --suite
-    retime]): from a small differential-checkable instance (256 latches) up
-    to thousands of latches, all within the exact min-area vertex bound. *)
+(** Deep-datapath instances for the retiming tier (fast vs reference
+    engines in the retiming tests): from a small differential-checkable
+    instance (256 latches) up to thousands of latches, all within the exact
+    min-area vertex bound. *)
 
 val fifo :
   ?bug:bool ->
@@ -106,21 +107,9 @@ val lane_alu :
     exposure needed; CBF unrolls to depth [stages].  [~bug] inverts one
     sum bit in lane 0's last stage.  [width] must be even and >= 4. *)
 
-val large_suite : ?smoke:bool -> unit -> (string * Circuit.t * Circuit.t) list
-(** The large tier ([bench --suite large]): equivalent style pairs
-    [(name, style A, style B)] of {!fifo}s (64-128 entries) and
-    {!lane_alu}s (2048-4096 flip-flops), sized so the adaptive layout
-    partitions them.  [~smoke:true] selects two smaller instances for
-    CI. *)
-
-val large_mutant : unit -> string * Circuit.t * Circuit.t
-(** Intentionally inequivalent pair (a pristine style-A {!fifo} against a
-    [~bug] style-B one) exercising first-counterexample cancellation; the
-    verdict must be the same at every jobs value. *)
-
 val hier_suite :
   unit -> (string * Hier.design * Hier.design * [ `Eq | `Neq of string ]) list
-(** The hierarchical tier ([bench --suite hier] and [seqver hier]):
+(** The hierarchical tier ([seqver hier] and the hier tests):
     [(pair name, left design, right design, expected)] rows.
 
     - ["hfifo"]: FIFO-of-queues — {!fifo} leaves (two sizes), a banked

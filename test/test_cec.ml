@@ -738,8 +738,9 @@ let test_cluster_signature_matches_extraction () =
 
 let test_large_generators_jobs_agree () =
   (* style pairs of the large-tier generators, partitioned: jobs=1 and
-     jobs=4 produce the same verdict, and the intentionally inequivalent
-     mutant is caught at both (first-cex cancellation must not lose it) *)
+     jobs=4 produce the same verdict as the monolithic path, and the
+     intentionally inequivalent mutant is caught at all three
+     (first-cex cancellation must not lose it) *)
   let check ~jobs p = Cec.check_problem_with_stats ~jobs ~partition:true p in
   let eq_pairs =
     [
@@ -756,9 +757,9 @@ let test_large_generators_jobs_agree () =
       let p = problem_of a b in
       let v1, s1 = check ~jobs:1 p in
       let v4, s4 = check ~jobs:4 p in
-      (match (v1, v4) with
-      | Cec.Equivalent, Cec.Equivalent -> ()
-      | _ -> Alcotest.fail (name ^ ": style pair not proven at both job counts"));
+      (match (Cec.check_problem p, v1, v4) with
+      | Cec.Equivalent, Cec.Equivalent, Cec.Equivalent -> ()
+      | _ -> Alcotest.fail (name ^ ": style pair not proven on every path"));
       Alcotest.(check int) (name ^ ": layout independent of jobs")
         s1.Cec.partitions s4.Cec.partitions)
     eq_pairs;
@@ -768,13 +769,16 @@ let test_large_generators_jobs_agree () =
       (Workloads.fifo ~entries:16 ~width:4 ~style:`Mux ~bug:true ())
   in
   List.iter
-    (fun jobs ->
-      match check ~jobs p with
-      | Cec.Inequivalent _, _ -> ()
-      | Cec.Equivalent, _ ->
-          Alcotest.failf "jobs=%d: mutant accepted as equivalent" jobs
-      | Cec.Undecided r, _ -> Alcotest.failf "jobs=%d: mutant undecided: %s" jobs r)
-    [ 1; 4 ]
+    (fun (path, v) ->
+      match v with
+      | Cec.Inequivalent _ -> ()
+      | Cec.Equivalent -> Alcotest.failf "%s: mutant accepted as equivalent" path
+      | Cec.Undecided r -> Alcotest.failf "%s: mutant undecided: %s" path r)
+    [
+      ("monolithic", Cec.check_problem p);
+      ("jobs=1", fst (check ~jobs:1 p));
+      ("jobs=4", fst (check ~jobs:4 p));
+    ]
 
 let test_sat_time_charged_to_sat () =
   (* regression: every SAT call's time lands in sat_seconds — the sweep

@@ -295,15 +295,98 @@ let test_hierarchy_mismatch_falls_flat () =
 
 (* ---- the workload suite ---- *)
 
+(* Every suite pair four ways: flat, cold compositional on a fresh store,
+   warm on the reopened store (zero re-checks), and for the equivalent
+   pairs a rerun with one leaf resynthesized, which must re-check exactly
+   that leaf's invalidation set.  Each count is read from the report and
+   from the hier.module_checked / hier.module_store_hits counter deltas. *)
 let test_hier_suite_verdicts () =
+  let was_on = Obs.counters_enabled () in
+  Obs.enable_counters ();
+  Fun.protect ~finally:(fun () -> if not was_on then Obs.disable_counters ())
+  @@ fun () ->
+  let counted f =
+    let before = Obs.Counters.snapshot () in
+    let rep = f () in
+    let after = Obs.Counters.snapshot () in
+    let delta name =
+      let get snap = Option.value ~default:0 (List.assoc_opt name snap) in
+      get after - get before
+    in
+    (rep, delta "hier.module_checked", delta "hier.module_store_hits")
+  in
+  let check_counts what (rep, checked, hits) ~want_checked ~want_hits =
+    Alcotest.(check int) (what ^ ": checked") want_checked rep.Hier.checked;
+    Alcotest.(check int) (what ^ ": checked counter") want_checked checked;
+    Alcotest.(check int) (what ^ ": store hits") want_hits rep.Hier.store_hits;
+    Alcotest.(check int) (what ^ ": store-hit counter") want_hits hits
+  in
+  let verdict_str = function
+    | Hier.Equivalent -> "EQ"
+    | Hier.Inequivalent _ -> "NEQ"
+    | Hier.Undecided _ -> "UNDEC"
+  in
   List.iter
     (fun (name, l, r, expected) ->
-      let rep = Hier.check l r in
-      match (expected, rep.Hier.verdict) with
+      let dir = fresh_dir () in
+      let st = Store.open_ dir in
+      let cold = Hier.check ~store:st l r in
+      Store.close st;
+      let want = match expected with `Eq -> "EQ" | `Neq _ -> "NEQ" in
+      (match (expected, cold.Hier.verdict) with
       | `Eq, Hier.Equivalent -> ()
       | `Neq m, Hier.Inequivalent { offending; _ } ->
           Alcotest.(check string) (name ^ ": offending module") m offending
-      | _, _ -> Alcotest.fail (name ^ ": wrong compositional verdict"))
+      | _, _ -> Alcotest.fail (name ^ ": wrong compositional verdict"));
+      let flat =
+        match flat_verdict (Hier.flatten l) (Hier.flatten r) with
+        | Verify.Equivalent -> "EQ"
+        | Verify.Inequivalent _ -> "NEQ"
+        | Verify.Undecided _ -> "UNDEC"
+      in
+      Alcotest.(check string) (name ^ ": flat verdict") want flat;
+      Alcotest.(check int) (name ^ ": no flat fallbacks") 0
+        cold.Hier.flat_fallbacks;
+      (* a fresh handle on the same log: hits come from disk *)
+      let st = Store.open_ dir in
+      let ((warm, _, _) as w) = counted (fun () -> Hier.check ~store:st l r) in
+      Alcotest.(check string) (name ^ ": warm verdict") want
+        (verdict_str warm.Hier.verdict);
+      check_counts (name ^ " warm") w ~want_checked:0
+        ~want_hits:(List.length cold.Hier.modules);
+      (match expected with
+      | `Neq _ -> ()
+      | `Eq ->
+          Alcotest.(check int) (name ^ ": warm run visits every module")
+            (List.length (Hier.module_order l))
+            (List.length warm.Hier.modules);
+          (* the leaf with the shortest ancestor chain leaves the most
+             modules untouched *)
+          let leaf, chain =
+            List.filter_map
+              (fun (m : Hier.module_def) ->
+                if m.Hier.instances <> [] then None
+                else
+                  Some (m.Hier.mod_name, Hier.invalidation_set r m.Hier.mod_name))
+              r.Hier.modules
+            |> List.sort (fun (_, a) (_, b) ->
+                   compare (List.length a) (List.length b))
+            |> List.hd
+          in
+          let r' = Hier.map_module r ~name:leaf ~f:(Hier.resynthesize ~seed:23) in
+          let ((mut, _, _) as m) = counted (fun () -> Hier.check ~store:st l r') in
+          let what = Printf.sprintf "%s with %s resynthesized" name leaf in
+          Alcotest.(check string) (what ^ ": verdict") "EQ"
+            (verdict_str mut.Hier.verdict);
+          Alcotest.(check (list string)) (what ^ ": re-checked modules") chain
+            (List.filter_map
+               (fun rm ->
+                 if rm.Hier.rm_source = Hier.Checked then Some rm.Hier.rm_module
+                 else None)
+               mut.Hier.modules);
+          check_counts what m ~want_checked:(List.length chain)
+            ~want_hits:(List.length (Hier.module_order l) - List.length chain));
+      Store.close st)
     (Workloads.hier_suite ())
 
 let test_hier_mutant_agrees_with_flat () =

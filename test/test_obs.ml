@@ -1,7 +1,7 @@
 (* Tests for the Obs tracing/metrics layer: span nesting through the
    summary tree, attribute round-trips through the Chrome writer (parsed
-   back by a small JSON reader below), counter merging across domains, and
-   the disabled sink recording nothing. *)
+   back with the server's Sjson), counter merging across domains, and the
+   disabled sink recording nothing. *)
 
 (* Each test owns the global sink: enable+reset on entry, disable+reset on
    exit (also on failure), so no events leak into other suites. *)
@@ -13,149 +13,6 @@ let with_obs f =
       Obs.disable ();
       Obs.reset ())
     f
-
-(* ---- a minimal JSON reader (just enough to validate Chrome output) ---- *)
-
-type json =
-  | J_obj of (string * json) list
-  | J_arr of json list
-  | J_str of string
-  | J_num of float
-  | J_bool of bool
-  | J_null
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then s.[!pos] else fail "eof" in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    if !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    then begin
-      advance ();
-      skip_ws ()
-    end
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then fail (Printf.sprintf "expected %c" c);
-    advance ()
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'u' ->
-              (* keep the escape verbatim; the tests only use ASCII *)
-              Buffer.add_string buf "\\u"
-          | c -> fail (Printf.sprintf "bad escape %c" c));
-          advance ();
-          go ()
-      | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin
-          advance ();
-          J_obj []
-        end
-        else begin
-          let rec members acc =
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                skip_ws ();
-                members ((k, v) :: acc)
-            | '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          J_obj (members [])
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin
-          advance ();
-          J_arr []
-        end
-        else begin
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | ',' ->
-                advance ();
-                elems (v :: acc)
-            | ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          J_arr (elems [])
-        end
-    | '"' -> J_str (parse_string ())
-    | 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | 'n' ->
-        pos := !pos + 4;
-        J_null
-    | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && match s.[!pos] with
-             | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-             | _ -> false
-        do
-          advance ()
-        done;
-        if !pos = start then fail "bad value";
-        J_num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function
-  | J_obj kvs -> List.assoc_opt k kvs
-  | _ -> None
 
 (* ---- tests ---- *)
 
@@ -213,40 +70,41 @@ let test_chrome_attrs_roundtrip () =
         (fun () -> ());
       Obs.instant ~attrs:[ ("k", Obs.Int 7) ] "blip";
       let text = Obs.Chrome.to_string (Obs.collect ()) in
-      let j = parse_json text in
+      let j = Sjson.parse text in
       let events =
-        match member "traceEvents" j with
-        | Some (J_arr evs) -> evs
+        match Sjson.member "traceEvents" j with
+        | Some (Sjson.List evs) -> evs
         | _ -> Alcotest.fail "no traceEvents array"
       in
       let find ph name =
         List.find_opt
           (fun e ->
-            member "ph" e = Some (J_str ph) && member "name" e = Some (J_str name))
+            Sjson.member "ph" e = Some (Sjson.String ph)
+            && Sjson.member "name" e = Some (Sjson.String name))
           events
       in
       (match find "B" "attributed" with
       | None -> Alcotest.fail "no B event"
       | Some b -> (
-          Alcotest.(check bool) "ts present" true (member "ts" b <> None);
-          match member "args" b with
+          Alcotest.(check bool) "ts present" true (Sjson.member "ts" b <> None);
+          match Sjson.member "args" b with
           | Some args ->
               Alcotest.(check bool) "int attr" true
-                (member "answer" args = Some (J_num 42.));
+                (Sjson.member "answer" args = Some (Sjson.Int 42));
               Alcotest.(check bool) "float attr" true
-                (member "ratio" args = Some (J_num 0.5));
+                (Sjson.member "ratio" args = Some (Sjson.Float 0.5));
               Alcotest.(check bool) "bool attr" true
-                (member "ok" args = Some (J_bool true));
+                (Sjson.member "ok" args = Some (Sjson.Bool true));
               Alcotest.(check bool) "string attr round-trips" true
-                (member "who" args = Some (J_str "a \"quoted\"\nname"))
+                (Sjson.member "who" args = Some (Sjson.String "a \"quoted\"\nname"))
           | None -> Alcotest.fail "no args on B event"));
       Alcotest.(check bool) "E event present" true (find "E" "attributed" <> None);
       match find "i" "blip" with
       | None -> Alcotest.fail "no instant event"
       | Some i ->
           Alcotest.(check bool) "instant attr" true
-            (match member "args" i with
-            | Some args -> member "k" args = Some (J_num 7.)
+            (match Sjson.member "args" i with
+            | Some args -> Sjson.member "k" args = Some (Sjson.Int 7)
             | None -> false))
 
 let test_counter_merge_across_domains () =
@@ -292,10 +150,12 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no events recorded" 0 (List.length (Obs.collect ()));
   (* a trace of zero collected events is still valid JSON, carrying only
      the process-name metadata record *)
-  match member "traceEvents" (parse_json (Obs.Chrome.to_string [])) with
-  | Some (J_arr evs) ->
+  match Sjson.member "traceEvents" (Sjson.parse (Obs.Chrome.to_string [])) with
+  | Some (Sjson.List evs) ->
       Alcotest.(check bool) "only metadata in empty trace" true
-        (List.for_all (fun e -> member "ph" e = Some (J_str "M")) evs)
+        (List.for_all
+           (fun e -> Sjson.member "ph" e = Some (Sjson.String "M"))
+           evs)
   | _ -> Alcotest.fail "empty chrome trace is not an object with traceEvents"
 
 let test_jsonl_lines_parse () =
@@ -309,8 +169,8 @@ let test_jsonl_lines_parse () =
       Alcotest.(check bool) "some lines" true (List.length lines >= 3);
       List.iter
         (fun l ->
-          match parse_json l with
-          | J_obj kvs ->
+          match Sjson.parse l with
+          | Sjson.Obj kvs ->
               Alcotest.(check bool) "type field" true
                 (List.mem_assoc "type" kvs)
           | _ -> Alcotest.fail "jsonl line is not an object")

@@ -313,6 +313,38 @@ let test_minarea_fast_vs_reference () =
 
 (* ---- latch classes (Fig. 16) ---- *)
 
+(* The retiming tier's deep datapaths up to 800 latches: up to 1,000
+   vertices the fast pipeline reaches the reference's period and latch
+   count; above that only the fast one runs, and its retiming must be legal
+   and meet the period. *)
+let test_retime_suite_fast_vs_reference () =
+  Par.Pool.with_pool ~jobs:2 @@ fun pool ->
+  List.iter
+    (fun (name, c) ->
+      let g = Rgraph.build c in
+      let period, _ = Feas.min_period ~pool g in
+      let r =
+        match Minarea.solve ~period ~pool g with
+        | Some r -> r
+        | None -> Alcotest.fail (name ^ ": min period infeasible")
+      in
+      Alcotest.(check bool) (name ^ ": legal") true (Rgraph.is_legal g ~r);
+      Alcotest.(check bool) (name ^ ": meets period") true
+        (Feas.period_of g ~r <= period);
+      if Rgraph.vertex_count g <= 1000 then begin
+        let p_ref, _ = Feas.Naive.min_period g in
+        Alcotest.(check int) (name ^ ": same period") p_ref period;
+        match Minarea.solve ~period:p_ref ~reference:true g with
+        | Some rr ->
+            Alcotest.(check int) (name ^ ": same latch count")
+              (Rgraph.total_latches_after g ~r:rr)
+              (Rgraph.total_latches_after g ~r)
+        | None -> Alcotest.fail (name ^ ": reference infeasible")
+      end)
+    (List.filter
+       (fun (_, c) -> Circuit.latch_count c <= 800)
+       (Workloads.retime_suite ()))
+
 let test_classes_grouping () =
   let c = Circuit.create "cls" in
   let d = Circuit.add_input c "d" in
@@ -388,6 +420,8 @@ let suite =
     Alcotest.test_case "FEAS feasible differential" `Quick test_feas_feasible_differential;
     Alcotest.test_case "FEAS arrival differential" `Quick test_feas_arrival_differential;
     Alcotest.test_case "min-area fast = reference" `Quick test_minarea_fast_vs_reference;
+    Alcotest.test_case "retime suite fast = reference" `Quick
+      test_retime_suite_fast_vs_reference;
     Alcotest.test_case "latch class grouping" `Quick test_classes_grouping;
     Alcotest.test_case "forward move legality" `Quick test_forward_move_legality;
     Alcotest.test_case "forward move preserves" `Quick test_forward_move_preserves;

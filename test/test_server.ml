@@ -297,12 +297,14 @@ let test_warm_requests () =
       check_ok "warm" r2;
       Alcotest.(check (option string)) "warm verdict" (Some "equivalent")
         (sstr r2 [ "verdict" ]);
-      let hits =
-        Option.value ~default:0 (sint r2 [ "counters"; "cache_hits" ])
-        + Option.value ~default:0 (sint r2 [ "counters"; "store_hits" ])
-      in
+      let counter k = Option.value ~default:(-1) (sint r2 [ "counters"; k ]) in
+      let hits = counter "cache_hits" + counter "store_hits" in
       Alcotest.(check bool) "warm run answered from the shared cache" true
-        (hits > 0))
+        (hits > 0);
+      (* every partition of the repeat is a hit: no engine work at all *)
+      Alcotest.(check int) "warm run: every partition a hit"
+        (counter "partitions") hits;
+      Alcotest.(check int) "warm run: no SAT calls" 0 (counter "sat_calls"))
 
 (* ---- concurrency ---- *)
 

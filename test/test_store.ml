@@ -245,6 +245,39 @@ let test_cex_replay_across_depths () =
   | _ -> Alcotest.fail "warm check must replay the counterexample");
   Store.close st
 
+(* Table-1 B-vs-C checks (exposed + optimized against exposed): after the
+   store is reopened, the warm check answers every partition from the log
+   with no solver work and the same verdict. *)
+let test_table1_warm_from_store () =
+  List.iter
+    (fun name ->
+      let c = Workloads.by_name name in
+      let b, copt = Result.get_ok (Flow.circuits c) in
+      let exposed =
+        List.map (Circuit.signal_name c) (Feedback.plan_structural c).Feedback.exposed
+      in
+      let check st = Result.get_ok (Verify.check ~jobs:2 ~store:st ~exposed b copt) in
+      let dir = fresh_dir () in
+      let st = Store.open_ dir in
+      let cold = check st in
+      Store.close st;
+      (match cold.Verify.verdict with
+      | Verify.Equivalent -> ()
+      | _ -> Alcotest.fail (name ^ ": cold B vs C not proven"));
+      let st = Store.open_ dir in
+      let warm = check st in
+      Store.close st;
+      let cec = warm.Verify.stats.Verify.cec in
+      (match warm.Verify.verdict with
+      | Verify.Equivalent -> ()
+      | _ -> Alcotest.fail (name ^ ": warm verdict differs"));
+      Alcotest.(check bool) (name ^ ": warm check has partitions") true
+        (cec.Cec.partitions > 0);
+      Alcotest.(check int) (name ^ ": every partition from the store")
+        cec.Cec.partitions cec.Cec.store_hits;
+      Alcotest.(check int) (name ^ ": no SAT calls") 0 cec.Cec.sat_calls)
+    [ "minmax10"; "s953"; "s3330" ]
+
 (* a parity miter (chain vs tree) under an already-expired deadline: the
    check gives up before any engine runs *)
 let parity_pair n =
@@ -445,6 +478,7 @@ let suite =
     Alcotest.test_case "bit flip recovery" `Quick test_bit_flip;
     Alcotest.test_case "bad magic cold start" `Quick test_bad_magic;
     Alcotest.test_case "cex replay across depths" `Quick test_cex_replay_across_depths;
+    Alcotest.test_case "table-1 checks warm from the store" `Quick test_table1_warm_from_store;
     Alcotest.test_case "undecided never persisted" `Quick test_undecided_never_persisted;
     Alcotest.test_case "record kinds" `Quick test_kinds;
     Alcotest.test_case "flat records keep legacy framing" `Quick test_flat_records_legacy_framing;

@@ -274,26 +274,32 @@ let test_lane_alu_shape () =
   | Verify.Inequivalent _ -> ()
   | _ -> Alcotest.fail "bug variant accepted"
 
+(* The large tier lives in the registry as style pairs (CI checks them
+   through the CLI by @name) plus one seeded-bug mutant side. *)
 let test_large_suite_shape () =
-  let full = Workloads.large_suite () in
-  let smoke = Workloads.large_suite ~smoke:true () in
-  Alcotest.(check bool) "smoke is smaller" true
-    (List.length smoke < List.length full && smoke <> []);
+  let large =
+    List.filter
+      (fun n ->
+        String.starts_with ~prefix:"fifo" n || String.starts_with ~prefix:"alu" n)
+      (Workloads.names ())
+  in
+  Alcotest.(check (list string))
+    "large-tier names"
+    [
+      "fifo64x16s"; "fifo64x16m"; "fifo128x8s"; "fifo128x8m"; "alu8x8x4r";
+      "alu8x8x4s"; "alu64x8x4r"; "alu64x8x4s"; "fifo64x16m_bug";
+    ]
+    large;
   List.iter
-    (fun (name, c1, c2) ->
-      Circuit.check c1;
-      Circuit.check c2;
-      Alcotest.(check bool) (name ^ ": style names differ") true
-        (Circuit.name c1 <> Circuit.name c2);
+    (fun n ->
+      let c = Workloads.by_name n in
+      Circuit.check c;
+      Alcotest.(check string) (n ^ ": named after its entry") n (Circuit.name c);
       (* generators are deterministic and reachable through by_name *)
-      Alcotest.(check string) (name ^ ": by_name round-trips")
-        (Netlist_io.to_string c1)
-        (Netlist_io.to_string (Workloads.by_name (Circuit.name c1))))
-    (full @ smoke);
-  let mname, m1, m2 = Workloads.large_mutant () in
-  Circuit.check m1;
-  Circuit.check m2;
-  Alcotest.(check bool) "mutant named" true (String.length mname > 0)
+      Alcotest.(check string) (n ^ ": by_name round-trips")
+        (Netlist_io.to_string c)
+        (Netlist_io.to_string (Workloads.by_name (Circuit.name c))))
+    large
 
 let suite =
   [
