@@ -304,7 +304,7 @@ let ablation_cec () =
       let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(ex copt) bld copt) in
       let p = ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
       let run engine =
-        let v, t = time (fun () -> Cec.check_problem ~engine p) in
+        let (v, _), t = time (fun () -> Cec.check_problem_with_stats ~engine p) in
         (match v with
         | Cec.Equivalent -> ()
         | Cec.Inequivalent _ -> pf "NEQ?!"
@@ -340,7 +340,12 @@ let ablation_synth_rewrite () =
       let opts = { Synth_script.default_options with rewrite = true } in
       let rw = Synth_script.delay_script ~options:opts c in
       (* sanity: still equivalent *)
-      (match Cec.check (Comb_view.of_sequential base) (Comb_view.of_sequential rw) with
+      (match
+         fst
+           (Cec.check_problem_with_stats
+              (Cec.of_circuits (Comb_view.of_sequential base)
+                 (Comb_view.of_sequential rw)))
+       with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ | Cec.Undecided _ -> pf "REWRITE BUG on %s!@." name);
       let a0 = Circuit.area base and a1 = Circuit.area rw in
@@ -507,10 +512,10 @@ let micro () =
                ignore (Cbf.unroll ~exposed:(expose b) bld b)));
         Test.make ~name:"t1/cec-sweep-s953"
           (Staged.stage (fun () ->
-               ignore (Cec.check_problem ~engine:Cec.Sweep_engine problem)));
+               ignore (Cec.check_problem_with_stats ~engine:Cec.Sweep_engine problem)));
         Test.make ~name:"t1/cec-bdd-s953"
           (Staged.stage (fun () ->
-               ignore (Cec.check_problem ~engine:Cec.Bdd_engine problem)));
+               ignore (Cec.check_problem_with_stats ~engine:Cec.Bdd_engine problem)));
         Test.make ~name:"t2/exposure-ex3"
           (Staged.stage (fun () ->
                ignore (Feedback.plan_functional (Workloads.by_name "ex3"))));

@@ -8,25 +8,28 @@ open Cmdliner
 
 let is_blif path = Filename.check_suffix path ".blif"
 
+let fail msg =
+  Format.eprintf "error: %s@." msg;
+  exit 1
+
+(* An unreadable or malformed netlist is a diagnosis (exit 1), not an
+   internal error: callers load before opening a trace or a store, so
+   this early exit has nothing to clean up. *)
 let load path =
   if String.length path > 0 && path.[0] = '@' then
     match Workloads.lookup (String.sub path 1 (String.length path - 1)) with
     | Ok c -> c
-    | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        exit 1
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    if is_blif path then begin
-      let { Blif.circuit; warnings } = Blif.parse text in
-      List.iter (fun w -> Format.eprintf "warning: %s@." w) warnings;
-      circuit
-    end
-    else Netlist_io.parse text
-  end
+    | Error msg -> fail msg
+  else
+    try
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      if is_blif path then begin
+        let { Blif.circuit; warnings } = Blif.parse text in
+        List.iter (fun w -> Format.eprintf "warning: %s@." w) warnings;
+        circuit
+      end
+      else Netlist_io.parse text
+    with Sys_error msg | Invalid_argument msg -> fail msg
 
 let save path c =
   let oc = open_out path in
@@ -138,6 +141,9 @@ let open_store dir =
         "warning: corrupt verdict store quarantined to %s; starting cold@." q
   | None -> ());
   st
+
+(* the one check's result cache, write-through to the store when given *)
+let store_cache = Option.map (fun store -> Cec.Cache.create ~store ())
 
 (* ---- observability (shared by verify and flow) ---- *)
 
@@ -286,20 +292,23 @@ let synth_cmd =
 let retime_cmd =
   let run path out period min_area exposed =
     let c = load path in
-    let pred cc s = List.mem (Circuit.signal_name cc s) exposed in
+    let exposed =
+      match Verify.exposed_pred c exposed with
+      | Ok pred -> pred
+      | Error d -> fail (Seqprob.diagnosis_to_string d)
+    in
     let o, report =
       match (period, min_area) with
       | Some p, _ -> (
-          match Retime.constrained_min_area ~exposed:(pred c) ~period:p c with
+          match Retime.constrained_min_area ~exposed ~period:p c with
           | Ok r -> r
           | Error Retime.Infeasible_period ->
-              Format.eprintf "error: %s@."
+              fail
                 (Seqprob.diagnosis_to_string
                    (Seqprob.Infeasible_period
-                      { circuit = Circuit.name c; period = p }));
-              exit 1)
-      | None, true -> Retime.min_area ~exposed:(pred c) c
-      | None, false -> Retime.min_period ~exposed:(pred c) c
+                      { circuit = Circuit.name c; period = p })))
+      | None, true -> Retime.min_area ~exposed c
+      | None, false -> Retime.min_period ~exposed c
     in
     Format.printf "period %d -> %d, latches %d -> %d@." report.Retime.period_before
       report.Retime.period_after report.Retime.latches_before report.Retime.latches_after;
@@ -329,6 +338,8 @@ let retime_cmd =
 let verify_cmd =
   let run p1 p2 engine exposed no_rewrite guard jobs timeout sat_conflicts
       cache_dir trace verbose obs_stats =
+    let c1 = load p1 in
+    let c2 = load p2 in
     let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
     let store = Option.map open_store cache_dir in
     let quit code =
@@ -336,11 +347,10 @@ let verify_cmd =
       finish ();
       exit code
     in
-    let c1 = load p1 and c2 = load p2 in
     let limits = limits_of timeout sat_conflicts in
     let outcome =
       match
-        Verify.check ~engine ~jobs ~limits ?store
+        Verify.check ~engine ~jobs ~limits ?cache:(store_cache store)
           ~rewrite_events:(not no_rewrite) ~guard_events:guard ~exposed c1 c2
       with
       | Ok o -> o
@@ -457,11 +467,11 @@ let redundancy_cmd =
 let flow_cmd =
   let run path jobs period timeout sat_conflicts cache_dir trace verbose
       obs_stats =
+    let c = load path in
     let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
     let store = Option.map open_store cache_dir in
-    let c = load path in
     let limits = limits_of timeout sat_conflicts in
-    match Flow.run ~jobs ~limits ?store ?period c with
+    match Flow.run ~jobs ~limits ?cache:(store_cache store) ?period c with
     | Error d ->
         Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
         Option.iter Store.close store;
@@ -560,13 +570,7 @@ let cache_cmd =
 
 let generate_cmd =
   let run name out =
-    let c =
-      match Workloads.lookup name with
-      | Ok c -> c
-      | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          exit 1
-    in
+    let c = match Workloads.lookup name with Ok c -> c | Error msg -> fail msg in
     match out with
     | Some p -> save p c
     | None -> print_string (Netlist_io.to_string c)
@@ -601,17 +605,15 @@ let hier_cmd =
     let name =
       match name with
       | Some n -> n
-      | None ->
-          Format.eprintf "error: a PAIR name is required (or use --list)@.";
-          exit 1
+      | None -> fail "a PAIR name is required (or use --list)"
     in
     let dl, dr =
       match List.find_opt (fun (n, _, _, _) -> n = name) suite with
       | Some (_, dl, dr, _) -> (dl, dr)
       | None ->
-          Format.eprintf "error: unknown hier pair %S (have: %s)@." name
-            (String.concat ", " (List.map (fun (n, _, _, _) -> n) suite));
-          exit 1
+          fail
+            (Printf.sprintf "unknown hier pair %S (have: %s)" name
+               (String.concat ", " (List.map (fun (n, _, _, _) -> n) suite)))
     in
     let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
     let store = Option.map open_store cache_dir in
@@ -628,7 +630,10 @@ let hier_cmd =
         List.map (Circuit.signal_name c1)
           (Feedback.plan_structural c1).Feedback.exposed
       in
-      match Verify.check ~engine ~jobs ~limits ?store ~exposed c1 c2 with
+      match
+        Verify.check ~engine ~jobs ~limits ?cache:(store_cache store) ~exposed
+          c1 c2
+      with
       | Error d ->
           Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
           quit 1
@@ -830,18 +835,16 @@ let client_cmd =
     let c =
       try Server.Client.connect ~retries socket
       with Unix.Unix_error (e, _, _) ->
-        Format.eprintf "error: cannot connect to %s: %s@." socket
-          (Unix.error_message e);
-        exit 1
+        fail
+          (Printf.sprintf "cannot connect to %s: %s" socket
+             (Unix.error_message e))
     in
     Fun.protect ~finally:(fun () -> Server.Client.close c) (fun () -> f c)
   in
   let roundtrip c req =
     match Server.Client.request c req with
     | r -> r
-    | exception End_of_file ->
-        Format.eprintf "error: server hung up@.";
-        exit 1
+    | exception End_of_file -> fail "server hung up"
   in
   (* "@name" goes over the wire as a suite reference; a file is loaded and
      sent inline in Netlist_io form (normalizing .blif on the way) *)
@@ -912,12 +915,15 @@ let client_cmd =
   let check_c =
     let run socket retries p1 p2 exposed no_expose engine timeout sat_conflicts
         jobs =
+      (* load in argument order, so a bad first netlist is the one reported *)
+      let left = wire_circuit p1 in
+      let right = wire_circuit p2 in
       let fields =
         [
           ("id", Sjson.Int (Unix.getpid ()));
           ("op", Sjson.String "check");
-          ("left", Sjson.String (wire_circuit p1));
-          ("right", Sjson.String (wire_circuit p2));
+          ("left", Sjson.String left);
+          ("right", Sjson.String right);
         ]
         @ (match (exposed, no_expose) with
           | [], false -> [ ("exposed", Sjson.String "auto") ]

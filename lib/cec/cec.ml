@@ -178,10 +178,8 @@ module Cache = struct
      Aig.cone_inputs), so a hit on a structurally identical cone pair with
      different variables — the same cone at another unrolling depth, or
      under renamed inputs — replays under the hitting problem's own
-     variables. *)
-  type entry = E_equivalent | E_inequivalent of (int * bool) list
-
-  type slot = { entry : entry; mutable stamp : int }
+     variables.  Entries are {!Store.verdict}s, in memory and on disk. *)
+  type slot = { entry : Store.verdict; mutable stamp : int }
 
   (* Bounded in-memory index, optionally backed by a persistent Store.
      When over capacity a batch eviction drops the least-recently-hit
@@ -191,9 +189,6 @@ module Cache = struct
      them (under its own, larger bound) and a later miss re-promotes. *)
   type t = {
     tbl : (string, slot) Hashtbl.t;
-    costs : (string, float) Hashtbl.t;
-        (* observed engine seconds per signature, feeding the layout's
-           cost prior; best-effort (reset wholesale when over capacity) *)
     m : Mutex.t;
     capacity : int;
     store : Store.t option;
@@ -205,14 +200,11 @@ module Cache = struct
   let create ?(capacity = default_capacity) ?store () =
     {
       tbl = Hashtbl.create 256;
-      costs = Hashtbl.create 256;
       m = Mutex.create ();
       capacity = max 1 capacity;
       store;
       gen = 0;
     }
-
-  let store t = t.store
 
   let clear t =
     Mutex.lock t.m;
@@ -224,36 +216,6 @@ module Cache = struct
     let n = Hashtbl.length t.tbl in
     Mutex.unlock t.m;
     n
-
-  (* A verdict we could serve without engine work — in memory or in the
-     backing store.  Store.mem is an in-memory index probe, no I/O. *)
-  let mem t key =
-    Mutex.lock t.m;
-    let hit = Hashtbl.mem t.tbl key in
-    Mutex.unlock t.m;
-    hit || (match t.store with Some st -> Store.mem st key | None -> false)
-
-  let note_cost t key seconds =
-    Mutex.lock t.m;
-    if Hashtbl.length t.costs >= t.capacity then Hashtbl.reset t.costs;
-    (match Hashtbl.find_opt t.costs key with
-    | Some s when s >= seconds -> () (* keep the worst observation *)
-    | _ -> Hashtbl.replace t.costs key seconds);
-    Mutex.unlock t.m
-
-  let observed_cost t key =
-    Mutex.lock t.m;
-    let c = Hashtbl.find_opt t.costs key in
-    Mutex.unlock t.m;
-    c
-
-  let entry_of_store = function
-    | Store.Equivalent -> E_equivalent
-    | Store.Inequivalent cex -> E_inequivalent cex
-
-  let store_of_entry = function
-    | E_equivalent -> Store.Equivalent
-    | E_inequivalent cex -> Store.Inequivalent cex
 
   (* m held.  Batch-evict oldest-stamp entries down to 3/4 capacity;
      returns the number dropped. *)
@@ -277,7 +239,7 @@ module Cache = struct
     end
 
   (* where a hit was served from — callers account the two differently *)
-  type hit = Memory of entry | Disk of entry
+  type hit = Memory of Store.verdict | Disk of Store.verdict
 
   (* Lookup, memory first, then the backing store; a disk hit is promoted
      into memory so repeats stay off the store's mutex.  Also returns how
@@ -298,8 +260,7 @@ module Cache = struct
         | Some st -> (
             match Store.find st key with
             | None -> (None, 0)
-            | Some v ->
-                let e = entry_of_store v in
+            | Some e ->
                 Mutex.lock t.m;
                 let evicted =
                   if Hashtbl.mem t.tbl key then 0
@@ -331,16 +292,11 @@ module Cache = struct
       fresh
       &&
       match t.store with
-      | Some st -> Store.add st key (store_of_entry entry)
+      | Some st -> Store.add st key entry
       | None -> false
     in
     ((if wrote then 1 else 0), evicted)
 end
-
-let require_comb c =
-  if Circuit.latch_count c > 0 then
-    invalid_arg
-      (Printf.sprintf "Cec: circuit %s is not combinational" (Circuit.name c))
 
 let input_index_tbl g =
   let t = Hashtbl.create 64 in
@@ -779,15 +735,10 @@ let check_pair ct b ~engine ~cache p =
           | Cache.Memory _ -> note_cache_hit ()
           | Cache.Disk _ -> note_store_hit ());
           match e with
-          | Cache.E_equivalent -> Equivalent
-          | Cache.E_inequivalent pos -> replay pos)
+          | Store.Equivalent -> Equivalent
+          | Store.Inequivalent pos -> replay pos)
       | None -> (
-          let spent0 = ct.k_bdd_s +. ct.k_sat_s +. ct.k_sweep_s in
           let v = run_engine ct b ~engine p in
-          (* observed engine seconds for this cone pair: the layout's cost
-             prior on later checks of a structurally identical cone *)
-          Cache.note_cost cache key
-            (ct.k_bdd_s +. ct.k_sat_s +. ct.k_sweep_s -. spent0);
           let remember entry =
             let wrote, evicted = Cache.add_entry cache key entry in
             ct.k_store_writes <- ct.k_store_writes + wrote;
@@ -799,14 +750,14 @@ let check_pair ct b ~engine ~cache p =
                  sibling cex might decide the same cone pair next time *)
               v
           | Equivalent ->
-              remember Cache.E_equivalent;
+              remember Store.Equivalent;
               v
           | Inequivalent cex ->
               let cvars = canonical_vars p in
               let pos_of_var = Hashtbl.create 16 in
               Array.iteri (fun k v -> Hashtbl.replace pos_of_var v k) cvars;
               remember
-                (Cache.E_inequivalent
+                (Store.Inequivalent
                    (List.filter_map
                       (fun (v, b) ->
                         Option.map
@@ -839,18 +790,6 @@ let extract_part (p : Seqprob.t) members o1 o2 =
     outs2 = List.map tr roots2;
   }
 
-(* Nominal engine seconds to replay an already-known verdict: a cache probe
-   plus a counterexample translation, no solving. *)
-let replay_seconds = 1e-4
-
-(* Cost prior for the layout: observed engine seconds when this cone pair
-   (or a structurally identical one) was checked before; a near-zero cost
-   when its verdict is already in the cache or the persistent store. *)
-let prior_of_cache cache ~signature =
-  match Cache.observed_cost cache signature with
-  | Some s -> Some s
-  | None -> if Cache.mem cache signature then Some replay_seconds else None
-
 let check_monolithic ~engine ~limits ~cache p =
   let ct = fresh_counters () in
   let b = bctx_of_limits limits in
@@ -865,13 +804,12 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
   if p.outs1 = [] then (Equivalent, empty_stats)
   else begin
     let o1 = Array.of_list p.outs1 and o2 = Array.of_list p.outs2 in
-    let prior = Option.map (fun c -> prior_of_cache c) cache in
     (* Layout and sub-AIG extraction are cheap and sequential; afterwards
        every pool task owns its sub-problems outright, so nothing mutable
        crosses domains. *)
     let (layout, subs), layout_seconds =
       Obs.timed_span ~name:"cec.layout" (fun () ->
-          let l = Layout.compute ~forced ?prior p in
+          let l = Layout.compute ~forced p in
           Obs.attr (fun () ->
               [
                 ("clusters", Obs.Int (List.length l.Layout.clusters));
@@ -994,17 +932,9 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
   end
 
 let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
-    ?(limits = no_limits) ?cache ?store (p : Seqprob.t) =
+    ?(limits = no_limits) ?cache (p : Seqprob.t) =
   if List.length p.outs1 <> List.length p.outs2 then
     invalid_arg "Cec: output counts differ";
-  (* [store] is only consulted when the caller supplies no cache: a
-     caller-provided cache decides its own backing *)
-  let cache =
-    match (cache, store) with
-    | (Some _ as c), _ -> c
-    | None, Some st -> Some (Cache.create ~store:st ())
-    | None, None -> cache
-  in
   (* a shared pool implies its own parallelism level unless the caller
      narrows it (e.g. a per-request jobs cap below the server's pool) *)
   let jobs =
@@ -1039,14 +969,14 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
   in
   (v, { stats with elapsed_seconds = elapsed })
 
-let check_problem ?engine ?jobs ?pool ?partition ?limits ?cache ?store p =
-  fst
-    (check_problem_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache
-       ?store p)
+(* ---------- Circuit.t pairs ---------- *)
 
-(* ---------- Circuit.t entry points (thin wrappers) ---------- *)
+let require_comb c =
+  if Circuit.latch_count c > 0 then
+    invalid_arg
+      (Printf.sprintf "Cec: circuit %s is not combinational" (Circuit.name c))
 
-let problem_of_circuits c1 c2 =
+let of_circuits c1 c2 =
   require_comb c1;
   require_comb c2;
   match Seqprob.of_circuits c1 c2 with
@@ -1054,16 +984,6 @@ let problem_of_circuits c1 c2 =
   | Error (Seqprob.Output_arity_mismatch _) ->
       invalid_arg "Cec: output counts differ"
   | Error d -> invalid_arg (Seqprob.diagnosis_to_string d)
-
-let check_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1 c2
-    =
-  check_problem_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store
-    (problem_of_circuits c1 c2)
-
-let check ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1 c2 =
-  fst
-    (check_with_stats ?engine ?jobs ?pool ?partition ?limits ?cache ?store c1
-       c2)
 
 let counterexample_is_valid c1 c2 cex =
   (* The environment is keyed by the full variable, not just its base —

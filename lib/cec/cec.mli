@@ -7,12 +7,12 @@
     variable universe — optionally run in parallel over cone-clustered
     output partitions of the miter.
 
-    {!check_problem} is the native entry point; the unrollers ({!Cbf},
-    {!Edbf}) build problems directly.  The [Circuit.t] entry points are
-    thin wrappers that wrap two combinational netlists into a problem
-    first (inputs matched {e by name} — each name becomes the variable
-    [Seqprob.Var.time name 0], and the universe is the union of both input
-    sets; outputs are matched by position). *)
+    {!check_problem_with_stats} is the one entry point; the unrollers
+    ({!Cbf}, {!Edbf}) build problems directly, and {!of_circuits} wraps two
+    combinational netlists into a problem (inputs matched {e by name} —
+    each name becomes the variable [Seqprob.Var.time name 0], and the
+    universe is the union of both input sets; outputs are matched by
+    position). *)
 
 type counterexample = (Seqprob.Var.t * bool) list
 (** Assignment to (a subset of) the problem's variables; unlisted variables
@@ -111,8 +111,6 @@ type stats = {
     or not tracing is enabled; {!stats_pp} prints both the wall clock and
     the per-engine CPU-second sums. *)
 
-val empty_stats : stats
-
 val stats_pp : Format.formatter -> stats -> unit
 (** One-line rendering printing {e every} field: counters, the elapsed
     wall clock (with the partitioning share) and the per-engine
@@ -150,35 +148,27 @@ module Cache : sig
   (** Drops the in-memory index only; a backing store is untouched. *)
 
   val size : t -> int
-
-  val store : t -> Store.t option
-
-  val observed_cost : t -> string -> float option
-  (** Engine seconds observed when the cone pair with this signature was
-      last checked (the maximum over observations), if any — the
-      {!Layout}'s cost prior.  Observations are kept even for verdicts
-      the cache cannot store ([Undecided]). *)
 end
 
 module Layout = Layout
 (** Cost-model-driven partition layout: overlap clustering into
-    verdict-unit {e clusters}, a [nodes × depth] cone cost estimate
-    refinable by observed engine seconds, a monolithic fast path below a
-    total-cost threshold, and cost-balanced packing of clusters into
-    scheduling {e bins}.  See {!Layout.compute}. *)
+    verdict-unit {e clusters}, a [nodes × depth] cone cost estimate, a
+    monolithic fast path below a total-cost threshold, and cost-balanced
+    packing of clusters into scheduling {e bins}.  See
+    {!Layout.compute}. *)
 
-val check_problem :
+val check_problem_with_stats :
   ?engine:engine ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   ?partition:bool ->
   ?limits:limits ->
   ?cache:Cache.t ->
-  ?store:Store.t ->
   Seqprob.t ->
-  verdict
-(** Decides equivalence of the problem's two output-cone groups.  Default
-    engine: [Sweep_engine]; default limits: {!no_limits}.
+  verdict * stats
+(** Decides equivalence of the problem's two output-cone groups and
+    returns the per-check statistics with the verdict.  Default engine:
+    [Sweep_engine]; default limits: {!no_limits}.
 
     With [jobs > 1] the split is {e adaptive}, driven by the {!Layout}
     cost model: below a total-cost threshold the whole miter is checked
@@ -188,17 +178,15 @@ val check_problem :
     output splitting.  Output pairs whose fanin cones (in the shared AIG)
     overlap by at least half of the smaller cone are clustered together
     (so shared logic is swept once); each cluster is checked — and cached
-    — on its own, and clusters are packed by estimated cost (refined by
-    observed engine seconds when the cache or store has seen a cluster's
-    cone before) into cost-proportional scheduling {e bins}, the unit of
-    pool work.  Cluster boundaries depend only on the problem — never on
-    [jobs], never on cache state — so verdicts and cache keys are
-    identical at every parallelism level; bin shapes may vary with cost
-    priors but never influence a verdict.  [~partition:true] forces the
-    clustered path regardless of cost; [~partition:false] forces the
-    monolithic check.  Clusters are carved out of the problem graph with
-    {!Aig.extract} — no netlist round-trip — and bins run on a lazily
-    spawned {!Par.Pool} of at most [min jobs bins] domains.
+    — on its own, and clusters are packed by estimated cost into
+    cost-proportional scheduling {e bins}, the unit of pool work.  Cluster
+    and bin boundaries depend only on the problem — never on [jobs],
+    never on cache state — so verdicts and cache keys are identical at
+    every parallelism level.  [~partition:true] forces the clustered path
+    regardless of cost; [~partition:false] forces the monolithic check.
+    Clusters are carved out of the problem graph with {!Aig.extract} — no
+    netlist round-trip — and bins run on a lazily spawned {!Par.Pool} of
+    at most [min jobs bins] domains.
 
     {b Shared pools.}  [pool] runs the partitioned search on a
     caller-owned pool instead of a per-check one: the pool is {e not}
@@ -225,55 +213,21 @@ val check_problem :
     The {e verdict} is still deterministic, but under parallel cancellation
     the reported counterexample may come from any failing partition (at
     [jobs = 1] partitions run in order, so it is the lowest-index one).
-    A fresh {!Cache} is used per check unless [cache] supplies a shared
-    one; [Undecided] answers are never cached.  [store] is shorthand for
-    [~cache:(Cache.create ~store ())] — a persistent verdict store backing
-    a fresh per-check cache — and is ignored when [cache] is given (a
-    caller-provided cache decides its own backing).
+
+    {b Caching.}  A fresh {!Cache} is used per check unless [cache]
+    supplies a shared one; a persistent verdict store is attached through
+    the cache ([~cache:(Cache.create ~store ())]).  [Undecided] answers
+    are never cached.
 
     @raise Invalid_argument if the two output groups differ in length
     (impossible for problems built by {!Seqprob.problem}). *)
 
-val check_problem_with_stats :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Seqprob.t ->
-  verdict * stats
-(** Like {!check_problem}, also returning the per-check statistics. *)
-
-val check :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Circuit.t ->
-  Circuit.t ->
-  verdict
-(** [Circuit.t] wrapper over {!check_problem}: wraps the two circuits via
-    {!Seqprob.of_circuits} (inputs united by name at time 0).
+val of_circuits : Circuit.t -> Circuit.t -> Seqprob.t
+(** Wraps two combinational circuits into a problem via
+    {!Seqprob.of_circuits} (inputs united by name at time 0), for
+    [check_problem_with_stats (of_circuits c1 c2)].
     @raise Invalid_argument if either circuit contains latches or the
     output counts differ. *)
-
-val check_with_stats :
-  ?engine:engine ->
-  ?jobs:int ->
-  ?pool:Par.Pool.t ->
-  ?partition:bool ->
-  ?limits:limits ->
-  ?cache:Cache.t ->
-  ?store:Store.t ->
-  Circuit.t ->
-  Circuit.t ->
-  verdict * stats
-(** Like {!check}, also returning the per-check statistics. *)
 
 val counterexample_is_valid :
   Circuit.t -> Circuit.t -> counterexample -> bool

@@ -12,20 +12,17 @@
    - [bins] — the scheduling units.  Clusters are packed largest-first
      into a number of bins proportional to the total *estimated cost*
      (again never to [jobs]); a pool never spawns more domains than there
-     are bins.  Because bins only group work and each cluster is still
-     checked (and cached) on its own, cost refinement from observed engine
-     seconds can reshape the bins without perturbing any verdict or key.
+     are bins.  Bins only group work: each cluster is still checked (and
+     cached) on its own.
 
    The cost estimate for a cluster is [nodes * depth]: the cone's node
    count in the shared unrolled AIG times its time-frame depth (1 + the
    deepest unroll frame among its inputs).  Node count is what simulation
    and CNF size scale with; depth is a proxy for how much replicated logic
    the unroller fed the cone, which correlates with how hard its SAT
-   merges are.  When the caller can supply observed engine seconds for a
-   cluster's signature (a prior verdict in the result cache or the
-   persistent store), the observation replaces the estimate.
+   merges are.
 
-   Below [threshold] total cost the whole layout collapses to a
+   Below [default_threshold] total cost the whole layout collapses to a
    monolithic check: partitioning overhead (per-cluster extraction,
    solver warm-up, pool spin-up) dwarfs the work on small problems —
    partitioned jobs=2 checks historically measured as a net slowdown on
@@ -47,7 +44,6 @@ type t = {
   bins : int list list;
       (* scheduling groups of cluster indices, heaviest bin first; empty
          when [monolithic] *)
-  bin_costs : float array;
 }
 
 (* Calibrated on this repository's workloads (see DESIGN.md §11): every
@@ -77,11 +73,6 @@ let max_bins = 64
 (* Two underfull bins are merged while their combined cost stays within
    this factor of the per-bin target: fewer tasks, bounded imbalance. *)
 let bin_slack = 1.5
-
-(* Node-frames per observed engine second, used to convert a prior's
-   seconds back into the estimate's unit.  Rough by design — priors only
-   steer bin packing, never verdicts. *)
-let cost_per_second = 2e5
 
 let estimate ~nodes ~depth = float_of_int nodes *. float_of_int (max 1 depth)
 
@@ -169,16 +160,6 @@ let clusters (p : Seqprob.t) =
       })
     !groups
 
-(* Purely structural signature of a cluster's cone pair over the shared
-   graph — by canonicity of {!Aig.cone_signature} it equals the signature
-   the checker computes on the extracted sub-problem, so it indexes the
-   same cache and store entries. *)
-let cluster_signature (p : Seqprob.t) cl =
-  let o1 = Array.of_list p.outs1 and o2 = Array.of_list p.outs2 in
-  let roots1 = List.map (fun i -> o1.(i)) cl.members in
-  let roots2 = List.map (fun i -> o2.(i)) cl.members in
-  Aig.cone_signature p.graph ~input_label:(fun _ -> "") [ roots1; roots2 ]
-
 (* Largest-first (LPT) packing into [bins] bins; deterministic — ties keep
    cluster order (stable sort) and go to the lowest-index bin. *)
 let pack ~bins cls =
@@ -229,67 +210,37 @@ let quick_bound (p : Seqprob.t) =
   in
   2. *. float_of_int (Aig.node_count p.graph) *. float_of_int (1 + maxd)
 
-let compute ?(threshold = default_threshold) ?(forced = false) ?prior
-    (p : Seqprob.t) =
-  if (not forced) && quick_bound p < threshold then
+let compute ?(forced = false) (p : Seqprob.t) =
+  let bound = quick_bound p in
+  if (not forced) && bound < default_threshold then
     (* problem too small to possibly clear the threshold: monolithic
        without even paying the clustering pass ([clusters] left empty) *)
-    {
-      monolithic = true;
-      total_cost = quick_bound p;
-      clusters = [];
-      bins = [];
-      bin_costs = [||];
-    }
+    { monolithic = true; total_cost = bound; clusters = []; bins = [] }
   else
-  let cls = clusters p in
-  let base_total = List.fold_left (fun a c -> a +. c.cost) 0. cls in
-  let ncl = List.length cls in
-  (* The monolithic decision uses the *unrefined* estimate: priors say a
-     cone's verdict will replay cheaply from the cache, but only the
-     partitioned path has per-cluster keys to replay under — collapsing a
-     warm problem to one monolithic check would throw those verdicts
-     away.  Refined costs steer packing only. *)
-  if
-    (not forced)
-    && (base_total < threshold
-       || base_total < min_mean_cluster_cost *. float_of_int (max 1 ncl))
-  then
-    {
-      monolithic = true;
-      total_cost = base_total;
-      clusters = cls;
-      bins = [];
-      bin_costs = [||];
-    }
-  else begin
-    let cls =
-      match prior with
-      | None -> cls
-      | Some f ->
-          List.map
-            (fun c ->
-              match f ~signature:(cluster_signature p c) with
-              | Some seconds ->
-                  { c with cost = Float.max 1. (seconds *. cost_per_second) }
-              | None -> c)
-            cls
-    in
+    let cls = clusters p in
     let total = List.fold_left (fun a c -> a +. c.cost) 0. cls in
-    let bins =
-      min (min max_bins ncl)
-        (max 1 (int_of_float (Float.ceil (total /. bin_cost_target))))
-    in
-    let packed = merge_slack (pack ~bins (List.mapi (fun i c -> (i, c)) cls)) in
-    (* heaviest bin first, so the pool starts the critical work early *)
-    let packed =
-      List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) packed
-    in
-    {
-      monolithic = false;
-      total_cost = total;
-      clusters = cls;
-      bins = List.map fst packed;
-      bin_costs = Array.of_list (List.map snd packed);
-    }
-  end
+    let ncl = List.length cls in
+    if
+      (not forced)
+      && (total < default_threshold
+         || total < min_mean_cluster_cost *. float_of_int (max 1 ncl))
+    then { monolithic = true; total_cost = total; clusters = cls; bins = [] }
+    else begin
+      let bins =
+        min (min max_bins ncl)
+          (max 1 (int_of_float (Float.ceil (total /. bin_cost_target))))
+      in
+      let packed =
+        merge_slack (pack ~bins (List.mapi (fun i c -> (i, c)) cls))
+      in
+      (* heaviest bin first, so the pool starts the critical work early *)
+      let packed =
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) packed
+      in
+      {
+        monolithic = false;
+        total_cost = total;
+        clusters = cls;
+        bins = List.map fst packed;
+      }
+    end

@@ -4,11 +4,10 @@
     (the verdict and cache-key units — a pure function of the problem,
     independent of [jobs] and of cache state) and packs the clusters by
     estimated cost into scheduling {e bins} (what the domain pool actually
-    runs; also jobs-independent, but reshaped freely by cost priors since
-    bins never influence a verdict or a cache key).  Below a total-cost
-    threshold the layout collapses to a monolithic check so small problems
-    never pay partitioning or pool overhead.  Re-exported as
-    [Cec.Layout]. *)
+    runs; also jobs-independent, and never an influence on a verdict or a
+    cache key).  Below a total-cost threshold the layout collapses to a
+    monolithic check so small problems never pay partitioning or pool
+    overhead.  Re-exported as [Cec.Layout]. *)
 
 type cluster = {
   members : int list;  (** output-pair indices, ascending *)
@@ -31,7 +30,6 @@ type t = {
   bins : int list list;
       (** scheduling groups of indices into [clusters], heaviest first;
           [[]] when [monolithic] *)
-  bin_costs : float array;
 }
 
 val default_threshold : float
@@ -54,29 +52,9 @@ val max_bins : int
 val estimate : nodes:int -> depth:int -> float
 (** [nodes * max 1 depth] — monotone in both arguments. *)
 
-val clusters : Seqprob.t -> cluster list
-(** Greedy overlap clustering of the problem's output pairs, with each
-    cluster's base cost estimate filled in.  Depends only on the
-    problem. *)
-
-val cluster_signature : Seqprob.t -> cluster -> string
-(** The purely structural cone-pair signature of a cluster, computed on
-    the shared graph; equal to the signature of the extracted
-    sub-problem, so it indexes the same {!Cec.Cache} / {!Store} entries. *)
-
-val compute :
-  ?threshold:float ->
-  ?forced:bool ->
-  ?prior:(signature:string -> float option) ->
-  Seqprob.t ->
-  t
+val compute : ?forced:bool -> Seqprob.t -> t
 (** Full layout: cluster, estimate, threshold-check, pack.  The layout is
-    monolithic when the total base estimate is under [threshold] {e or}
-    the mean cluster cost is under {!min_mean_cluster_cost}.
+    monolithic when the total estimate is under {!default_threshold}
+    {e or} the mean cluster cost is under {!min_mean_cluster_cost}.
     [~forced:true] disables the monolithic fast path (the
-    [~partition:true] contract).
-    [prior] maps a cluster's signature to observed engine seconds from an
-    earlier check (result cache / persistent store); a prior replaces that
-    cluster's estimate for {e packing} purposes only — the monolithic
-    decision uses the unrefined estimate so warm runs keep the partition
-    boundaries (and so the cache keys) of their cold run. *)
+    [~partition:true] contract). *)

@@ -12,7 +12,7 @@
 
     Theorem 5.1: two such circuits are exact 3-valued equivalent iff their
     CBFs are equal — so equivalence of the unrolled cones (decided by
-    {!Cec.check_problem}) decides sequential equivalence.
+    {!Cec.check_problem_with_stats}) decides sequential equivalence.
 
     Latches designated [exposed] are treated as an I/O boundary: their
     output is a fresh CBF variable and their data function is appended to

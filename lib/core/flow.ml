@@ -81,7 +81,7 @@ let regular_latches_only a =
         (Seqprob.Hidden_enabled_latch
            { circuit = Circuit.name a; latch = Circuit.signal_name a l })
 
-let circuits ?engine:_ a =
+let circuits a =
   let* () = regular_latches_only a in
   let plan = Feedback.plan_structural a in
   let exposed_names = List.map (Circuit.signal_name a) plan.Feedback.exposed in
@@ -89,14 +89,14 @@ let circuits ?engine:_ a =
   let* c = optimize_c ~exposed_names b in
   Ok (b, c)
 
-let run ?engine ?jobs ?limits ?cache ?store ?period ?(skip_verify = false) a =
+let run ?jobs ?limits ?cache ?period a =
   Obs.span ~name:"flow.run"
     ~attrs:[ ("circuit", Obs.String (Circuit.name a)) ]
   @@ fun () ->
   Circuit.check a;
   let* () = regular_latches_only a in
-  (* the retime stages share one domain pool with the verification sweep's
-     [?jobs] budget; [None] (or jobs <= 1) keeps them sequential *)
+  (* one domain pool for the whole flow: the retime stages and the H-vs-J
+     check share it ([None], or jobs <= 1, keeps them sequential) *)
   let pool =
     match jobs with
     | Some j when j > 1 -> Some (Par.Pool.create ~jobs:j)
@@ -142,27 +142,8 @@ let run ?engine ?jobs ?limits ?cache ?store ?period ?(skip_verify = false) a =
   let* g = stage "G" (fun () -> min_area_on ?pool ~period:target ~fallback sya) in
   let nl = Circuit.latch_count a in
   let* outcome =
-    if skip_verify then
-      Ok
-        {
-          Verify.verdict = Verify.Equivalent;
-          stats =
-            {
-              Verify.method_ = Verify.Cbf_method;
-              depth = 0;
-              variables = 0;
-              events = 0;
-              unrolled_nodes = 0;
-              unrolled_gates = (0, 0);
-              cec = Cec.empty_stats;
-              unroll_seconds = 0.;
-              seconds = 0.;
-            };
-        }
-    else
-      stage "verify" (fun () ->
-          Verify.check ?engine ?jobs ?limits ?cache ?store
-            ~exposed:exposed_names b c)
+    stage "verify" (fun () ->
+        Verify.check ?jobs ?pool ?limits ?cache ~exposed:exposed_names b c)
   in
   Ok
     {

@@ -32,34 +32,31 @@ type row = {
   verify_stats : Verify.stats;
   stage_seconds : (string * float) list;
       (** wall clock per pipeline stage, in execution order: ["B"]; ["D"];
-          ["C"]; ["E"]; ["F"]; ["G"]; ["verify"] (absent under
-          [skip_verify]).  Derived from the {!Obs} stage spans (monotonic
-          clock), measured whether or not tracing is enabled. *)
+          ["C"]; ["E"]; ["F"]; ["G"]; ["verify"].  Derived from the {!Obs}
+          stage spans (monotonic clock), measured whether or not tracing
+          is enabled. *)
 }
 
 val metrics_of : Circuit.t -> metrics
 
 val run :
-  ?engine:Cec.engine ->
   ?jobs:int ->
   ?limits:Cec.limits ->
   ?cache:Cec.Cache.t ->
-  ?store:Store.t ->
   ?period:int ->
-  ?skip_verify:bool ->
   Circuit.t ->
   (row, Seqprob.diagnosis) result
-(** Runs the full pipeline on a regular-latch circuit.  [jobs], [limits],
-    [cache] and [store] are passed to the H-vs-J combinational check (see
-    {!Verify.check}); a blown budget surfaces as a
-    [Verify.Undecided _] verdict in the row, never as an error.
-    [period], when given, replaces [D]'s delay as the clock-period target
-    for the area-constrained retimings [E]/[G]; a user-supplied period is a
-    hard constraint, so an unachievable one yields
-    [Error (Infeasible_period _)] (the default target silently degrades to
-    the minimum feasible period instead).  When [skip_verify] is set the
-    H-vs-J check is skipped (the verdict reads [Equivalent] and the time is
-    0 — used when only optimization numbers are wanted).
+(** Runs the full pipeline on a regular-latch circuit.  With [jobs > 1]
+    one domain pool of that size serves the retiming stages and the
+    H-vs-J combinational check, and is shut down before [run] returns.
+    [jobs], [limits] and [cache] are passed to that check (see
+    {!Verify.check}; a [Cec.Cache.create ~store] cache persists its
+    verdicts); a blown budget surfaces as a [Verify.Undecided _] verdict
+    in the row, never as an error.  [period], when given, replaces [D]'s
+    delay as the clock-period target for the area-constrained retimings
+    [E]/[G]; a user-supplied period is a hard constraint, so an
+    unachievable one yields [Error (Infeasible_period _)] (the default
+    target silently degrades to the minimum feasible period instead).
 
     Load-enabled latches yield [Error (Hidden_enabled_latch _)]: like the
     paper (which lacked a retiming tool for them), the optimizing flow
@@ -67,10 +64,7 @@ val run :
     {!Verify.check}, and {!Classes.min_period_single_class} instead.  Any
     diagnosis from the embedded {!Verify.check} propagates unchanged. *)
 
-val circuits :
-  ?engine:Cec.engine ->
-  Circuit.t ->
-  (Circuit.t * Circuit.t, Seqprob.diagnosis) result
+val circuits : Circuit.t -> (Circuit.t * Circuit.t, Seqprob.diagnosis) result
 (** Just [B] and [C] (exposed + optimized), for callers that want to verify
     or inspect them separately. *)
 

@@ -75,7 +75,7 @@ let build_problem ~rewrite_events ~guard_events ~ex1 ~ex2 c1 c2 =
         (i1.Cbf.replication, i2.Cbf.replication) )
   end
 
-let check ?engine ?jobs ?pool ?limits ?cache ?store ?(rewrite_events = true)
+let check ?engine ?jobs ?pool ?limits ?cache ?(rewrite_events = true)
     ?(guard_events = false) ?(exposed = []) c1 c2 =
   Obs.span ~name:"verify.check"
     ~attrs:
@@ -93,7 +93,7 @@ let check ?engine ?jobs ?pool ?limits ?cache ?store ?(rewrite_events = true)
       in
       let* p, method_, depth, events, unrolled_gates = unrolled in
       let cec_verdict, cec =
-        Cec.check_problem_with_stats ?engine ?jobs ?pool ?limits ?cache ?store p
+        Cec.check_problem_with_stats ?engine ?jobs ?pool ?limits ?cache p
       in
       let verdict =
         match (cec_verdict, method_) with

@@ -52,8 +52,8 @@ val exposed_pred :
   (Circuit.signal -> bool, Seqprob.diagnosis) result
 (** Resolves exposed-latch names to a signal predicate.  Every name must
     exist and be a latch output: [Error (No_such_latch _)] otherwise.
-    This is the one shared resolution used by both {!check} and
-    {!Flow.run}. *)
+    This is the one shared resolution used by {!check}, {!Flow.run} and
+    [seqver retime --exposed]. *)
 
 val check :
   ?engine:Cec.engine ->
@@ -61,7 +61,6 @@ val check :
   ?pool:Par.Pool.t ->
   ?limits:Cec.limits ->
   ?cache:Cec.Cache.t ->
-  ?store:Store.t ->
   ?rewrite_events:bool ->
   ?guard_events:bool ->
   ?exposed:string list ->
@@ -73,15 +72,14 @@ val check :
     event-consistency refinement of {!Edbf.unroll} — a sound strengthening
     beyond the published method that removes more EDBF false negatives.
     [jobs] (default 1) runs the combinational check partitioned per output
-    cone on that many domains (see {!Cec.check_problem}); [pool] runs it
-    on a caller-owned (possibly shared) pool instead, which is left
-    running afterwards — the verification server passes one pool to every
-    concurrent request; [limits]
-    (default {!Cec.no_limits}) bounds the combinational engines and turns
-    a blown budget into an [Undecided] verdict; [cache] shares a
-    combinational result cache across checks, and [store] backs a fresh
-    per-check cache with a persistent verdict store instead (ignored when
-    [cache] is given — see {!Cec.check_problem}).
+    cone on that many domains (see {!Cec.check_problem_with_stats});
+    [pool] runs it on a caller-owned (possibly shared) pool instead, which
+    is left running afterwards — the verification server passes one pool
+    to every concurrent request; [limits] (default {!Cec.no_limits})
+    bounds the combinational engines and turns a blown budget into an
+    [Undecided] verdict; [cache] shares a combinational result cache
+    across checks, backed by a persistent verdict store when created with
+    [Cec.Cache.create ~store].
 
     Diagnoses instead of exceptions: [No_such_latch] when an exposed name
     is missing or not a latch, [Non_exposed_cycle] when a sequential cycle

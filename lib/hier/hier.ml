@@ -409,12 +409,15 @@ type report = {
 let mode_str = function Leaf -> "leaf" | Blackbox -> "blackbox" | Flat -> "flat"
 
 (* One Verify.check of a circuit pair, exposure cut from the left side's
-   structural feedback plan (the repo-wide "auto" convention). *)
-let run_pair ?engine ?jobs ?pool ?limits ?cache ?store l r =
+   structural feedback plan (the repo-wide "auto" convention); with a
+   store, the check gets a fresh cache backed by it, so surviving cone
+   verdicts are reused. *)
+let run_pair ?engine ?jobs ?limits ?store l r =
   let exposed =
     List.map (Circuit.signal_name l) (Feedback.plan_structural l).Feedback.exposed
   in
-  match Verify.check ?engine ?jobs ?pool ?limits ?cache ?store ~exposed l r with
+  let cache = Option.map (fun store -> Cec.Cache.create ~store ()) store in
+  match Verify.check ?engine ?jobs ?limits ?cache ~exposed l r with
   | Ok o -> (
       match o.Verify.verdict with
       | Verify.Equivalent -> (M_equivalent, None)
@@ -430,7 +433,7 @@ let boundaries_compatible (dl : design) (dr : design) name =
       l.ports_in = r.ports_in && l.out_count = r.out_count
       && l.instances = r.instances
 
-let check ?engine ?jobs ?pool ?limits ?cache ?store dl dr =
+let check ?engine ?jobs ?limits ?store dl dr =
   Obs.span ~name:"hier.check"
     ~attrs:
       [ ("left", Obs.String dl.design_name); ("right", Obs.String dr.design_name) ]
@@ -456,7 +459,7 @@ let check ?engine ?jobs ?pool ?limits ?cache ?store dl dr =
       Obs.timed_span ~name:"hier.module"
         ~attrs:
           [ ("module", Obs.String mod_name); ("mode", Obs.String (mode_str mode)) ]
-        (fun () -> run_pair ?engine ?jobs ?pool ?limits ?cache ?store l r)
+        (fun () -> run_pair ?engine ?jobs ?limits ?store l r)
     in
     (v, cex, secs)
   in

@@ -189,9 +189,7 @@ type report = {
 val check :
   ?engine:Cec.engine ->
   ?jobs:int ->
-  ?pool:Par.Pool.t ->
   ?limits:Cec.limits ->
-  ?cache:Cec.Cache.t ->
   ?store:Store.t ->
   design ->
   design ->
@@ -202,8 +200,8 @@ val check :
     possible, otherwise checked ({!mode}) and its verdict persisted
     (kind ["hier"]; [Undecided] is never stored).  The first refuted
     module pair stops the run with an attributed [Inequivalent]; an
-    undecidable one stops with [Undecided].  The store also backs the
-    inner combinational checks, so even a cold ancestor re-check reuses
-    surviving cone verdicts.  Obs: span [hier.module] per check, counters
+    undecidable one stops with [Undecided].  With a store, each inner
+    combinational check gets a fresh {!Cec.Cache} backed by it, so even a
+    cold ancestor re-check reuses surviving cone verdicts.  Obs: span [hier.module] per check, counters
     [hier.module_checked], [hier.module_store_hits],
     [hier.flat_fallback]. *)

@@ -139,13 +139,8 @@ let send conn (j : Sjson.t) =
   Mutex.lock conn.wm;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.wm) @@ fun () ->
   if conn.alive then begin
-    try
-      let b = Bytes.of_string line in
-      let n = Bytes.length b in
-      let off = ref 0 in
-      while !off < n do
-        off := !off + Unix.write conn.fd b !off (n - !off)
-      done
+    (* Unix.write_substring repeats until every byte is written *)
+    try ignore (Unix.write_substring conn.fd line 0 (String.length line))
     with Unix.Unix_error _ | Sys_error _ ->
       (* client went away; its reader thread will clean up *)
       conn.alive <- false
@@ -789,12 +784,7 @@ let serve_http_client t cfd =
         "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
         status ctype (String.length body) body
     in
-    let b = Bytes.of_string msg in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write cfd b !off (n - !off)
-    done
+    ignore (Unix.write_substring cfd msg 0 (String.length msg))
   in
   (try
      let request_line = input_line ic in
@@ -1000,12 +990,7 @@ module Client = struct
 
   let request t j =
     let line = Sjson.to_string j ^ "\n" in
-    let b = Bytes.of_string line in
-    let n = Bytes.length b in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write t.fd b !off (n - !off)
-    done;
+    ignore (Unix.write_substring t.fd line 0 (String.length line));
     Sjson.parse (input_line t.ic)
 
   let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

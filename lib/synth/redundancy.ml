@@ -115,9 +115,9 @@ let run ?(max_rounds = 50) c =
                           (* SAT confirmation on the combinational views *)
                           let faulty = with_fault c ~gate:g ~pos:j ~const in
                           let v, cstats =
-                            Cec.check_with_stats ~engine:Cec.Sat_engine
-                              (Comb_view.of_sequential c)
-                              (Comb_view.of_sequential faulty)
+                            Cec.check_problem_with_stats ~engine:Cec.Sat_engine
+                              (Cec.of_circuits (Comb_view.of_sequential c)
+                                 (Comb_view.of_sequential faulty))
                           in
                           sat_calls := !sat_calls + cstats.Cec.sat_calls;
                           match v with

@@ -4,6 +4,9 @@
 
 let st = Random.State.make [| 0xCBF |]
 
+(* verdict of the combinational check of two circuits *)
+let cec c1 c2 = fst (Cec.check_problem_with_stats (Cec.of_circuits c1 c2))
+
 (* Fig. 2(c): latch followed by AND gate: x(t) = y(t-1)z(t-1) ... the latch
    sits before the AND here: w(t) = y(t-1) AND z(t-1). *)
 let test_fig2 () =
@@ -23,7 +26,7 @@ let test_fig2 () =
   let z1 = Circuit.add_input r (Cbf.var_name "z" 1) in
   Circuit.mark_output r (Circuit.add_gate r And [ y1; z1 ]);
   Circuit.check r;
-  match Cec.check u r with
+  match cec u r with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "fig2 CBF wrong"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -49,7 +52,7 @@ let test_fig3 () =
   let a2 = Circuit.add_input r (Cbf.var_name "a" 2) in
   Circuit.mark_output r (Circuit.add_gate r And [ a1; a0; a2; a1 ]);
   Circuit.check r;
-  match Cec.check u r with
+  match cec u r with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "fig3 CBF wrong"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -145,7 +148,7 @@ let test_theorem_5_1 () =
     in
     let u1, i1 = Cbf.unroll_netlist c1 in
     let u2, i2 = Cbf.unroll_netlist c2 in
-    let cbf_equal = Cec.check u1 u2 = Cec.Equivalent in
+    let cbf_equal = cec u1 u2 = Cec.Equivalent in
     (* exact 3-valued equivalence past the fill transient, sampled *)
     let depth = max i1.Cbf.depth i2.Cbf.depth in
     let cycles = depth + 5 in
@@ -165,7 +168,7 @@ let test_theorem_5_1 () =
     if (not cbf_equal) && sim_equal then begin
       (* simulation sampling may just have missed the difference; confirm
          the counterexample instead *)
-      match Cec.check u1 u2 with
+      match cec u1 u2 with
       | Cec.Inequivalent cex ->
           Alcotest.(check bool) "counterexample is real" true
             (Cec.counterexample_is_valid u1 u2 cex)
@@ -184,7 +187,7 @@ let test_retime_synth_preserves_cbf () =
     let o2, _ = Retime.min_area (Synth_script.delay_script o) in
     let u1, _ = Cbf.unroll_netlist c in
     let u2, _ = Cbf.unroll_netlist o2 in
-    match Cec.check u1 u2 with
+    match cec u1 u2 with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "retime+synth changed the CBF"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -224,7 +227,7 @@ let test_depth_mismatch_detected () =
   let c1 = mk 1 "d1" and c2 = mk 2 "d2" in
   let u1, _ = Cbf.unroll_netlist c1 in
   let u2, _ = Cbf.unroll_netlist c2 in
-  match Cec.check u1 u2 with
+  match cec u1 u2 with
   | Cec.Equivalent -> Alcotest.fail "depth mismatch missed"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
   | Cec.Inequivalent cex ->

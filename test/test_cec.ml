@@ -5,6 +5,11 @@ let st = Random.State.make [| 0xCEC |]
 
 let engines = [ ("bdd", Cec.Bdd_engine); ("sat", Cec.Sat_engine); ("sweep", Cec.Sweep_engine) ]
 
+(* the checker's one entry point, on a pair of combinational circuits *)
+let check ?engine ?jobs ?partition ?limits ?cache c1 c2 =
+  Cec.check_problem_with_stats ?engine ?jobs ?partition ?limits ?cache
+    (Cec.of_circuits c1 c2)
+
 let test_equivalent_rewrites () =
   for i = 1 to 40 do
     let c1 =
@@ -15,7 +20,7 @@ let test_equivalent_rewrites () =
     let c2 = Gen.demorganize c1 in
     List.iter
       (fun (nm, e) ->
-        match Cec.check ~engine:e c1 c2 with
+        match fst (check ~engine:e c1 c2) with
         | Cec.Equivalent -> ()
         | Cec.Inequivalent _ -> Alcotest.fail (nm ^ ": false inequivalence")
         | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r)
@@ -32,7 +37,7 @@ let test_seeded_bugs_found () =
     let c2 = Gen.negate_one_output (Gen.demorganize c1) in
     List.iter
       (fun (nm, e) ->
-        match Cec.check ~engine:e c1 c2 with
+        match fst (check ~engine:e c1 c2) with
         | Cec.Equivalent -> Alcotest.fail (nm ^ ": missed seeded bug")
         | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r
         | Cec.Inequivalent cex ->
@@ -50,7 +55,7 @@ let test_engines_agree () =
     let verdicts =
       List.map
         (fun (_, e) ->
-          match Cec.check ~engine:e c1 c2 with
+          match fst (check ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r)
@@ -92,7 +97,7 @@ let test_vs_brute_force () =
     List.iter
       (fun (nm, e) ->
         let got =
-          match Cec.check ~engine:e c1 c2 with
+          match fst (check ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r
@@ -112,7 +117,7 @@ let test_constants () =
   Circuit.check c2;
   List.iter
     (fun (nm, e) ->
-      match Cec.check ~engine:e c1 c2 with
+      match fst (check ~engine:e c1 c2) with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ -> Alcotest.fail (nm ^ ": tautology not proven")
       | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r)
@@ -124,7 +129,7 @@ let test_rejects_latches () =
   Circuit.mark_output c (Circuit.add_latch c ~data:d ());
   Circuit.check c;
   try
-    ignore (Cec.check c c);
+    ignore (check c c);
     Alcotest.fail "latch accepted"
   with Invalid_argument _ -> ()
 
@@ -132,7 +137,7 @@ let test_output_count_mismatch () =
   let c1 = Gen.comb st ~name:"o1" ~inputs:2 ~gates:5 ~outputs:1 in
   let c2 = Gen.comb st ~name:"o2" ~inputs:2 ~gates:5 ~outputs:2 in
   try
-    ignore (Cec.check c1 c2);
+    ignore (check c1 c2);
     Alcotest.fail "output mismatch accepted"
   with Invalid_argument _ -> ()
 
@@ -150,7 +155,7 @@ let test_disjoint_inputs_free () =
   Circuit.check c2;
   List.iter
     (fun (nm, e) ->
-      match Cec.check ~engine:e c1 c2 with
+      match fst (check ~engine:e c1 c2) with
       | Cec.Equivalent -> Alcotest.fail (nm ^ ": y dependence missed")
       | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" nm r
       | Cec.Inequivalent cex ->
@@ -163,7 +168,7 @@ let test_sweep_on_identical_structures () =
      final miter (internal equivalences collapse it) *)
   let c1 = Gen.comb st ~name:"same" ~inputs:4 ~gates:60 ~outputs:2 in
   let c2 = Gen.demorganize c1 in
-  let v, stats = Cec.check_with_stats ~engine:Cec.Sweep_engine c1 c2 in
+  let v, stats = check ~engine:Cec.Sweep_engine c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ | Cec.Undecided _ -> Alcotest.fail "sweep failed");
@@ -186,7 +191,7 @@ let test_parallel_agrees_on_equivalent () =
     let parts_seen =
       List.map
         (fun jobs ->
-          let v, stats = Cec.check_with_stats ~jobs ~partition:true c1 c2 in
+          let v, stats = check ~jobs ~partition:true c1 c2 in
           (match v with
           | Cec.Equivalent -> ()
           | Cec.Inequivalent _ | Cec.Undecided _ ->
@@ -214,7 +219,7 @@ let test_parallel_agrees_on_bugs () =
     let c2 = Gen.negate_one_output (Gen.demorganize c1) in
     List.iter
       (fun jobs ->
-        match Cec.check ~jobs ~partition:true c1 c2 with
+        match fst (check ~jobs ~partition:true c1 c2) with
         | Cec.Equivalent ->
             Alcotest.fail (Printf.sprintf "jobs=%d: missed seeded bug" jobs)
         | Cec.Undecided r -> Alcotest.failf "jobs=%d: undecided: %s" jobs r
@@ -236,14 +241,14 @@ let test_parallel_matches_sequential_verdict () =
     List.iter
       (fun (nm, e) ->
         let mono =
-          match Cec.check ~engine:e c1 c2 with
+          match fst (check ~engine:e c1 c2) with
           | Cec.Equivalent -> true
           | Cec.Inequivalent _ -> false
           | Cec.Undecided r -> Alcotest.failf "undecided: %s" r
         in
         List.iter
           (fun jobs ->
-            match Cec.check ~engine:e ~jobs ~partition:true c1 c2 with
+            match fst (check ~engine:e ~jobs ~partition:true c1 c2) with
             | Cec.Equivalent ->
                 Alcotest.(check bool) (Printf.sprintf "%s jobs=%d" nm jobs) mono true
             | Cec.Undecided r -> Alcotest.failf "%s jobs=%d undecided: %s" nm jobs r
@@ -261,17 +266,17 @@ let test_cache_hits_identical_verdicts () =
   let cache = Cec.Cache.create () in
   let c1 = Gen.comb st ~name:"cachea" ~inputs:5 ~gates:40 ~outputs:3 in
   let c2 = Gen.demorganize c1 in
-  let v1, s1 = Cec.check_with_stats ~partition:true ~cache c1 c2 in
+  let v1, s1 = check ~partition:true ~cache c1 c2 in
   Alcotest.(check int) "cold run misses" 0 s1.Cec.cache_hits;
-  let v2, s2 = Cec.check_with_stats ~partition:true ~cache c1 c2 in
+  let v2, s2 = check ~partition:true ~cache c1 c2 in
   Alcotest.(check bool) "verdicts equal" true (v1 = v2);
   Alcotest.(check int) "warm run all hits" s2.Cec.partitions s2.Cec.cache_hits;
   Alcotest.(check int) "no new SAT work" 0 s2.Cec.sat_calls;
   (* inequivalent pairs replay identically through the cache too *)
   let b1 = Gen.comb st ~name:"cacheb" ~inputs:4 ~gates:30 ~outputs:2 in
   let b2 = Gen.negate_one_output (Gen.demorganize b1) in
-  let w1 = Cec.check ~partition:true ~cache b1 b2 in
-  let w2 = Cec.check ~partition:true ~cache b1 b2 in
+  let w1, _ = check ~partition:true ~cache b1 b2 in
+  let w2, _ = check ~partition:true ~cache b1 b2 in
   (match (w1, w2) with
   | Cec.Inequivalent cex1, Cec.Inequivalent cex2 ->
       Alcotest.(check bool) "cached cex identical" true (cex1 = cex2);
@@ -303,9 +308,9 @@ let test_cache_shares_isomorphic_cones () =
     c
   in
   let cache = Cec.Cache.create () in
-  let _, s1 = Cec.check_with_stats ~partition:true ~cache (mk "x") (mk_neg "x") in
+  let _, s1 = check ~partition:true ~cache (mk "x") (mk_neg "x") in
   Alcotest.(check int) "first pair computes" 0 s1.Cec.cache_hits;
-  let v2, s2 = Cec.check_with_stats ~partition:true ~cache (mk "y") (mk_neg "y") in
+  let v2, s2 = check ~partition:true ~cache (mk "y") (mk_neg "y") in
   Alcotest.(check int) "renamed pair hits" 1 s2.Cec.cache_hits;
   match v2 with
   | Cec.Inequivalent cex ->
@@ -337,7 +342,7 @@ let test_cache_eviction_bound () =
   let evictions = ref 0 in
   for n = 2 to 7 do
     let c = chain n in
-    let v, s = Cec.check_with_stats ~cache c (Gen.demorganize c) in
+    let v, s = check ~cache c (Gen.demorganize c) in
     Alcotest.(check bool) (Printf.sprintf "chain %d equivalent" n) true (v = Cec.Equivalent);
     evictions := !evictions + s.Cec.cache_evictions
   done;
@@ -346,7 +351,7 @@ let test_cache_eviction_bound () =
   Alcotest.(check bool) "cache stays within capacity" true (Cec.Cache.size cache <= 4);
   (* an evicted entry just recomputes *)
   let c = chain 2 in
-  let v, s = Cec.check_with_stats ~cache c (Gen.demorganize c) in
+  let v, s = check ~cache c (Gen.demorganize c) in
   Alcotest.(check bool) "evicted pair recomputes" true
     (v = Cec.Equivalent && s.Cec.cache_hits = 0)
 
@@ -360,11 +365,11 @@ let test_parallel_stress () =
     let c2 = Gen.demorganize c1 in
     let bug = Gen.negate_one_output c2 in
     for _rep = 1 to 3 do
-      (match Cec.check ~jobs:4 ~cache c1 c2 with
+      (match fst (check ~jobs:4 ~cache c1 c2) with
       | Cec.Equivalent -> ()
       | Cec.Inequivalent _ | Cec.Undecided _ ->
           Alcotest.fail "stress: false inequivalence");
-      match Cec.check ~jobs:4 ~cache c1 bug with
+      match fst (check ~jobs:4 ~cache c1 bug) with
       | Cec.Equivalent | Cec.Undecided _ -> Alcotest.fail "stress: missed bug"
       | Cec.Inequivalent cex ->
           Alcotest.(check bool) "stress cex valid" true
@@ -407,7 +412,7 @@ let test_budget_gives_undecided () =
      the answer must be Undecided — never a wrong Equivalent, never a hang *)
   let c1 = xor_chain ~name:"bxa" 14 and c2 = xor_tree ~name:"bxb" 14 in
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sat_engine ~limits c1 c2 in
+  let v, s = check ~engine:Cec.Sat_engine ~limits c1 c2 in
   (match v with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent -> Alcotest.fail "1-conflict budget claimed a proof"
@@ -420,7 +425,7 @@ let test_escalation_ladder_proves () =
      BDD rung proves it (parity BDDs are linear) and records the climb *)
   let c1 = xor_chain ~name:"exa" 14 and c2 = xor_tree ~name:"exb" 14 in
   let limits = { Cec.default_limits with Cec.sat_conflicts = Some 1 } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sweep_engine ~limits c1 c2 in
+  let v, s = check ~engine:Cec.Sweep_engine ~limits c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "ladder invented a bug"
@@ -433,7 +438,7 @@ let test_deadline_gives_undecided () =
      checks are final (no escalation) *)
   let c1 = xor_chain ~name:"dxa" 14 and c2 = xor_tree ~name:"dxb" 14 in
   let limits = { Cec.no_limits with Cec.seconds = Some 0.0 } in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sat_engine ~limits c1 c2 in
+  let v, s = check ~engine:Cec.Sat_engine ~limits c1 c2 in
   (match v with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent | Cec.Inequivalent _ ->
@@ -443,7 +448,7 @@ let test_deadline_gives_undecided () =
 let test_budgets_leave_easy_checks_alone () =
   let c1 = Gen.comb st ~name:"easyb" ~inputs:5 ~gates:40 ~outputs:2 in
   let c2 = Gen.demorganize c1 in
-  let v, s = Cec.check_with_stats ~limits:Cec.default_limits c1 c2 in
+  let v, s = check ~limits:Cec.default_limits c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ | Cec.Undecided _ ->
@@ -473,7 +478,7 @@ let test_cex_wins_over_undecided () =
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
   List.iter
     (fun jobs ->
-      match Cec.check ~engine:Cec.Sat_engine ~jobs ~partition:true ~limits c1 c2 with
+      match fst (check ~engine:Cec.Sat_engine ~jobs ~partition:true ~limits c1 c2) with
       | Cec.Inequivalent cex ->
           Alcotest.(check bool)
             (Printf.sprintf "jobs=%d: winning cex replays" jobs)
@@ -497,8 +502,8 @@ let test_jobs_agree_on_undecided () =
   let c1 = add_buf (xor_chain ~name:"ju1" 14)
   and c2 = add_buf (xor_tree ~name:"ju2" 14) in
   let limits = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
-  let v1 = Cec.check ~engine:Cec.Sat_engine ~jobs:1 ~partition:true ~limits c1 c2 in
-  let v4 = Cec.check ~engine:Cec.Sat_engine ~jobs:4 ~partition:true ~limits c1 c2 in
+  let v1, _ = check ~engine:Cec.Sat_engine ~jobs:1 ~partition:true ~limits c1 c2 in
+  let v4, _ = check ~engine:Cec.Sat_engine ~jobs:4 ~partition:true ~limits c1 c2 in
   (match v1 with
   | Cec.Undecided _ -> ()
   | Cec.Equivalent -> Alcotest.fail "budget flipped to Equivalent"
@@ -582,7 +587,7 @@ let test_elapsed_seconds () =
     Gen.comb st ~name:"elapsed_a" ~inputs:6 ~gates:120 ~outputs:6
   in
   let c2 = Gen.demorganize c1 in
-  let v, s = Cec.check_with_stats ~engine:Cec.Sweep_engine c1 c2 in
+  let v, s = check ~engine:Cec.Sweep_engine c1 c2 in
   (match v with
   | Cec.Equivalent -> ()
   | _ -> Alcotest.fail "expected equivalent");
@@ -594,7 +599,7 @@ let test_elapsed_seconds () =
   Alcotest.(check bool) "sequential: engine CPU-seconds <= elapsed" true
     (engine_sum <= s.Cec.elapsed_seconds +. 0.05);
   (* parallel: partitions overlap, so only the wall clock is bounded *)
-  let v2, s2 = Cec.check_with_stats ~jobs:2 ~engine:Cec.Sweep_engine c1 c2 in
+  let v2, s2 = check ~jobs:2 ~engine:Cec.Sweep_engine c1 c2 in
   (match v2 with
   | Cec.Equivalent -> ()
   | _ -> Alcotest.fail "parallel: expected equivalent");
@@ -664,7 +669,7 @@ let test_below_threshold_no_pool () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      let v, s = Cec.check_with_stats ~jobs:4 c1 c2 in
+      let v, s = check ~jobs:4 c1 c2 in
       (match v with
       | Cec.Equivalent -> ()
       | _ -> Alcotest.fail "expected equivalent");
@@ -678,8 +683,8 @@ let test_below_threshold_no_pool () =
 
 let test_layout_deterministic_and_partitioning () =
   (* the layout is a pure function of the problem: recomputing gives
-     identical clusters and bins, clusters partition the output pairs,
-     and a cost prior may reshape bins but never clusters *)
+     identical clusters and bins, and clusters partition the output
+     pairs *)
   let c1 = Workloads.fifo ~entries:16 ~width:4 ~style:`Sop () in
   let c2 = Workloads.fifo ~entries:16 ~width:4 ~style:`Mux () in
   let p = problem_of c1 c2 in
@@ -698,43 +703,24 @@ let test_layout_deterministic_and_partitioning () =
   let binned = List.concat la.Cec.Layout.bins in
   Alcotest.(check (list int)) "bins partition the clusters"
     (List.init (List.length la.Cec.Layout.clusters) Fun.id)
-    (List.sort compare binned);
-  let lp =
-    Cec.Layout.compute ~forced:true ~prior:(fun ~signature:_ -> Some 1.0) p
-  in
-  Alcotest.(check bool) "prior never reshapes clusters" true
-    (List.map (fun c -> c.Cec.Layout.members) lp.Cec.Layout.clusters
-    = List.map (fun c -> c.Cec.Layout.members) la.Cec.Layout.clusters)
+    (List.sort compare binned)
 
-let test_cluster_signature_matches_extraction () =
-  (* the signature computed on the shared graph equals the signature of
-     the extracted sub-problem — the invariant that lets layout priors and
-     the checker's cache index the same entries *)
+let test_warm_recheck_hits_every_cluster () =
+  (* a cluster's cache key is the structural signature of its extracted
+     sub-problem, so a warm partitioned re-check of the same pair through
+     one shared cache answers every cluster from memory *)
   let c1 = Workloads.fifo ~entries:8 ~width:4 ~style:`Sop () in
   let c2 = Workloads.fifo ~entries:8 ~width:4 ~style:`Mux () in
   let p = problem_of c1 c2 in
-  let l = Cec.Layout.compute ~forced:true p in
-  let o1 = Array.of_list p.Seqprob.outs1 and o2 = Array.of_list p.Seqprob.outs2 in
-  Alcotest.(check bool) "fifo splits into >1 cluster" true
-    (List.length l.Cec.Layout.clusters > 1);
-  List.iter
-    (fun cl ->
-      let roots1 = List.map (fun i -> o1.(i)) cl.Cec.Layout.members in
-      let roots2 = List.map (fun i -> o2.(i)) cl.Cec.Layout.members in
-      let ex = Aig.extract p.Seqprob.graph ~roots:(roots1 @ roots2) in
-      let tr l =
-        let m = ex.Aig.map.(Aig.node_of l) in
-        if Aig.is_complement l then Aig.neg m else m
-      in
-      let sub_sig =
-        Aig.cone_signature ex.Aig.sub
-          ~input_label:(fun _ -> "")
-          [ List.map tr roots1; List.map tr roots2 ]
-      in
-      Alcotest.(check string) "signature survives extraction"
-        (Cec.Layout.cluster_signature p cl)
-        sub_sig)
-    l.Cec.Layout.clusters
+  let cache = Cec.Cache.create () in
+  let run () = Cec.check_problem_with_stats ~partition:true ~jobs:2 ~cache p in
+  let cold, s1 = run () in
+  Alcotest.(check bool) "fifo splits into >1 cluster" true (s1.Cec.partitions > 1);
+  let warm, s2 = run () in
+  Alcotest.(check bool) "same verdict" true (cold = warm && warm = Cec.Equivalent);
+  Alcotest.(check int) "every cluster a cache hit" s2.Cec.partitions
+    s2.Cec.cache_hits;
+  Alcotest.(check int) "no SAT work" 0 s2.Cec.sat_calls
 
 let test_large_generators_jobs_agree () =
   (* style pairs of the large-tier generators, partitioned: jobs=1 and
@@ -757,7 +743,7 @@ let test_large_generators_jobs_agree () =
       let p = problem_of a b in
       let v1, s1 = check ~jobs:1 p in
       let v4, s4 = check ~jobs:4 p in
-      (match (Cec.check_problem p, v1, v4) with
+      (match (fst (Cec.check_problem_with_stats p), v1, v4) with
       | Cec.Equivalent, Cec.Equivalent, Cec.Equivalent -> ()
       | _ -> Alcotest.fail (name ^ ": style pair not proven on every path"));
       Alcotest.(check int) (name ^ ": layout independent of jobs")
@@ -775,7 +761,7 @@ let test_large_generators_jobs_agree () =
       | Cec.Equivalent -> Alcotest.failf "%s: mutant accepted as equivalent" path
       | Cec.Undecided r -> Alcotest.failf "%s: mutant undecided: %s" path r)
     [
-      ("monolithic", Cec.check_problem p);
+      ("monolithic", fst (Cec.check_problem_with_stats p));
       ("jobs=1", fst (check ~jobs:1 p));
       ("jobs=4", fst (check ~jobs:4 p));
     ]
@@ -787,7 +773,7 @@ let test_sat_time_charged_to_sat () =
   let c1 = xor_chain ~name:"sta" 12 and c2 = xor_tree ~name:"stb" 12 in
   List.iter
     (fun (nm, e) ->
-      let v, s = Cec.check_with_stats ~engine:e c1 c2 in
+      let v, s = check ~engine:e c1 c2 in
       (match v with
       | Cec.Equivalent -> ()
       | _ -> Alcotest.fail (nm ^ ": parity pair not proven"));
@@ -839,7 +825,7 @@ let suite =
     Alcotest.test_case "layout: deterministic, partitions outputs" `Quick
       test_layout_deterministic_and_partitioning;
     Alcotest.test_case "layout: signature survives extraction" `Quick
-      test_cluster_signature_matches_extraction;
+      test_warm_recheck_hits_every_cluster;
     Alcotest.test_case "large generators: jobs agree, mutant caught" `Quick
       test_large_generators_jobs_agree;
     Alcotest.test_case "sat time charged to sat bucket" `Quick

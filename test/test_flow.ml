@@ -2,8 +2,8 @@
 
 let st = Random.State.make [| 0xF10 |]
 
-let flow_ok ?jobs ?skip_verify c =
-  match Flow.run ?jobs ?skip_verify c with
+let flow_ok ?jobs c =
+  match Flow.run ?jobs c with
   | Ok row -> row
   | Error d ->
       Alcotest.failf "unexpected diagnosis: %s" (Seqprob.diagnosis_to_string d)
@@ -29,8 +29,10 @@ let test_flow_shape_on_pipeline () =
   (* pipelines: C at least as fast as D, E no more latches than C at D's
      delay *)
   let c = Workloads.pipeline ~name:"fshape" ~width:8 ~stages:6 ~imbalance:4 ~seed:5 in
-  let row = flow_ok ~skip_verify:true c in
+  let row = flow_ok c in
   Alcotest.(check int) "no exposure on acyclic" 0 row.Flow.exposed;
+  Alcotest.(check bool) "B vs C verified" true
+    (row.Flow.verify_verdict = Verify.Equivalent);
   Alcotest.(check bool) "C delay <= D delay" true
     (row.Flow.c.Flow.delay <= row.Flow.d.Flow.delay);
   Alcotest.(check bool) "E delay <= D delay" true

@@ -107,7 +107,7 @@ let test_diagnosis_hidden_enabled_latch () =
   let e = Circuit.add_input c "e" in
   Circuit.mark_output c (Circuit.add_latch c ~enable:e ~data:d ());
   Circuit.check c;
-  match Flow.run ~skip_verify:true c with
+  match Flow.run c with
   | Error (Seqprob.Hidden_enabled_latch _ as d) -> printable d
   | Error d -> Alcotest.failf "wrong diagnosis: %s" (Seqprob.diagnosis_to_string d)
   | Ok _ -> Alcotest.fail "enabled latch accepted by the retiming flow"
@@ -120,7 +120,7 @@ let test_diagnosis_infeasible_period () =
   let g = Circuit.add_gate c And [ a; b ] in
   Circuit.mark_output c (Circuit.add_latch c ~data:g ());
   Circuit.check c;
-  match Flow.run ~skip_verify:true ~period:0 c with
+  match Flow.run ~period:0 c with
   | Error (Seqprob.Infeasible_period { period; _ } as d) ->
       printable d;
       Alcotest.(check int) "requested period echoed" 0 period

@@ -206,6 +206,9 @@ let test_bad_magic () =
 
 (* ---- verdict transfer through Cec ---- *)
 
+(* a fresh result cache backed by the store, as the CLI builds per check *)
+let backed st = Cec.Cache.create ~store:st ()
+
 (* [x] vs [x AND y] at unrolling depth [d]: inequivalent, cex x=1, y=0. *)
 let xy_problem d =
   let b = Seqprob.builder () in
@@ -217,7 +220,7 @@ let xy_problem d =
 let test_cex_replay_across_depths () =
   let dir = fresh_dir () in
   let st = Store.open_ dir in
-  let v0, s0 = Cec.check_problem_with_stats ~store:st (xy_problem 0) in
+  let v0, s0 = Cec.check_problem_with_stats ~cache:(backed st) (xy_problem 0) in
   (match v0 with
   | Cec.Inequivalent _ -> ()
   | _ -> Alcotest.fail "cold check must find the counterexample");
@@ -228,7 +231,7 @@ let test_cex_replay_across_depths () =
      stored verdict transfers and the cex is rebased onto the new vars *)
   let st = Store.open_ dir in
   let p1 = xy_problem 1 in
-  let v1, s1 = Cec.check_problem_with_stats ~store:st p1 in
+  let v1, s1 = Cec.check_problem_with_stats ~cache:(backed st) p1 in
   Alcotest.(check int) "warm check answered from store" 1 s1.Cec.store_hits;
   Alcotest.(check int) "no solver work on the warm check" 0 s1.Cec.sat_calls;
   (match v1 with
@@ -256,7 +259,7 @@ let test_table1_warm_from_store () =
       let exposed =
         List.map (Circuit.signal_name c) (Feedback.plan_structural c).Feedback.exposed
       in
-      let check st = Result.get_ok (Verify.check ~jobs:2 ~store:st ~exposed b copt) in
+      let check st = Result.get_ok (Verify.check ~jobs:2 ~cache:(backed st) ~exposed b copt) in
       let dir = fresh_dir () in
       let st = Store.open_ dir in
       let cold = check st in
@@ -310,7 +313,8 @@ let test_undecided_never_persisted () =
   let limits = { Cec.no_limits with seconds = Some 0.0 } in
   let c1, c2 = parity_pair 14 in
   let v, _ =
-    Cec.check_with_stats ~engine:Cec.Sat_engine ~limits ~store:st c1 c2
+    Cec.check_problem_with_stats ~engine:Cec.Sat_engine ~limits
+      ~cache:(backed st) (Cec.of_circuits c1 c2)
   in
   (match v with
   | Cec.Undecided _ -> ()
@@ -452,11 +456,11 @@ let test_two_domain_warm_reads () =
      from the store without solver work — the server's steady state *)
   let dir = fresh_dir () in
   let st = Store.open_ dir in
-  (match Cec.check_problem ~store:st (xy_problem 0) with
+  (match fst (Cec.check_problem_with_stats ~cache:(backed st) (xy_problem 0)) with
   | Cec.Inequivalent _ -> ()
   | _ -> Alcotest.fail "cold check must find the counterexample");
   let warm () =
-    let _, s = Cec.check_problem_with_stats ~store:st (xy_problem 0) in
+    let _, s = Cec.check_problem_with_stats ~cache:(backed st) (xy_problem 0) in
     (s.Cec.store_hits, s.Cec.sat_calls)
   in
   let d1 = Domain.spawn warm and d2 = Domain.spawn warm in

@@ -3,6 +3,9 @@
 
 let st = Random.State.make [| 0x517 |]
 
+(* verdict of the combinational check of two circuits *)
+let cec c1 c2 = fst (Cec.check_problem_with_stats (Cec.of_circuits c1 c2))
+
 (* Latch-identity-preserving equivalence: same-named latches must carry the
    same state; compare behaviour from matched power-up states. *)
 let compare_exact c1 c2 ~cycles ~trials =
@@ -169,7 +172,7 @@ let test_script_equivalence_by_cec () =
   for i = 1 to 15 do
     let c = Gen.comb st ~name:(Printf.sprintf "cc%d" i) ~inputs:4 ~gates:40 ~outputs:2 in
     let o = Synth_script.delay_script c in
-    match Cec.check c o with
+    match cec c o with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "script broke a combinational circuit"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -283,7 +286,7 @@ let test_rewrite_preserves_function () =
     in
     let options = { Synth_script.default_options with rewrite = true } in
     let o = Synth_script.delay_script ~options c in
-    match Cec.check c o with
+    match cec c o with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "rewrite broke a circuit"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -313,7 +316,7 @@ let test_rewrite_compacts_redundant_logic () =
   let o = Synth_script.delay_script ~options c in
   (* a AND b needs 1 NAND + 1 INV *)
   Alcotest.(check bool) "collapsed" true (Circuit.area o <= 2);
-  match Cec.check c o with
+  match cec c o with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "collapse broke it"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
