@@ -38,6 +38,20 @@ let check_outcome ?rewrite_events ?guard_events ?exposed c1 c2 =
 let check_verdict ?rewrite_events ?guard_events ?exposed c1 c2 =
   (check_outcome ?rewrite_events ?guard_events ?exposed c1 c2).Verify.verdict
 
+(* The H-vs-J problem of a suite circuit [c]: the CBF unrollings of its
+   exposed B and optimized C in one shared AIG.  Also returns the exposure
+   predicate (by latch name, so it applies to any netlist derived from
+   [c]) and B itself. *)
+let bc_problem c =
+  let b, copt = ok "flow" (Flow.circuits c) in
+  let plan = Feedback.plan_structural c in
+  let names = List.map (Circuit.signal_name c) plan.Feedback.exposed in
+  let ex cc s = List.mem (Circuit.signal_name cc s) names in
+  let bld = Seqprob.builder () in
+  let o1, _ = ok "unroll" (Cbf.unroll ~exposed:(ex b) bld b) in
+  let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(ex copt) bld copt) in
+  (ex, b, ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2))
+
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -47,15 +61,7 @@ let check_verdict ?rewrite_events ?guard_events ?exposed c1 c2 =
    escalation ladder must then prove the very same problem, spending nonzero
    budget/escalation counters. *)
 let budget_smoke () =
-  let c = Workloads.by_name "s953" in
-  let b, copt = ok "flow" (Flow.circuits c) in
-  let plan = Feedback.plan_structural c in
-  let names = List.map (Circuit.signal_name c) plan.Feedback.exposed in
-  let ex cc s = List.mem (Circuit.signal_name cc s) names in
-  let bld = Seqprob.builder () in
-  let o1, _ = ok "unroll" (Cbf.unroll ~exposed:(ex b) bld b) in
-  let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(ex copt) bld copt) in
-  let p = ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
+  let _, _, p = bc_problem (Workloads.by_name "s953") in
   let tiny = { Cec.no_limits with Cec.sat_conflicts = Some 1; escalate = false } in
   let v1, s1 =
     Cec.check_problem_with_stats ~engine:Cec.Sat_engine ~limits:tiny p
@@ -111,8 +117,8 @@ let table1 ~full ~jobs ~smoke () =
         | Verify.Equivalent -> "EQ"
         | Verify.Inequivalent _ -> "NEQ!"
         | Verify.Undecided _ -> "UNDEC?")
-        row.Flow.verify_seconds;
-      total := !total +. row.Flow.verify_seconds;
+        row.Flow.verify_stats.Verify.seconds;
+      total := !total +. row.Flow.verify_stats.Verify.seconds;
       match row.Flow.verify_verdict with
       | Verify.Equivalent -> ()
       | Verify.Inequivalent _ | Verify.Undecided _ -> bad := name :: !bad)
@@ -294,15 +300,7 @@ let ablation_cec () =
   pf "%-10s %10s %10s %10s@." "circuit" "bdd" "sat" "sweep";
   List.iter
     (fun name ->
-      let c = Workloads.by_name name in
-      let b, copt = ok "flow" (Flow.circuits c) in
-      let plan = Feedback.plan_structural c in
-      let names = List.map (Circuit.signal_name c) plan.Feedback.exposed in
-      let ex cc s = List.mem (Circuit.signal_name cc s) names in
-      let bld = Seqprob.builder () in
-      let o1, _ = ok "unroll" (Cbf.unroll ~exposed:(ex b) bld b) in
-      let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(ex copt) bld copt) in
-      let p = ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2) in
+      let _, _, p = bc_problem (Workloads.by_name name) in
       let run engine =
         let (v, _), t = time (fun () -> Cec.check_problem_with_stats ~engine p) in
         (match v with
@@ -485,16 +483,7 @@ let micro () =
   let open Bechamel in
   let open Toolkit in
   let c953 = Workloads.by_name "s953" in
-  let plan = Feedback.plan_structural c953 in
-  let names = List.map (Circuit.signal_name c953) plan.Feedback.exposed in
-  let expose cc s = List.mem (Circuit.signal_name cc s) names in
-  let b, copt = ok "flow" (Flow.circuits c953) in
-  let problem =
-    let bld = Seqprob.builder () in
-    let o1, _ = ok "unroll" (Cbf.unroll ~exposed:(expose b) bld b) in
-    let o2, _ = ok "unroll" (Cbf.unroll ~exposed:(expose copt) bld copt) in
-    ok "problem" (Seqprob.problem bld ~outs1:o1 ~outs2:o2)
-  in
+  let expose, b, problem = bc_problem c953 in
   let synth953 = Synth_script.delay_script c953 in
   let tests =
     Test.make_grouped ~name:"seqver"

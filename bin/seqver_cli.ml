@@ -32,21 +32,21 @@ let load path =
     with Sys_error msg | Invalid_argument msg -> fail msg
 
 let save path c =
-  let oc = open_out path in
-  output_string oc (if is_blif path then Blif.to_string c else Netlist_io.to_string c);
-  close_out oc
+  try
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc
+          (if is_blif path then Blif.to_string c else Netlist_io.to_string c))
+  with Sys_error msg -> fail msg
 
 let circuit_arg ~pos:p ~doc =
   Arg.(required & pos p (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum [ ("sweep", Cec.Sweep_engine); ("sat", Cec.Sat_engine); ("bdd", Cec.Bdd_engine) ]
-  in
   Arg.(
     value
-    & opt engine_conv Cec.Sweep_engine
-    & info [ "engine" ] ~docv:"ENGINE" ~doc:"Combinational engine: sweep, sat or bdd.")
+    & opt (enum Cec.engines) Cec.Sweep_engine
+    & info [ "engine" ] ~docv:"ENGINE"
+        ~doc:("Combinational engine: " ^ doc_alts_enum Cec.engines ^ "."))
 
 let exposed_arg =
   Arg.(
@@ -132,9 +132,15 @@ let cache_dir_arg =
            $(b,seqver cache).")
 
 (* A corrupt store must never fail the run: Store.open_ quarantines and
-   cold-starts, we just tell the user where the damaged file went. *)
+   cold-starts, we just tell the user where the damaged file went.  A
+   directory that cannot be created or opened is a diagnosis. *)
 let open_store dir =
-  let st = Store.open_ dir in
+  let st =
+    try Store.open_ dir with
+    | Unix.Unix_error (e, _, _) ->
+        fail (Printf.sprintf "%s: %s" dir (Unix.error_message e))
+    | Sys_error msg -> fail msg
+  in
   (match (Store.info st).Store.quarantined_to with
   | Some q ->
       Format.eprintf
@@ -203,29 +209,42 @@ let live_hook () =
         Mutex.unlock m
     | _ -> ()
 
-(* Enables the sink when any observability flag is given; the returned
-   [finish] writes the requested outputs and must run before [exit] on
-   every path (including error exits, so partial traces still land). *)
-let obs_setup ~trace ~verbose ~stats =
-  let wanted = trace <> None || verbose || stats in
-  if wanted then begin
-    Obs.enable ();
-    if verbose then Obs.set_hook (Some (live_hook ()))
-  end;
-  fun () ->
-    if wanted then begin
+(* The run session verify, flow and hier share: [session f] runs [f] on
+   the verdict store (when --cache-dir is given) and exits with the code
+   [f] returns.  The trace file is opened before any work, so an unwritable
+   path exits 1 up front; the sink is on when any observability flag is
+   given.  This is the one exit path: close the store, write the trace and
+   the summary, exit. *)
+let session_arg =
+  let session cache_dir trace verbose summary f : unit =
+    let trace =
+      Option.map
+        (fun path -> try (path, open_out path) with Sys_error msg -> fail msg)
+        trace
+    in
+    let observed = trace <> None || verbose || summary in
+    if observed then begin
+      Obs.enable ();
+      if verbose then Obs.set_hook (Some (live_hook ()))
+    end;
+    let store = Option.map open_store cache_dir in
+    let code = f store in
+    Option.iter Store.close store;
+    if observed then begin
       Obs.set_hook None;
       let events = Obs.collect () in
-      (match trace with
-      | Some path ->
-          let oc = open_out path in
+      Option.iter
+        (fun (path, oc) ->
           Obs.Chrome.write oc events;
           close_out oc;
-          Format.eprintf "trace written to %s (open in ui.perfetto.dev)@." path
-      | None -> ());
-      if stats then Format.printf "%a@." Obs.Summary.pp events;
+          Format.eprintf "trace written to %s (open in ui.perfetto.dev)@." path)
+        trace;
+      if summary then Format.printf "%a@." Obs.Summary.pp events;
       Obs.disable ()
-    end
+    end;
+    exit code
+  in
+  Term.(const session $ cache_dir_arg $ trace_arg $ verbose_arg $ obs_stats_arg)
 
 (* ---- stats ---- *)
 
@@ -337,58 +356,48 @@ let retime_cmd =
 
 let verify_cmd =
   let run p1 p2 engine exposed no_rewrite guard jobs timeout sat_conflicts
-      cache_dir trace verbose obs_stats =
+      session =
     let c1 = load p1 in
     let c2 = load p2 in
-    let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
-    let store = Option.map open_store cache_dir in
-    let quit code =
-      Option.iter Store.close store;
-      finish ();
-      exit code
-    in
+    session @@ fun store ->
     let limits = limits_of timeout sat_conflicts in
-    let outcome =
-      match
-        Verify.check ~engine ~jobs ~limits ?cache:(store_cache store)
-          ~rewrite_events:(not no_rewrite) ~guard_events:guard ~exposed c1 c2
-      with
-      | Ok o -> o
-      | Error d ->
-          Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
-          quit 1
-    in
-    let stats = outcome.Verify.stats in
-    let method_ =
-      match stats.Verify.method_ with
-      | Verify.Cbf_method -> "CBF"
-      | Verify.Edbf_method -> "EDBF"
-    in
-    (match outcome.Verify.verdict with
-    | Verify.Equivalent -> Format.printf "EQUIVALENT@."
-    | Verify.Inequivalent (Some cex) ->
-        Format.printf "NOT EQUIVALENT@.counterexample:@.";
-        List.iter
-          (fun (v, b) ->
-            Format.printf "  %s = %b@." (Seqprob.Var.to_string v) b)
-          cex
-    | Verify.Inequivalent None ->
-        Format.printf "NOT EQUIVALENT (conservative EDBF check; may be a false negative)@."
-    | Verify.Undecided reason -> Format.printf "UNDECIDED (%s)@." reason);
-    Format.printf
-      "method %s, depth %d, %d variables, %d events, %d unrolled AIG nodes, %d+%d unrolled gates, %.3fs@."
-      method_ stats.Verify.depth stats.Verify.variables stats.Verify.events
-      stats.Verify.unrolled_nodes
-      (fst stats.Verify.unrolled_gates)
-      (snd stats.Verify.unrolled_gates)
-      stats.Verify.seconds;
-    Format.printf "cec: %a@." Cec.stats_pp stats.Verify.cec;
-    match outcome.Verify.verdict with
-    | Verify.Equivalent ->
-        Option.iter Store.close store;
-        finish ()
-    | Verify.Inequivalent _ -> quit 1
-    | Verify.Undecided _ -> quit 2
+    match
+      Verify.check ~engine ~jobs ~limits ?cache:(store_cache store)
+        ~rewrite_events:(not no_rewrite) ~guard_events:guard ~exposed c1 c2
+    with
+    | Error d ->
+        Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
+        1
+    | Ok outcome -> (
+        let stats = outcome.Verify.stats in
+        let method_ =
+          match stats.Verify.method_ with
+          | Verify.Cbf_method -> "CBF"
+          | Verify.Edbf_method -> "EDBF"
+        in
+        (match outcome.Verify.verdict with
+        | Verify.Equivalent -> Format.printf "EQUIVALENT@."
+        | Verify.Inequivalent (Some cex) ->
+            Format.printf "NOT EQUIVALENT@.counterexample:@.";
+            List.iter
+              (fun (v, b) ->
+                Format.printf "  %s = %b@." (Seqprob.Var.to_string v) b)
+              cex
+        | Verify.Inequivalent None ->
+            Format.printf "NOT EQUIVALENT (conservative EDBF check; may be a false negative)@."
+        | Verify.Undecided reason -> Format.printf "UNDECIDED (%s)@." reason);
+        Format.printf
+          "method %s, depth %d, %d variables, %d events, %d unrolled AIG nodes, %d+%d unrolled gates, %.3fs@."
+          method_ stats.Verify.depth stats.Verify.variables stats.Verify.events
+          stats.Verify.unrolled_nodes
+          (fst stats.Verify.unrolled_gates)
+          (snd stats.Verify.unrolled_gates)
+          stats.Verify.seconds;
+        Format.printf "cec: %a@." Cec.stats_pp stats.Verify.cec;
+        match outcome.Verify.verdict with
+        | Verify.Equivalent -> 0
+        | Verify.Inequivalent _ -> 1
+        | Verify.Undecided _ -> 2)
   in
   let no_rewrite =
     Arg.(value & flag & info [ "no-rewrite" ] ~doc:"Disable the rule-(5) event rewrite.")
@@ -405,8 +414,7 @@ let verify_cmd =
       $ circuit_arg ~pos:0 ~doc:"First netlist."
       $ circuit_arg ~pos:1 ~doc:"Second netlist."
       $ engine_arg $ exposed_arg $ no_rewrite $ guard $ jobs_arg $ timeout_arg
-      $ sat_conflicts_arg $ cache_dir_arg $ trace_arg $ verbose_arg
-      $ obs_stats_arg)
+      $ sat_conflicts_arg $ session_arg)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -465,18 +473,14 @@ let redundancy_cmd =
 (* ---- flow ---- *)
 
 let flow_cmd =
-  let run path jobs period timeout sat_conflicts cache_dir trace verbose
-      obs_stats =
+  let run path jobs period timeout sat_conflicts session =
     let c = load path in
-    let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
-    let store = Option.map open_store cache_dir in
+    session @@ fun store ->
     let limits = limits_of timeout sat_conflicts in
     match Flow.run ~jobs ~limits ?cache:(store_cache store) ?period c with
     | Error d ->
         Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
-        Option.iter Store.close store;
-        finish ();
-        exit 1
+        1
     | Ok row ->
         Format.printf
           "%s: A(l=%d d=%d) exposed=%d(%.0f%%) C(l=%d a=%d d=%d) D(a=%d d=%d) E(l=%d) F(l=%d d=%d) verify=%s %.2fs@."
@@ -488,9 +492,8 @@ let flow_cmd =
           | Verify.Equivalent -> "EQ"
           | Verify.Inequivalent _ -> "NEQ"
           | Verify.Undecided _ -> "UNDEC")
-          row.Flow.verify_seconds;
-        Option.iter Store.close store;
-        finish ()
+          row.Flow.verify_stats.Verify.seconds;
+        0
   in
   let period =
     Arg.(
@@ -505,8 +508,7 @@ let flow_cmd =
   let term =
     Term.(
       const run $ circuit_arg ~pos:0 ~doc:"Input netlist." $ jobs_arg $ period
-      $ timeout_arg $ sat_conflicts_arg $ cache_dir_arg $ trace_arg
-      $ verbose_arg $ obs_stats_arg)
+      $ timeout_arg $ sat_conflicts_arg $ session_arg)
   in
   Cmd.v (Cmd.info "flow" ~doc:"Run the full Fig. 19 experimental flow.") term
 
@@ -587,8 +589,7 @@ let generate_cmd =
 (* ---- hier ---- *)
 
 let hier_cmd =
-  let run name list_only flat engine jobs timeout sat_conflicts cache_dir trace
-      verbose obs_stats =
+  let run name list_only flat engine jobs timeout sat_conflicts session =
     let suite = Workloads.hier_suite () in
     if list_only then begin
       List.iter
@@ -615,13 +616,7 @@ let hier_cmd =
             (Printf.sprintf "unknown hier pair %S (have: %s)" name
                (String.concat ", " (List.map (fun (n, _, _, _) -> n) suite)))
     in
-    let finish = obs_setup ~trace ~verbose ~stats:obs_stats in
-    let store = Option.map open_store cache_dir in
-    let quit code =
-      Option.iter Store.close store;
-      finish ();
-      exit code
-    in
+    session @@ fun store ->
     let limits = limits_of timeout sat_conflicts in
     if flat then begin
       (* monolithic reference: flatten both designs and run one Verify.check *)
@@ -636,7 +631,7 @@ let hier_cmd =
       with
       | Error d ->
           Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
-          quit 1
+          1
       | Ok o -> (
           (match o.Verify.verdict with
           | Verify.Equivalent -> Format.printf "EQUIVALENT (flat)@."
@@ -645,9 +640,9 @@ let hier_cmd =
               Format.printf "UNDECIDED (flat: %s)@." reason);
           Format.printf "%.3fs@." o.Verify.stats.Verify.seconds;
           match o.Verify.verdict with
-          | Verify.Equivalent -> quit 0
-          | Verify.Inequivalent _ -> quit 1
-          | Verify.Undecided _ -> quit 2)
+          | Verify.Equivalent -> 0
+          | Verify.Inequivalent _ -> 1
+          | Verify.Undecided _ -> 2)
     end
     else begin
       let r = Hier.check ~engine ~jobs ~limits ?store dl dr in
@@ -675,7 +670,7 @@ let hier_cmd =
       match r.Hier.verdict with
       | Hier.Equivalent ->
           Format.printf "EQUIVALENT@.";
-          quit 0
+          0
       | Hier.Inequivalent { offending; cex } ->
           Format.printf "NOT EQUIVALENT: module %s@." offending;
           (match cex with
@@ -686,10 +681,10 @@ let hier_cmd =
                   Format.printf "  %s = %b@." (Seqprob.Var.to_string v) b)
                 cex
           | None -> ());
-          quit 1
+          1
       | Hier.Undecided { module_; reason } ->
           Format.printf "UNDECIDED at module %s (%s)@." module_ reason;
-          quit 2
+          2
     end
   in
   let name_arg =
@@ -715,8 +710,7 @@ let hier_cmd =
   let term =
     Term.(
       const run $ name_arg $ list_arg $ flat_arg $ engine_arg $ jobs_arg
-      $ timeout_arg $ sat_conflicts_arg $ cache_dir_arg $ trace_arg
-      $ verbose_arg $ obs_stats_arg)
+      $ timeout_arg $ sat_conflicts_arg $ session_arg)
   in
   Cmd.v
     (Cmd.info "hier"
@@ -852,30 +846,23 @@ let client_cmd =
     if String.length path > 0 && path.[0] = '@' then path
     else Netlist_io.to_string (load path)
   in
-  let ping_c =
+  (* one request with no arguments; the reply goes to stdout as one JSON
+     line, and a reply that is not ok exits 1 *)
+  let op_c op ~doc =
     let run socket retries =
       with_client socket retries @@ fun c ->
-      let r = roundtrip c (Sjson.Obj [ ("op", Sjson.String "ping") ]) in
+      let r = roundtrip c (Sjson.Obj [ ("op", Sjson.String op) ]) in
       print_endline (Sjson.to_string r);
       if Option.bind (Sjson.member "ok" r) Sjson.get_bool <> Some true then
         exit 1
     in
-    Cmd.v
-      (Cmd.info "ping" ~doc:"Round-trip a ping; exit 0 when the server answers.")
-      Term.(const run $ socket_arg $ retries_arg)
+    Cmd.v (Cmd.info op ~doc) Term.(const run $ socket_arg $ retries_arg)
+  in
+  let ping_c =
+    op_c "ping" ~doc:"Round-trip a ping; exit 0 when the server answers."
   in
   let stats_c =
-    let run socket retries =
-      with_client socket retries @@ fun c ->
-      let r = roundtrip c (Sjson.Obj [ ("op", Sjson.String "stats") ]) in
-      print_endline (Sjson.to_string r);
-      if Option.bind (Sjson.member "ok" r) Sjson.get_bool <> Some true then
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:"Scrape live server/Obs/store counters as one JSON line.")
-      Term.(const run $ socket_arg $ retries_arg)
+    op_c "stats" ~doc:"Scrape live server/Obs/store counters as one JSON line."
   in
   let metrics_c =
     let run socket retries =
@@ -898,19 +885,10 @@ let client_cmd =
       Term.(const run $ socket_arg $ retries_arg)
   in
   let trace_c =
-    let run socket retries =
-      with_client socket retries @@ fun c ->
-      let r = roundtrip c (Sjson.Obj [ ("op", Sjson.String "trace") ]) in
-      print_endline (Sjson.to_string r);
-      if Option.bind (Sjson.member "ok" r) Sjson.get_bool <> Some true then
-        exit 1
-    in
-    Cmd.v
-      (Cmd.info "trace"
-         ~doc:
-           "Dump the server's trace ring (sampled and slow requests, with \
-            span trees) as one JSON line.")
-      Term.(const run $ socket_arg $ retries_arg)
+    op_c "trace"
+      ~doc:
+        "Dump the server's trace ring (sampled and slow requests, with span \
+         trees) as one JSON line."
   in
   let check_c =
     let run socket retries p1 p2 exposed no_expose engine timeout sat_conflicts
@@ -933,14 +911,7 @@ let client_cmd =
                 ( "exposed",
                   Sjson.List (List.map (fun n -> Sjson.String n) names) );
               ])
-        @ [
-            ( "engine",
-              Sjson.String
-                (match engine with
-                | Cec.Sweep_engine -> "sweep"
-                | Cec.Sat_engine -> "sat"
-                | Cec.Bdd_engine -> "bdd") );
-          ]
+        @ [ ("engine", Sjson.String (Cec.engine_name engine)) ]
         @ (match timeout with
           | Some s -> [ ("timeout", Sjson.Float s) ]
           | None -> [])

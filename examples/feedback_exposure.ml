@@ -60,4 +60,4 @@ let () =
     | Verify.Equivalent -> "EQUIVALENT"
     | Verify.Inequivalent _ -> "NOT EQUIVALENT"
     | Verify.Undecided _ -> "UNDECIDED")
-    row.Flow.verify_seconds
+    row.Flow.verify_stats.Verify.seconds

@@ -20,7 +20,7 @@ let () =
         | Verify.Equivalent -> "EQUIVALENT"
         | Verify.Inequivalent _ -> "NOT EQUIVALENT"
         | Verify.Undecided r -> "UNDECIDED (" ^ r ^ ")")
-        row.Flow.verify_seconds;
+        row.Flow.verify_stats.Verify.seconds;
       (* per-stage wall clock straight off the row — no sink needed *)
       List.iter
         (fun (stage, dt) -> Format.printf "  stage %-7s %.3fs@." stage dt)

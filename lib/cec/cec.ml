@@ -26,26 +26,26 @@ let default_limits =
   }
 
 type stats = {
-  sat_calls : int;
-  sim_rounds : int;
-  partitions : int;
-  cache_hits : int;
-  store_hits : int;
-  store_writes : int;
-  cache_evictions : int;
-  conflicts : int;
-  budget_hits : int;
-  deadline_hits : int;
-  escalations : int;
-  undecided : int;
-  elapsed_seconds : float;
-  partition_seconds : float;
-  bdd_seconds : float;
-  sat_seconds : float;
-  sweep_seconds : float;
+  mutable sat_calls : int;
+  mutable sim_rounds : int;
+  mutable partitions : int;
+  mutable cache_hits : int;
+  mutable store_hits : int;
+  mutable store_writes : int;
+  mutable cache_evictions : int;
+  mutable conflicts : int;
+  mutable budget_hits : int;
+  mutable deadline_hits : int;
+  mutable escalations : int;
+  mutable undecided : int;
+  mutable elapsed_seconds : float;
+  mutable partition_seconds : float;
+  mutable bdd_seconds : float;
+  mutable sat_seconds : float;
+  mutable sweep_seconds : float;
 }
 
-let empty_stats =
+let fresh_stats () =
   {
     sat_calls = 0;
     sim_rounds = 0;
@@ -66,6 +66,30 @@ let empty_stats =
     sweep_seconds = 0.;
   }
 
+(* Field-wise sum.  Each partition task accumulates into its own [stats],
+   so no synchronization is needed; they are summed after the pool joins
+   (the join provides the happens-before edge). *)
+let add a b =
+  {
+    sat_calls = a.sat_calls + b.sat_calls;
+    sim_rounds = a.sim_rounds + b.sim_rounds;
+    partitions = a.partitions + b.partitions;
+    cache_hits = a.cache_hits + b.cache_hits;
+    store_hits = a.store_hits + b.store_hits;
+    store_writes = a.store_writes + b.store_writes;
+    cache_evictions = a.cache_evictions + b.cache_evictions;
+    conflicts = a.conflicts + b.conflicts;
+    budget_hits = a.budget_hits + b.budget_hits;
+    deadline_hits = a.deadline_hits + b.deadline_hits;
+    escalations = a.escalations + b.escalations;
+    undecided = a.undecided + b.undecided;
+    elapsed_seconds = a.elapsed_seconds +. b.elapsed_seconds;
+    partition_seconds = a.partition_seconds +. b.partition_seconds;
+    bdd_seconds = a.bdd_seconds +. b.bdd_seconds;
+    sat_seconds = a.sat_seconds +. b.sat_seconds;
+    sweep_seconds = a.sweep_seconds +. b.sweep_seconds;
+  }
+
 let stats_pp ppf s =
   Format.fprintf ppf
     "%d partitions, %d SAT calls, %d sim rounds, %d cache hits, %d store hits, %d store writes, %d cache evictions, %d conflicts, %d budget hits, %d deadline hits, %d escalations, %d undecided, elapsed %.3fs (partitioning %.3fs), engine CPU-seconds bdd %.3f sat %.3f sweep %.3f"
@@ -74,79 +98,18 @@ let stats_pp ppf s =
     s.escalations s.undecided s.elapsed_seconds s.partition_seconds
     s.bdd_seconds s.sat_seconds s.sweep_seconds
 
-(* Per-partition mutable counters.  Each partition task owns exactly one of
-   these, so no synchronization is needed; they are merged after the pool
-   joins (the join provides the happens-before edge). *)
-type counters = {
-  mutable k_sat_calls : int;
-  mutable k_sim_rounds : int;
-  mutable k_cache_hits : int;
-  mutable k_store_hits : int;
-  mutable k_store_writes : int;
-  mutable k_cache_evictions : int;
-  mutable k_conflicts : int;
-  mutable k_budget_hits : int;
-  mutable k_deadline_hits : int;
-  mutable k_escalations : int;
-  mutable k_undecided : int;
-  mutable k_bdd_s : float;
-  mutable k_sat_s : float;
-  mutable k_sweep_s : float;
-}
-
-let fresh_counters () =
-  {
-    k_sat_calls = 0;
-    k_sim_rounds = 0;
-    k_cache_hits = 0;
-    k_store_hits = 0;
-    k_store_writes = 0;
-    k_cache_evictions = 0;
-    k_conflicts = 0;
-    k_budget_hits = 0;
-    k_deadline_hits = 0;
-    k_escalations = 0;
-    k_undecided = 0;
-    k_bdd_s = 0.;
-    k_sat_s = 0.;
-    k_sweep_s = 0.;
-  }
-
-let stats_of_counters ~partitions cts =
-  Array.fold_left
-    (fun acc k ->
-      {
-        acc with
-        sat_calls = acc.sat_calls + k.k_sat_calls;
-        sim_rounds = acc.sim_rounds + k.k_sim_rounds;
-        cache_hits = acc.cache_hits + k.k_cache_hits;
-        store_hits = acc.store_hits + k.k_store_hits;
-        store_writes = acc.store_writes + k.k_store_writes;
-        cache_evictions = acc.cache_evictions + k.k_cache_evictions;
-        conflicts = acc.conflicts + k.k_conflicts;
-        budget_hits = acc.budget_hits + k.k_budget_hits;
-        deadline_hits = acc.deadline_hits + k.k_deadline_hits;
-        escalations = acc.escalations + k.k_escalations;
-        undecided = acc.undecided + k.k_undecided;
-        bdd_seconds = acc.bdd_seconds +. k.k_bdd_s;
-        sat_seconds = acc.sat_seconds +. k.k_sat_s;
-        sweep_seconds = acc.sweep_seconds +. k.k_sweep_s;
-      })
-    { empty_stats with partitions }
-    cts
-
 (* Monotonic: NTP steps must neither fire per-partition deadlines early
    nor skew the reported engine seconds. *)
 let now () = Obs.Clock.now ()
 
 (* Budget/deadline exhaustion counters double as trace instants, so a blown
    budget is attributed to the partition span it happened in. *)
-let note_budget_hit ct reason =
-  ct.k_budget_hits <- ct.k_budget_hits + 1;
+let note_budget_hit st reason =
+  st.budget_hits <- st.budget_hits + 1;
   Obs.instant "cec.budget_hit" ~attrs:[ ("reason", Obs.String reason) ]
 
-let note_deadline_hit ct reason =
-  ct.k_deadline_hits <- ct.k_deadline_hits + 1;
+let note_deadline_hit st reason =
+  st.deadline_hits <- st.deadline_hits + 1;
   Obs.instant "cec.deadline_hit" ~attrs:[ ("reason", Obs.String reason) ]
 
 (* Budget context for one partition: the limits, an absolute wall-clock
@@ -309,7 +272,7 @@ let input_index_tbl g =
 
 exception Bdd_give_up of string
 
-let check_bdd ct b (p : Seqprob.t) =
+let check_bdd st b (p : Seqprob.t) =
   let g = p.graph in
   let man = Bdd.man () in
   (* BDD variable = AIG input index; the problem's vars array names it *)
@@ -321,16 +284,16 @@ let check_bdd ct b (p : Seqprob.t) =
   let check_budget () =
     (match b.lim.bdd_nodes with
     | Some ceiling when Bdd.node_count man > ceiling ->
-        note_budget_hit ct "BDD node ceiling";
+        note_budget_hit st "BDD node ceiling";
         raise (Bdd_give_up "BDD node ceiling")
     | _ -> ());
     if cancelled b then begin
-      note_deadline_hit ct "cancelled";
+      note_deadline_hit st "cancelled";
       raise (Bdd_give_up "cancelled")
     end;
     incr steps;
     if !steps land 255 = 0 && expired b then begin
-      note_deadline_hit ct "partition deadline";
+      note_deadline_hit st "partition deadline";
       raise (Bdd_give_up "partition deadline")
     end
   in
@@ -412,8 +375,8 @@ end
 (* One budgeted SAT call.  [factor] scales the base conflict budget (the
    escalation ladder retries with a larger factor); the wall-clock slice is
    whatever remains until the partition deadline. *)
-let sat_solve_counted ct b ?(factor = 1) solver ?assumptions () =
-  ct.k_sat_calls <- ct.k_sat_calls + 1;
+let sat_solve_counted st b ?(factor = 1) solver ?assumptions () =
+  st.sat_calls <- st.sat_calls + 1;
   let c0, _, _ = Sat.stats solver in
   let budget =
     let conflicts = Option.map (fun n -> n * factor) b.lim.sat_conflicts in
@@ -428,15 +391,15 @@ let sat_solve_counted ct b ?(factor = 1) solver ?assumptions () =
      leaving sat_seconds at 0.0 despite hundreds of calls). *)
   let t0 = now () in
   let r = Sat.solve ?assumptions ?budget ?cancel:b.cancel solver in
-  ct.k_sat_s <- ct.k_sat_s +. (now () -. t0);
+  st.sat_seconds <- st.sat_seconds +. (now () -. t0);
   let c1, _, _ = Sat.stats solver in
-  ct.k_conflicts <- ct.k_conflicts + (c1 - c0);
+  st.conflicts <- st.conflicts + (c1 - c0);
   (match r with
   | Sat.Unknown ->
       if cancelled b || expired b then
-        note_deadline_hit ct
+        note_deadline_hit st
           (if cancelled b then "cancelled" else "partition deadline")
-      else note_budget_hit ct "SAT conflict budget"
+      else note_budget_hit st "SAT conflict budget"
   | Sat.Sat | Sat.Unsat -> ());
   r
 
@@ -457,7 +420,7 @@ let model_cex enc g vars =
   done;
   List.rev !cex
 
-let check_sat ct b ?factor (p : Seqprob.t) =
+let check_sat st b ?factor (p : Seqprob.t) =
   let g = p.graph in
   let enc = Encoder.create g in
   (* miter: OR of XORs *)
@@ -467,7 +430,7 @@ let check_sat ct b ?factor (p : Seqprob.t) =
   else begin
     let ml = Encoder.encode_lit enc miter in
     match
-      sat_solve_counted ct b ?factor enc.Encoder.solver ~assumptions:[ ml ] ()
+      sat_solve_counted st b ?factor enc.Encoder.solver ~assumptions:[ ml ] ()
     with
     | Sat.Unsat -> Equivalent
     | Sat.Sat -> Inequivalent (model_cex enc g p.vars)
@@ -478,9 +441,9 @@ let check_sat ct b ?factor (p : Seqprob.t) =
 
 let sim_rounds = 4 (* 4 * 64 = 256 random patterns *)
 
-let check_sweep ct b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
+let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
   let g = p.graph in
-  let st = Random.State.make [| seed |] in
+  let rng = Random.State.make [| seed |] in
   let n_in = Aig.num_inputs g in
   let n_nodes = Aig.node_count g in
   (* signatures *)
@@ -488,13 +451,13 @@ let check_sweep ct b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
   for _round = 1 to sim_rounds do
     (* bits64 gives full-width words; int64 below max_int never sets bit 63,
        which would make pattern lane 63 simulate the all-zeros input *)
-    let words = Array.init n_in (fun _ -> Random.State.bits64 st) in
+    let words = Array.init n_in (fun _ -> Random.State.bits64 rng) in
     let vals = Aig.simulate g words in
     for n = 0 to n_nodes - 1 do
       sigs.(n) <- vals.(n) :: sigs.(n)
     done
   done;
-  ct.k_sim_rounds <- ct.k_sim_rounds + sim_rounds;
+  st.sim_rounds <- st.sim_rounds + sim_rounds;
   (* canonical signature: complement so that bit0 of first word is 0 *)
   let canon n =
     match sigs.(n) with
@@ -520,12 +483,12 @@ let check_sweep ct b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
        nodes simply stay unmerged and the final miter decides *)
     let a = Encoder.encode_lit enc la and sb = Encoder.encode_lit enc lb in
     match
-      sat_solve_counted ct b enc.Encoder.solver ~assumptions:[ a; -sb ] ()
+      sat_solve_counted st b enc.Encoder.solver ~assumptions:[ a; -sb ] ()
     with
     | Sat.Sat | Sat.Unknown -> false
     | Sat.Unsat -> (
         match
-          sat_solve_counted ct b enc.Encoder.solver ~assumptions:[ -a; sb ] ()
+          sat_solve_counted st b enc.Encoder.solver ~assumptions:[ -a; sb ] ()
         with
         | Sat.Sat | Sat.Unknown -> false
         | Sat.Unsat -> true)
@@ -567,7 +530,7 @@ let check_sweep ct b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
   if miter = Aig.lit_false then Equivalent
   else begin
     let ml = Encoder.encode_lit enc miter in
-    match sat_solve_counted ct b enc.Encoder.solver ~assumptions:[ ml ] () with
+    match sat_solve_counted st b enc.Encoder.solver ~assumptions:[ ml ] () with
     | Sat.Unsat -> Equivalent
     | Sat.Unknown -> Undecided (give_up_reason b)
     | Sat.Sat ->
@@ -585,10 +548,9 @@ let check_sweep ct b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
 
 (* ---------- engine dispatch, cache, partitioning ---------- *)
 
-let engine_name = function
-  | Bdd_engine -> "bdd"
-  | Sat_engine -> "sat"
-  | Sweep_engine -> "sweep"
+let engines = [ ("sweep", Sweep_engine); ("sat", Sat_engine); ("bdd", Bdd_engine) ]
+
+let engine_name e = fst (List.find (fun (_, x) -> x = e) engines)
 
 let verdict_attr = function
   | Equivalent -> Obs.String "equivalent"
@@ -620,26 +582,26 @@ let observe_cone_cost ~cost dt =
    {e minus} what its inner SAT calls already took: the three buckets are
    disjoint and sum to the engine wall-clock.  For the SAT engine the
    remainder is its encoding time, so its bucket still totals the span. *)
-let run_one ct b ~engine ~factor p =
-  let sat0 = ct.k_sat_s in
+let run_one st b ~engine ~factor p =
+  let sat0 = st.sat_seconds in
   let v, dt =
     Obs.timed_span
       ~name:("cec.engine." ^ engine_name engine)
       (fun () ->
         let v =
           match engine with
-          | Bdd_engine -> check_bdd ct b p
-          | Sat_engine -> check_sat ct b ~factor p
-          | Sweep_engine -> check_sweep ct b p
+          | Bdd_engine -> check_bdd st b p
+          | Sat_engine -> check_sat st b ~factor p
+          | Sweep_engine -> check_sweep st b p
         in
         Obs.attr (fun () -> [ ("verdict", verdict_attr v) ]);
         v)
   in
-  let sat_dt = ct.k_sat_s -. sat0 in
+  let sat_dt = st.sat_seconds -. sat0 in
   (match engine with
-  | Bdd_engine -> ct.k_bdd_s <- ct.k_bdd_s +. dt
-  | Sat_engine -> ct.k_sat_s <- ct.k_sat_s +. Float.max 0. (dt -. sat_dt)
-  | Sweep_engine -> ct.k_sweep_s <- ct.k_sweep_s +. Float.max 0. (dt -. sat_dt));
+  | Bdd_engine -> st.bdd_seconds <- st.bdd_seconds +. dt
+  | Sat_engine -> st.sat_seconds <- st.sat_seconds +. Float.max 0. (dt -. sat_dt)
+  | Sweep_engine -> st.sweep_seconds <- st.sweep_seconds +. Float.max 0. (dt -. sat_dt));
   (* per-engine attribution histogram (whole engine run incl. inner SAT) *)
   (match engine with
   | Bdd_engine -> Obs.observe "cec.engine_seconds.bdd" dt
@@ -654,10 +616,10 @@ let run_one ct b ~engine ~factor p =
    are final — the partition is being abandoned, not retried. *)
 let escalation_factor = 4
 
-let run_engine ct b ~engine p =
+let run_engine st b ~engine p =
   if cancelled b then Undecided "cancelled"
   else
-    match run_one ct b ~engine ~factor:1 p with
+    match run_one st b ~engine ~factor:1 p with
     | (Equivalent | Inequivalent _) as v -> v
     | Undecided _ as v when not b.lim.escalate -> v
     | Undecided _ as v ->
@@ -672,14 +634,14 @@ let run_engine ct b ~engine p =
           | (e, factor) :: rest ->
               if cancelled b || expired b then v
               else begin
-                ct.k_escalations <- ct.k_escalations + 1;
+                st.escalations <- st.escalations + 1;
                 Obs.instant "cec.escalate"
                   ~attrs:
                     [
                       ("engine", Obs.String (engine_name e));
                       ("factor", Obs.Int factor);
                     ];
-                match run_one ct b ~engine:e ~factor p with
+                match run_one st b ~engine:e ~factor p with
                 | (Equivalent | Inequivalent _) as v -> v
                 | Undecided _ as v -> climb v rest
               end
@@ -702,20 +664,20 @@ let canonical_vars (p : Seqprob.t) =
   |> List.map (fun n -> p.vars.(Hashtbl.find input_index n))
   |> Array.of_list
 
-let check_pair ct b ~engine ~cache p =
+let check_pair st b ~engine ~cache p =
   match cache with
-  | None -> run_engine ct b ~engine p
+  | None -> run_engine st b ~engine p
   | Some cache -> (
       let key = pair_signature p in
       let note_cache_hit () =
-        ct.k_cache_hits <- ct.k_cache_hits + 1;
+        st.cache_hits <- st.cache_hits + 1;
         Obs.instant "cec.cache_hit";
         Obs.count "cec.cache_hits" 1
       in
       let note_store_hit () =
         (* disjoint from cache_hits: served by the persistent store, not
            the in-memory index (Store.find already emits store.hit) *)
-        ct.k_store_hits <- ct.k_store_hits + 1;
+        st.store_hits <- st.store_hits + 1;
         Obs.instant "cec.store_hit"
       in
       let replay pos =
@@ -728,7 +690,7 @@ let check_pair ct b ~engine ~cache p =
              pos)
       in
       let hit, evicted = Cache.find_hit cache key in
-      ct.k_cache_evictions <- ct.k_cache_evictions + evicted;
+      st.cache_evictions <- st.cache_evictions + evicted;
       match hit with
       | Some (Cache.Memory e | Cache.Disk e as h) -> (
           (match h with
@@ -738,11 +700,11 @@ let check_pair ct b ~engine ~cache p =
           | Store.Equivalent -> Equivalent
           | Store.Inequivalent pos -> replay pos)
       | None -> (
-          let v = run_engine ct b ~engine p in
+          let v = run_engine st b ~engine p in
           let remember entry =
             let wrote, evicted = Cache.add_entry cache key entry in
-            ct.k_store_writes <- ct.k_store_writes + wrote;
-            ct.k_cache_evictions <- ct.k_cache_evictions + evicted
+            st.store_writes <- st.store_writes + wrote;
+            st.cache_evictions <- st.cache_evictions + evicted
           in
           match v with
           | Undecided _ ->
@@ -791,17 +753,17 @@ let extract_part (p : Seqprob.t) members o1 o2 =
   }
 
 let check_monolithic ~engine ~limits ~cache p =
-  let ct = fresh_counters () in
+  let st = { (fresh_stats ()) with partitions = 1 } in
   let b = bctx_of_limits limits in
-  let v = check_pair ct b ~engine ~cache p in
+  let v = check_pair st b ~engine ~cache p in
   (match v with
-  | Undecided _ -> ct.k_undecided <- ct.k_undecided + 1
+  | Undecided _ -> st.undecided <- st.undecided + 1
   | Equivalent | Inequivalent _ -> ());
-  (v, stats_of_counters ~partitions:1 [| ct |])
+  (v, st)
 
 let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
     =
-  if p.outs1 = [] then (Equivalent, empty_stats)
+  if p.outs1 = [] then (Equivalent, fresh_stats ())
   else begin
     let o1 = Array.of_list p.outs1 and o2 = Array.of_list p.outs2 in
     (* Layout and sub-AIG extraction are cheap and sequential; afterwards
@@ -831,12 +793,15 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
       let t0 = now () in
       let v, st = check_monolithic ~engine ~limits ~cache p in
       observe_cone_cost ~cost:layout.Layout.total_cost (now () -. t0);
-      (v, { st with partition_seconds = layout_seconds })
+      st.partition_seconds <- layout_seconds;
+      (v, st)
     end
     else begin
       let cache = match cache with Some c -> c | None -> Cache.create () in
       let n = Array.length subs in
-      let counters = Array.init n (fun _ -> fresh_counters ()) in
+      let cluster_stats =
+        Array.init n (fun _ -> { (fresh_stats ()) with partitions = 1 })
+      in
       (* Set by find_first the moment any cluster reports a counterexample;
          every in-flight sibling's SAT loop / BDD build polls it and stops
          mid-solve, and bins abandon their not-yet-started clusters. *)
@@ -860,10 +825,11 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
                 cancel = Some cancel;
               }
             in
-            match check_pair counters.(k) b ~engine ~cache:(Some cache) sub with
+            let st = cluster_stats.(k) in
+            match check_pair st b ~engine ~cache:(Some cache) sub with
             | Equivalent -> None
             | Undecided reason ->
-                counters.(k).k_undecided <- counters.(k).k_undecided + 1;
+                st.undecided <- st.undecided + 1;
                 undecided.(k) <- Some reason;
                 None
             | Inequivalent cex ->
@@ -906,12 +872,8 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
         | Some pool -> search pool
         | None -> Par.Pool.with_pool ~jobs:(min jobs (List.length bins)) search
       in
-      let stats =
-        {
-          (stats_of_counters ~partitions:n counters) with
-          partition_seconds = layout_seconds;
-        }
-      in
+      let stats = Array.fold_left add (fresh_stats ()) cluster_stats in
+      stats.partition_seconds <- layout_seconds;
       match found with
       | Some cex -> (Inequivalent cex, stats)
       | None -> (
@@ -967,7 +929,8 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
             check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:false p
         | None -> check_monolithic ~engine ~limits ~cache p)
   in
-  (v, { stats with elapsed_seconds = elapsed })
+  stats.elapsed_seconds <- elapsed;
+  (v, stats)
 
 (* ---------- Circuit.t pairs ---------- *)
 

@@ -33,8 +33,13 @@ type engine =
       (** fraig-style: random simulation classes + incremental SAT merging,
           then a miter check on the swept AIG *)
 
+val engines : (string * engine) list
+(** Every engine under its CLI/wire spelling: ["sweep"], ["sat"], ["bdd"]
+    (the default first).  The CLI's [--engine], the server's ["engine"]
+    request field and [seqver client check] all read this table. *)
+
 val engine_name : engine -> string
-(** ["bdd"] / ["sat"] / ["sweep"] — the CLI/wire spelling. *)
+(** The engine's spelling in {!engines}. *)
 
 type limits = {
   sat_conflicts : int option;
@@ -61,38 +66,38 @@ val default_limits : limits
     easy problems. *)
 
 type stats = {
-  sat_calls : int;  (** SAT solver invocations *)
-  sim_rounds : int;  (** 64-pattern random simulation rounds (sweep) *)
-  partitions : int;
+  mutable sat_calls : int;  (** SAT solver invocations *)
+  mutable sim_rounds : int;  (** 64-pattern random simulation rounds (sweep) *)
+  mutable partitions : int;
       (** output-cone clusters checked — the {!Layout}'s verdict units
           (1 = monolithic) *)
-  cache_hits : int;
+  mutable cache_hits : int;
       (** partitions answered from the in-memory result cache *)
-  store_hits : int;
+  mutable store_hits : int;
       (** partitions answered from the persistent verdict store (disjoint
           from [cache_hits]: a verdict promoted into memory counts here
           once, then as a cache hit on repeats) *)
-  store_writes : int;
+  mutable store_writes : int;
       (** verdicts appended write-through to the persistent store *)
-  cache_evictions : int;
+  mutable cache_evictions : int;
       (** entries dropped from the in-memory cache by its capacity bound *)
-  conflicts : int;  (** SAT conflicts spent, summed over all calls *)
-  budget_hits : int;
+  mutable conflicts : int;  (** SAT conflicts spent, summed over all calls *)
+  mutable budget_hits : int;
       (** engine runs stopped by a blown conflict budget or node ceiling *)
-  deadline_hits : int;
+  mutable deadline_hits : int;
       (** engine runs stopped by a partition deadline or cancellation *)
-  escalations : int;  (** ladder rungs climbed after a blown budget *)
-  undecided : int;
+  mutable escalations : int;  (** ladder rungs climbed after a blown budget *)
+  mutable undecided : int;
       (** partitions left undecided (includes partitions abandoned because
           a sibling already found a counterexample) *)
-  elapsed_seconds : float;
+  mutable elapsed_seconds : float;
       (** true wall clock of the whole check (monotonic), including
           partitioning and cache probing *)
-  partition_seconds : float;
+  mutable partition_seconds : float;
       (** wall clock spent computing the partition layout (output
           clustering, cost estimation, bin packing and sub-AIG
           extraction); [0.] for an explicitly monolithic check *)
-  bdd_seconds : float;
+  mutable bdd_seconds : float;
       (** CPU-seconds spent in each engine, summed across clusters.  The
           three buckets are {e disjoint}: time inside [Sat.solve] is
           always SAT time ([sat_seconds]), wherever the call came from —
@@ -101,15 +106,20 @@ type stats = {
           mode clusters overlap in time, so the sums can legitimately
           {e exceed} [elapsed_seconds] — compare against
           [elapsed_seconds] for the wall-clock story *)
-  sat_seconds : float;
-  sweep_seconds : float;
+  mutable sat_seconds : float;
+  mutable sweep_seconds : float;
 }
-(** Per-check statistics.  A [stats] value is owned by the caller of one
-    check: concurrent checks (and the partitions within one check) never
-    share mutable state.  All [*_seconds] fields are derived from the
-    {!Obs} span instrumentation (monotonic clock) and are measured whether
-    or not tracing is enabled; {!stats_pp} prints both the wall clock and
-    the per-engine CPU-second sums. *)
+(** Per-check statistics: the one record of a check's counters and
+    timings, which [Verify.stats], [seqver verify], Table 1 and the
+    server's responses and trace ring all read.  While a check runs, each
+    partition accumulates into its own [stats] (concurrent checks, and the
+    partitions within one check, never share one); the partitions are then
+    summed into the returned value.  The fields are mutable only for that
+    accumulation: Cec never writes a [stats] value after returning it, so
+    the caller owns it outright.  All [*_seconds] fields are derived from
+    the {!Obs} span instrumentation (monotonic clock) and are measured
+    whether or not tracing is enabled; {!stats_pp} prints both the wall
+    clock and the per-engine CPU-second sums. *)
 
 val stats_pp : Format.formatter -> stats -> unit
 (** One-line rendering printing {e every} field: counters, the elapsed

@@ -11,7 +11,6 @@ type row = {
   e : metrics;
   f : metrics;
   g : metrics;
-  verify_seconds : float;
   verify_verdict : Verify.verdict;
   verify_stats : Verify.stats;
   stage_seconds : (string * float) list;
@@ -162,7 +161,6 @@ let run ?jobs ?limits ?cache ?period a =
       e = metrics_of e;
       f = metrics_of f;
       g = metrics_of g;
-      verify_seconds = outcome.Verify.stats.Verify.seconds;
       verify_verdict = outcome.Verify.verdict;
       verify_stats = outcome.Verify.stats;
       stage_seconds = List.rev !stages;

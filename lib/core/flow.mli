@@ -27,9 +27,10 @@ type row = {
   e : metrics;
   f : metrics;
   g : metrics;
-  verify_seconds : float;
   verify_verdict : Verify.verdict;
   verify_stats : Verify.stats;
+      (** the H-vs-J check's own statistics; its [seconds] is Table 1's
+          "H vs J" time *)
   stage_seconds : (string * float) list;
       (** wall clock per pipeline stage, in execution order: ["B"]; ["D"];
           ["C"]; ["E"]; ["F"]; ["G"]; ["verify"].  Derived from the {!Obs}

@@ -147,7 +147,7 @@ let buffer_cap () = Atomic.get event_cap
 
 (* gauges are a single shared table: writes are control-path-frequency
    (queue depth on admit/complete), not hot-path *)
-let gauges : (string, float ref) Hashtbl.t = Hashtbl.create 16
+let gauges : (string, float) Hashtbl.t = Hashtbl.create 16
 let gauges_m = Mutex.create ()
 
 let hook : (event -> unit) option ref = ref None
@@ -413,21 +413,16 @@ module Histogram = struct
 end
 
 module Gauge = struct
-  let update name f =
+  let set name v =
     if Atomic.get counters_on then begin
       Mutex.lock gauges_m;
-      (match Hashtbl.find_opt gauges name with
-      | Some r -> r := f !r
-      | None -> Hashtbl.add gauges name (ref (f 0.)));
+      Hashtbl.replace gauges name v;
       Mutex.unlock gauges_m
     end
 
-  let set name v = update name (fun _ -> v)
-  let add name d = update name (fun x -> x +. d)
-
   let snapshot () =
     Mutex.lock gauges_m;
-    let l = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) gauges [] in
+    let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) gauges [] in
     Mutex.unlock gauges_m;
     List.sort (fun (a, _) (b, _) -> compare (a : string) b) l
 end
@@ -523,113 +518,81 @@ module Prom = struct
     Buffer.contents buf
 end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' ->
-          Buffer.add_char buf '\\';
-          Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let value_to_json = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%.17g" f
-      else Printf.sprintf "\"%h\"" f
-  | Bool b -> string_of_bool b
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-let attrs_to_json attrs =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (value_to_json v))
-       attrs)
-
 module Chrome = struct
-  let to_buffer buf evs =
+  let json_of_value = function
+    | Int i -> Sjson.Int i
+    | Float f -> Sjson.Float f
+    | Bool b -> Sjson.Bool b
+    | String s -> Sjson.String s
+
+  let args attrs =
+    Sjson.Obj (List.map (fun (k, v) -> (k, json_of_value v)) attrs)
+
+  let metadata name ~tid label =
+    Sjson.Obj
+      [
+        ("name", Sjson.String name);
+        ("ph", Sjson.String "M");
+        ("pid", Sjson.Int 1);
+        ("tid", Sjson.Int tid);
+        ("args", Sjson.Obj [ ("name", Sjson.String label) ]);
+      ]
+
+  let to_string evs =
+    let buf = Buffer.create 4096 in
     let base = List.fold_left (fun m e -> min m (time_of e)) infinity evs in
     let base = if Float.is_finite base then base else 0. in
-    let us t = (t -. base) *. 1e6 in
-    let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    p "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    p "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"seqver\"}}";
+    let record ?(scope = []) name ~cat ~ph ~dom ~t args =
+      Sjson.Obj
+        ([
+           ("name", Sjson.String name);
+           ("cat", Sjson.String cat);
+           ("ph", Sjson.String ph);
+         ]
+        @ scope
+        @ [
+            ("pid", Sjson.Int 1);
+            ("tid", Sjson.Int dom);
+            ("ts", Sjson.Float ((t -. base) *. 1e6));
+            ("args", args);
+          ])
+    in
+    (* one event per line *)
+    let line j =
+      Buffer.add_string buf ",\n";
+      Buffer.add_string buf (Sjson.to_string j)
+    in
+    Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    Buffer.add_string buf
+      (Sjson.to_string (metadata "process_name" ~tid:0 "seqver"));
     (* one named track per domain *)
-    let doms = List.sort_uniq compare (List.map dom_of evs) in
     List.iter
       (fun d ->
-        p
-          ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-          d d)
-      doms;
+        line (metadata "thread_name" ~tid:d (Printf.sprintf "domain %d" d)))
+      (List.sort_uniq compare (List.map dom_of evs));
     (* counter tracks plot running totals *)
     let totals = Hashtbl.create 8 in
     List.iter
-      (fun e ->
-        match e with
+      (function
         | Begin { name; t; dom; attrs } ->
-            p
-              ",\n{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":{%s}}"
-              (json_escape name) dom (us t) (attrs_to_json attrs)
+            line (record name ~cat:"span" ~ph:"B" ~dom ~t (args attrs))
         | End { name; t; dom; attrs } ->
-            p
-              ",\n{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":{%s}}"
-              (json_escape name) dom (us t) (attrs_to_json attrs)
+            line (record name ~cat:"span" ~ph:"E" ~dom ~t (args attrs))
         | Instant { name; t; dom; attrs } ->
-            p
-              ",\n{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":{%s}}"
-              (json_escape name) dom (us t) (attrs_to_json attrs)
+            line
+              (record name ~cat:"event" ~ph:"i"
+                 ~scope:[ ("s", Sjson.String "t") ]
+                 ~dom ~t (args attrs))
         | Count { name; t; dom; n } ->
             let total =
               n + Option.value ~default:0 (Hashtbl.find_opt totals name)
             in
             Hashtbl.replace totals name total;
-            p
-              ",\n{\"name\":\"%s\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":{\"value\":%d}}"
-              (json_escape name) dom (us t) total)
+            line
+              (record name ~cat:"counter" ~ph:"C" ~dom ~t
+                 (Sjson.Obj [ ("value", Sjson.Int total) ])))
       evs;
-    p "]}\n"
-
-  let to_string evs =
-    let buf = Buffer.create 4096 in
-    to_buffer buf evs;
-    Buffer.contents buf
-
-  let write oc evs = output_string oc (to_string evs)
-end
-
-module Jsonl = struct
-  let to_buffer buf evs =
-    let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let line kind name t dom attrs tail =
-      p "{\"type\":\"%s\",\"name\":\"%s\",\"t\":%.9f,\"dom\":%d%s" kind
-        (json_escape name) t dom tail;
-      (match attrs with
-      | [] -> ()
-      | attrs -> p ",\"attrs\":{%s}" (attrs_to_json attrs));
-      p "}\n"
-    in
-    List.iter
-      (fun e ->
-        match e with
-        | Begin { name; t; dom; attrs } -> line "begin" name t dom attrs ""
-        | End { name; t; dom; attrs } -> line "end" name t dom attrs ""
-        | Instant { name; t; dom; attrs } -> line "instant" name t dom attrs ""
-        | Count { name; t; dom; n } ->
-            line "count" name t dom [] (Printf.sprintf ",\"n\":%d" n))
-      evs
-
-  let to_string evs =
-    let buf = Buffer.create 4096 in
-    to_buffer buf evs;
+    Buffer.add_string buf "]}\n";
     Buffer.contents buf
 
   let write oc evs = output_string oc (to_string evs)

@@ -14,12 +14,12 @@
     ({!timed_span}) measure even while disabled, so derived statistics
     (e.g. {!Cec.stats}) stay correct with tracing off.
 
-    Three sinks render a collected event list: {!Chrome} (trace-event
-    JSON, loadable in Perfetto, one track per domain), {!Summary} (a
-    span-tree with self/total times) and {!Jsonl} (structured events, one
-    JSON object per line).  {!Prom} renders the {e live} metrics
-    (counters, gauges, histograms) in Prometheus text exposition format.
-    A synchronous {!set_hook} feeds live progress displays. *)
+    Two sinks render a collected event list: {!Chrome} (trace-event
+    JSON printed with [Sjson], loadable in Perfetto, one track per
+    domain) and {!Summary} (a span-tree with self/total times).  {!Prom}
+    renders the {e live} metrics (counters, gauges, histograms) in
+    Prometheus text exposition format.  A synchronous {!set_hook} feeds
+    live progress displays. *)
 
 module Clock : sig
   external now : unit -> float = "obs_clock_monotonic_s"
@@ -205,8 +205,6 @@ module Gauge : sig
   val set : string -> float -> unit
   (** Only active under {!enable_counters}. *)
 
-  val add : string -> float -> unit
-
   val snapshot : unit -> (string * float) list
   (** Sorted by name. *)
 end
@@ -243,16 +241,8 @@ module Chrome : sig
       [chrome://tracing]): one [pid], one [tid] (track) per domain,
       [B]/[E] duration events with [args], [i] instants, [C] counters
       (running totals).  Timestamps are microseconds from the earliest
-      collected event. *)
-
-  val write : out_channel -> event list -> unit
-  val to_string : event list -> string
-end
-
-module Jsonl : sig
-  (** One JSON object per line:
-      [{"type":"begin"|"end"|"instant"|"count","name":...,"t":...,
-        "dom":...,...}]. *)
+      collected event.  Each event is one [Sjson] object on its own line;
+      a non-finite [Float] attribute prints as [null]. *)
 
   val write : out_channel -> event list -> unit
   val to_string : event list -> string

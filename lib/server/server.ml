@@ -57,31 +57,16 @@ type pending = {
   pcapture : bool;  (* capture this request's span tree *)
 }
 
-(* per-request phase breakdown carried into the trace ring / slow log *)
-type phases = {
-  ph_unroll : float;
-  ph_sweep : float;
-  ph_sat : float;
-  ph_bdd : float;
-}
-
-(* what the executor learns from a completed check besides the response *)
-type req_meta = {
-  m_verdict : string;
-  m_engine : string;  (* requested engine *)
-  m_escalations : int;
-  m_phases : phases;
-}
-
 type trace_entry = {
   tr_seq : int;  (* trace id *)
   tr_id : Sjson.t;  (* client-supplied request id *)
-  tr_verdict : string;  (* "equivalent" / ... / "error" *)
+  tr_verdict : string;  (* the response's verdict, or "error" *)
   tr_seconds : float;
   tr_queue_wait : float;
   tr_slow : bool;
   tr_sampled : bool;  (* picked by the 1-in-N policy (vs slow-only) *)
-  tr_meta : req_meta option;  (* None for error responses *)
+  tr_check : (Cec.engine * Verify.stats) option;
+      (* requested engine and the check's own stats; None for errors *)
   tr_spans : Sjson.t;  (* span tree, or Null when not captured *)
 }
 
@@ -200,10 +185,10 @@ let exposed_of req c1 =
 let engine_of cfg req =
   match Option.bind (Sjson.member "engine" req) Sjson.get_string with
   | None -> cfg.engine
-  | Some "sweep" -> Cec.Sweep_engine
-  | Some "sat" -> Cec.Sat_engine
-  | Some "bdd" -> Cec.Bdd_engine
-  | Some other -> failwith (Printf.sprintf "unknown engine %S" other)
+  | Some name -> (
+      match List.assoc_opt name Cec.engines with
+      | Some e -> e
+      | None -> failwith (Printf.sprintf "unknown engine %S" name))
 
 let limits_of cfg req =
   let timeout = Option.bind (Sjson.member "timeout" req) Sjson.get_float in
@@ -216,8 +201,22 @@ let limits_of cfg req =
 
 (* ---------- the check itself (executor domain) ---------- *)
 
-(* Returns the wire response plus the metadata the executor needs for
-   the trace ring / slow log ([None] on an error response). *)
+(* The per-phase seconds of one check, as responses and trace entries
+   both report them. *)
+let phases_json (s : Verify.stats) =
+  let cec = s.Verify.cec in
+  Sjson.Obj
+    [
+      ("unroll_seconds", Sjson.Float s.Verify.unroll_seconds);
+      ("cec_elapsed_seconds", Sjson.Float cec.Cec.elapsed_seconds);
+      ("partition_seconds", Sjson.Float cec.Cec.partition_seconds);
+      ("sweep_cpu_seconds", Sjson.Float cec.Cec.sweep_seconds);
+      ("sat_cpu_seconds", Sjson.Float cec.Cec.sat_seconds);
+      ("bdd_cpu_seconds", Sjson.Float cec.Cec.bdd_seconds);
+    ]
+
+(* Returns the wire response plus the requested engine and the check's
+   stats for the trace ring / slow log ([None] on an error response). *)
 let check_response t req =
   let id = Option.value ~default:Sjson.Null (Sjson.member "id" req) in
   try
@@ -235,26 +234,6 @@ let check_response t req =
     | Ok outcome ->
         let s = outcome.Verify.stats in
         let cec = s.Verify.cec in
-        let verdict_str =
-          match outcome.Verify.verdict with
-          | Verify.Equivalent -> "equivalent"
-          | Verify.Inequivalent _ -> "inequivalent"
-          | Verify.Undecided _ -> "undecided"
-        in
-        let meta =
-          {
-            m_verdict = verdict_str;
-            m_engine = Cec.engine_name (engine_of t.cfg req);
-            m_escalations = cec.Cec.escalations;
-            m_phases =
-              {
-                ph_unroll = s.Verify.unroll_seconds;
-                ph_sweep = cec.Cec.sweep_seconds;
-                ph_sat = cec.Cec.sat_seconds;
-                ph_bdd = cec.Cec.bdd_seconds;
-              };
-          }
-        in
         let verdict_fields =
           match outcome.Verify.verdict with
           | Verify.Equivalent -> [ ("verdict", Sjson.String "equivalent") ]
@@ -294,28 +273,18 @@ let check_response t req =
                   | Verify.Cbf_method -> "CBF"
                   | Verify.Edbf_method -> "EDBF") );
               ("seconds", Sjson.Float s.Verify.seconds);
-              ( "phases",
+              ("phases", phases_json s);
+              ( "counters",
                 Sjson.Obj
                   [
-                    ("unroll_seconds", Sjson.Float s.Verify.unroll_seconds);
-                    ( "cec_elapsed_seconds",
-                      Sjson.Float cec.Cec.elapsed_seconds );
-                    ("partition_seconds", Sjson.Float cec.Cec.partition_seconds);
-                    ("sweep_cpu_seconds", Sjson.Float cec.Cec.sweep_seconds);
-                    ("sat_cpu_seconds", Sjson.Float cec.Cec.sat_seconds);
-                    ("bdd_cpu_seconds", Sjson.Float cec.Cec.bdd_seconds);
+                    ("sat_calls", Sjson.Int cec.Cec.sat_calls);
+                    ("partitions", Sjson.Int cec.Cec.partitions);
+                    ("cache_hits", Sjson.Int cec.Cec.cache_hits);
+                    ("store_hits", Sjson.Int cec.Cec.store_hits);
+                    ("store_writes", Sjson.Int cec.Cec.store_writes);
                   ] );
-                ( "counters",
-                  Sjson.Obj
-                    [
-                      ("sat_calls", Sjson.Int cec.Cec.sat_calls);
-                      ("partitions", Sjson.Int cec.Cec.partitions);
-                      ("cache_hits", Sjson.Int cec.Cec.cache_hits);
-                      ("store_hits", Sjson.Int cec.Cec.store_hits);
-                      ("store_writes", Sjson.Int cec.Cec.store_writes);
-                    ] );
               ]),
-          Some meta )
+          Some (engine, s) )
   with e -> (error_response id (Printexc.to_string e), None)
 
 (* ---------- traces, stats, metrics (reader thread, answered inline) ---------- *)
@@ -333,24 +302,15 @@ let rec span_node_json (n : Obs.Summary.node) =
 let span_tree_json events =
   Sjson.List (List.map span_node_json (Obs.Summary.tree events))
 
-let phases_json ph =
-  Sjson.Obj
-    [
-      ("unroll_seconds", Sjson.Float ph.ph_unroll);
-      ("sweep_cpu_seconds", Sjson.Float ph.ph_sweep);
-      ("sat_cpu_seconds", Sjson.Float ph.ph_sat);
-      ("bdd_cpu_seconds", Sjson.Float ph.ph_bdd);
-    ]
-
 let trace_entry_json ~with_spans e =
-  let meta_fields =
-    match e.tr_meta with
+  let check_fields =
+    match e.tr_check with
     | None -> []
-    | Some m ->
+    | Some (engine, s) ->
         [
-          ("engine", Sjson.String m.m_engine);
-          ("escalations", Sjson.Int m.m_escalations);
-          ("phases", phases_json m.m_phases);
+          ("engine", Sjson.String (Cec.engine_name engine));
+          ("escalations", Sjson.Int s.Verify.cec.Cec.escalations);
+          ("phases", phases_json s);
         ]
   in
   Sjson.Obj
@@ -363,7 +323,7 @@ let trace_entry_json ~with_spans e =
        ("slow", Sjson.Bool e.tr_slow);
        ("sampled", Sjson.Bool e.tr_sampled);
      ]
-    @ meta_fields
+    @ check_fields
     @ if with_spans then [ ("spans", e.tr_spans) ] else [])
 
 (* Caller holds [t.m].  Newest-first list of ring entries. *)
@@ -608,20 +568,18 @@ let executor t () =
           if not (conn_alive pconn) then None
           else begin
             let t0 = Obs.Clock.now () in
-            let (resp, meta), events =
+            let (resp, check), events =
               if pcapture then Obs.capture (fun () -> check_response t req)
               else (check_response t req, [])
             in
             let dt = Obs.Clock.now () -. t0 in
             Obs.observe "server.request_seconds" dt;
-            Some (resp, meta, events, dt)
+            Some (resp, check, events, dt)
           end
         in
+        (* only an error response comes without a check's stats *)
         let failed =
-          match result with
-          | Some (Sjson.Obj kvs, _, _, _) ->
-              List.assoc_opt "ok" kvs = Some (Sjson.Bool false)
-          | _ -> false
+          match result with Some (_, None, _, _) -> true | _ -> false
         in
         (* account BEFORE sending: a client that reads its response and
            immediately asks for stats must see this check completed *)
@@ -635,7 +593,7 @@ let executor t () =
            turned out slow; spans only exist when the capture ran *)
         (match result with
         | None -> ()
-        | Some (_, meta, events, dt) ->
+        | Some (resp, check, events, dt) ->
             let sampled =
               t.cfg.trace_sample > 0 && pseq mod t.cfg.trace_sample = 0
             in
@@ -647,14 +605,14 @@ let executor t () =
                   tr_id =
                     Option.value ~default:Sjson.Null (Sjson.member "id" req);
                   tr_verdict =
-                    (match meta with
-                    | Some m -> m.m_verdict
-                    | None -> "error");
+                    Option.value ~default:"error"
+                      (Option.bind (Sjson.member "verdict" resp)
+                         Sjson.get_string);
                   tr_seconds = dt;
                   tr_queue_wait = queue_wait;
                   tr_slow = slow;
                   tr_sampled = sampled;
-                  tr_meta = meta;
+                  tr_check = check;
                   tr_spans =
                     (if pcapture then span_tree_json events else Sjson.Null);
                 });

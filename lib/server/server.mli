@@ -105,12 +105,14 @@
         newest...]}]; each entry is
       [{"trace_id","id","verdict","seconds","queue_wait_seconds",
         "slow","sampled","engine","escalations",
-        "phases":{"unroll_seconds","sweep_cpu_seconds","sat_cpu_seconds",
-                  "bdd_cpu_seconds"},
+        "phases":{"unroll_seconds","cec_elapsed_seconds",
+                  "partition_seconds","sweep_cpu_seconds",
+                  "sat_cpu_seconds","bdd_cpu_seconds"},
         "spans":[{"name","count","total_seconds","self_seconds",
                   "children":[...]}]}]
-      (error responses omit [engine]/[escalations]/[phases]; [spans] is
-      [null] when the entry was kept for slowness without a capture). *)
+      ([verdict] is the response's, or ["error"]; error responses omit
+      [engine]/[escalations]/[phases]; [spans] is [null] when the entry
+      was kept for slowness without a capture). *)
 
 type config = {
   socket_path : string;

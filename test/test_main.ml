@@ -2,6 +2,7 @@ let () =
   Alcotest.run "seqver"
     [
       ("vgraph", Test_vgraph.suite);
+      ("sjson", Test_sjson.suite);
       ("obs", Test_obs.suite);
       ("par", Test_par.suite);
       ("bdd", Test_bdd.suite);

@@ -1,6 +1,6 @@
 (* Tests for the Obs tracing/metrics layer: span nesting through the
    summary tree, attribute round-trips through the Chrome writer (parsed
-   back with the server's Sjson), counter merging across domains, and the
+   back with Sjson), counter tracks, counter merging across domains, and the
    disabled sink recording nothing. *)
 
 (* Each test owns the global sink: enable+reset on entry, disable+reset on
@@ -158,23 +158,30 @@ let test_disabled_records_nothing () =
            evs)
   | _ -> Alcotest.fail "empty chrome trace is not an object with traceEvents"
 
-let test_jsonl_lines_parse () =
+(* Counter events become Chrome "C" records plotting the running total,
+   one record per [count] call. *)
+let test_chrome_counter_tracks () =
   with_obs (fun () ->
-      Obs.span ~name:"a" ~attrs:[ ("x", Obs.Int 1) ] (fun () ->
-          Obs.count "c" 2);
-      let text = Obs.Jsonl.to_string (Obs.collect ()) in
-      let lines =
-        List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+      Obs.count "c" 2;
+      Obs.count "c" 3;
+      let trace = Sjson.parse (Obs.Chrome.to_string (Obs.collect ())) in
+      let events =
+        match Sjson.member "traceEvents" trace with
+        | Some (Sjson.List evs) -> evs
+        | _ -> Alcotest.fail "no traceEvents array"
       in
-      Alcotest.(check bool) "some lines" true (List.length lines >= 3);
-      List.iter
-        (fun l ->
-          match Sjson.parse l with
-          | Sjson.Obj kvs ->
-              Alcotest.(check bool) "type field" true
-                (List.mem_assoc "type" kvs)
-          | _ -> Alcotest.fail "jsonl line is not an object")
-        lines)
+      let totals =
+        List.filter_map
+          (fun e ->
+            if
+              Sjson.member "ph" e = Some (Sjson.String "C")
+              && Sjson.member "name" e = Some (Sjson.String "c")
+            then Option.bind (Sjson.member "args" e) (Sjson.member "value")
+            else None)
+          events
+      in
+      Alcotest.(check bool) "running totals 2, then 5" true
+        (totals = [ Sjson.Int 2; Sjson.Int 5 ]))
 
 (* ---- live metrics: histograms, gauges, Prometheus exposition ---- *)
 
@@ -506,7 +513,7 @@ let suite =
       test_counter_merge_across_domains;
     Alcotest.test_case "disabled sink records nothing" `Quick
       test_disabled_records_nothing;
-    Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
+    Alcotest.test_case "chrome counter tracks" `Quick test_chrome_counter_tracks;
     Alcotest.test_case "nearest-rank percentile pinned" `Quick
       test_nearest_rank_pinned;
     Alcotest.test_case "histogram merge across domains" `Quick
