@@ -408,143 +408,192 @@ let give_up_reason b =
   else if expired b then "partition deadline"
   else "SAT conflict budget"
 
-(* extract input assignment from a SAT model *)
-let model_cex enc g vars =
-  let n_in = Aig.num_inputs g in
-  let cex = ref [] in
-  for i = 0 to n_in - 1 do
-    let l = Aig.input_lit g i in
-    let node = Aig.node_of l in
-    let v = Encoder.var_of enc node in
-    if v <> 0 then cex := (vars.(i), Sat.value enc.Encoder.solver v) :: !cex
-  done;
-  List.rev !cex
+(* Model value of node [n] of the encoded AIG, or [None] when the solver
+   does not encode it.  Read right after a [Sat] answer: adding a clause
+   backtracks the solver and clears the model. *)
+let model_value enc n =
+  let v = Encoder.var_of enc n in
+  if v = 0 then None else Some (Sat.value enc.Encoder.solver v)
+
+(* The problem's counterexample from a model: [input_value i] is the model
+   value of problem input [i]; unencoded inputs are left out (false). *)
+let model_cex vars input_value =
+  List.filter_map
+    (fun i -> Option.map (fun b -> (vars.(i), b)) (input_value i))
+    (List.init (Array.length vars) Fun.id)
+
+(* The miter as clauses, not AIG nodes, so a check never grows the graph
+   it is given: one indicator per output pair that is not structurally
+   equal, implying the pair differs, and their disjunction.  No pair left
+   means the groups are structurally equal. *)
+let solve_miter st b ?factor enc outs1 outs2 ~cex =
+  match List.filter (fun (l1, l2) -> l1 <> l2) (List.combine outs1 outs2) with
+  | [] -> Equivalent
+  | pairs -> (
+      let s = enc.Encoder.solver in
+      let diffs =
+        List.map
+          (fun (l1, l2) ->
+            let a = Encoder.encode_lit enc l1 and c = Encoder.encode_lit enc l2 in
+            let d = Sat.new_var s in
+            Sat.add_clause s [ -d; a; c ];
+            Sat.add_clause s [ -d; -a; -c ];
+            d)
+          pairs
+      in
+      Sat.add_clause s diffs;
+      match sat_solve_counted st b ?factor s () with
+      | Sat.Unsat -> Equivalent
+      | Sat.Sat -> Inequivalent (cex ())
+      | Sat.Unknown -> Undecided (give_up_reason b))
 
 let check_sat st b ?factor (p : Seqprob.t) =
   let g = p.graph in
   let enc = Encoder.create g in
-  (* miter: OR of XORs *)
-  let diffs = List.map2 (fun a b -> Aig.xor_ g a b) p.outs1 p.outs2 in
-  let miter = Aig.or_list g diffs in
-  if miter = Aig.lit_false then Equivalent
-  else begin
-    let ml = Encoder.encode_lit enc miter in
-    match
-      sat_solve_counted st b ?factor enc.Encoder.solver ~assumptions:[ ml ] ()
-    with
-    | Sat.Unsat -> Equivalent
-    | Sat.Sat -> Inequivalent (model_cex enc g p.vars)
-    | Sat.Unknown -> Undecided (give_up_reason b)
-  end
+  let input_value i = model_value enc (Aig.node_of (Aig.input_lit g i)) in
+  solve_miter st b ?factor enc p.outs1 p.outs2 ~cex:(fun () ->
+      model_cex p.vars input_value)
 
 (* ---------- sweep engine ---------- *)
 
-let sim_rounds = 4 (* 4 * 64 = 256 random patterns *)
+(* Random 64-pattern words simulated before the first SAT call; every SAT
+   counterexample then adds one more word. *)
+let sim_rounds = 4
 
+type proof = Proved | Disproved | Gave_up
+
+(* FRAIG sweep (Mishchenko et al., "FRAIGs", 2005).  Nodes that no
+   simulated pattern tells apart share a candidate class: an ascending
+   member array whose first member is the class head.  Values compare
+   phase-canonically, so a node and its complement share a class.  The
+   AIG is rebuilt into [g2] in topological order; each node is proven
+   against its class head, and a disproof's SAT model becomes one more
+   simulation word that splits the classes, after which the node retries
+   against its new head. *)
 let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
   let g = p.graph in
   let rng = Random.State.make [| seed |] in
   let n_in = Aig.num_inputs g in
   let n_nodes = Aig.node_count g in
-  (* signatures *)
-  let sigs = Array.make n_nodes [] in
-  for _round = 1 to sim_rounds do
+  (* all-ones where bit 0 of the node's first random word is set *)
+  let phase = Array.make n_nodes 0L in
+  (* head of the node's class; -1 once no other node shares its values *)
+  let head = Array.make n_nodes 1 in
+  head.(0) <- -1;
+  let classes = ref (if n_nodes > 1 then [ Array.init (n_nodes - 1) succ ] else []) in
+  (* split every class by the phase-canonical value of one simulated word;
+     each part stays ascending, and a lone member leaves the classes *)
+  let refine vals =
+    let canon n = Int64.logxor vals.(n) phase.(n) in
+    let same a b = Int64.equal (canon a) (canon b) in
+    let split members =
+      if Array.for_all (same members.(0)) members then [ members ]
+      else begin
+        let sorted = Array.copy members in
+        Array.stable_sort (fun a b -> Int64.compare (canon a) (canon b)) sorted;
+        let parts = ref [] and first = ref 0 in
+        for i = 1 to Array.length sorted do
+          if i = Array.length sorted || not (same sorted.(!first) sorted.(i))
+          then begin
+            let part = Array.sub sorted !first (i - !first) in
+            if Array.length part = 1 then head.(part.(0)) <- -1
+            else begin
+              Array.iter (fun n -> head.(n) <- part.(0)) part;
+              parts := part :: !parts
+            end;
+            first := i
+          end
+        done;
+        !parts
+      end
+    in
+    classes := List.concat_map split !classes
+  in
+  let simulate words =
+    st.sim_rounds <- st.sim_rounds + 1;
+    Aig.simulate g words
+  in
+  for round = 1 to sim_rounds do
     (* bits64 gives full-width words; int64 below max_int never sets bit 63,
        which would make pattern lane 63 simulate the all-zeros input *)
-    let words = Array.init n_in (fun _ -> Random.State.bits64 rng) in
-    let vals = Aig.simulate g words in
-    for n = 0 to n_nodes - 1 do
-      sigs.(n) <- vals.(n) :: sigs.(n)
-    done
+    let vals = simulate (Array.init n_in (fun _ -> Random.State.bits64 rng)) in
+    if round = 1 then
+      Array.iteri
+        (fun n w -> if Int64.logand w 1L = 1L then phase.(n) <- -1L)
+        vals;
+    refine vals
   done;
-  st.sim_rounds <- st.sim_rounds + sim_rounds;
-  (* canonical signature: complement so that bit0 of first word is 0 *)
-  let canon n =
-    match sigs.(n) with
-    | [] -> ([], false)
-    | w :: _ as ws ->
-        if Int64.logand w 1L = 1L then (List.map Int64.lognot ws, true) else (ws, false)
-  in
   (* rebuild into g2 merging proven-equivalent nodes *)
   let g2 = Aig.create () in
   let enc = Encoder.create g2 in
   let map = Array.make n_nodes (-1) in
   map.(0) <- Aig.lit_false;
-  let classes : (int64 list, int) Hashtbl.t = Hashtbl.create 1024 in
-  (* class table: canonical signature -> representative node (original id) *)
   let lit_map l =
     let m = map.(Aig.node_of l) in
     assert (m >= 0);
     if Aig.is_complement l then Aig.neg m else m
   in
+  (* Model value of input [i]; inputs later in [g] than the node being
+     merged have no [g2] counterpart yet ([map] is -1) *)
+  let input_value i =
+    let m = map.(Aig.node_of (Aig.input_lit g i)) in
+    if m < 0 then None else model_value enc (Aig.node_of m)
+  in
+  (* equal iff both (la & ~lb) and (~la & lb) are unsatisfiable; an
+     Unknown (blown per-call budget) counts as not proven, which is sound:
+     the nodes stay unmerged and the final miter decides *)
   let prove_equal la lb =
-    (* equal iff both (la & ~lb) and (~la & lb) unsatisfiable; an Unknown
-       (blown per-call budget) counts as not-proven, which is sound — the
-       nodes simply stay unmerged and the final miter decides *)
     let a = Encoder.encode_lit enc la and sb = Encoder.encode_lit enc lb in
-    match
-      sat_solve_counted st b enc.Encoder.solver ~assumptions:[ a; -sb ] ()
-    with
-    | Sat.Sat | Sat.Unknown -> false
-    | Sat.Unsat -> (
-        match
-          sat_solve_counted st b enc.Encoder.solver ~assumptions:[ -a; sb ] ()
-        with
-        | Sat.Sat | Sat.Unknown -> false
-        | Sat.Unsat -> true)
+    let query assumptions k =
+      match sat_solve_counted st b enc.Encoder.solver ~assumptions () with
+      | Sat.Sat -> Disproved
+      | Sat.Unknown -> Gave_up
+      | Sat.Unsat -> k ()
+    in
+    query [ a; -sb ] (fun () -> query [ -a; sb ] (fun () -> Proved))
+  in
+  (* one word whose pattern 0 is the model's input assignment and whose
+     other patterns are random; it tells the disproved pair apart *)
+  let refine_with_model () =
+    let word i =
+      let r = Random.State.bits64 rng in
+      match input_value i with
+      | None -> r
+      | Some v -> Int64.logor (Int64.logand r (-2L)) (if v then 1L else 0L)
+    in
+    refine (simulate (Array.init n_in word))
+  in
+  (* once the deadline passes or a sibling cancels, stop attempting merges
+     — the rebuild itself must finish so the final miter (which will then
+     give up quickly too) stays well-defined *)
+  let rec merge n l =
+    let h = head.(n) in
+    if h >= 0 && h <> n && not (cancelled b || expired b) then begin
+      let rlit = if Int64.equal phase.(n) phase.(h) then map.(h) else Aig.neg map.(h) in
+      if Aig.node_of rlit <> Aig.node_of l then
+        match prove_equal l rlit with
+        | Proved -> map.(n) <- rlit
+        | Gave_up -> ()
+        | Disproved ->
+            refine_with_model ();
+            (* the model separates n from h, so n has a new head or none *)
+            if head.(n) <> h then merge n l
+    end
   in
   for n = 1 to n_nodes - 1 do
-    if Aig.is_input_node g n then begin
-      map.(n) <- Aig.input g2;
-      (* inputs are never merged, but register their class so that internal
-         nodes equivalent to an input can merge into it *)
-      let key, phase = canon n in
-      if not (Hashtbl.mem classes key) then Hashtbl.replace classes key n
-      else ignore phase
-    end
+    (* inputs are never merged, but they stay in the classes so that
+       internal nodes equivalent to an input can merge into it *)
+    if Aig.is_input_node g n then map.(n) <- Aig.input g2
     else begin
       let f0, f1 = Aig.fanins g n in
       let l = Aig.and_ g2 (lit_map f0) (lit_map f1) in
       map.(n) <- l;
-      (* once the deadline passes or a sibling cancels, stop attempting
-         merges — the rebuild itself must finish so the final miter (which
-         will then give up quickly too) stays well-defined *)
-      if Aig.node_of l <> 0 && not (cancelled b || expired b) then begin
-        let key, phase = canon n in
-        match Hashtbl.find_opt classes key with
-        | None -> Hashtbl.replace classes key n
-        | Some repr when repr = n -> ()
-        | Some repr ->
-            let _, rphase = canon repr in
-            let rlit = map.(repr) in
-            let rlit = if phase <> rphase then Aig.neg rlit else rlit in
-            if Aig.node_of rlit <> Aig.node_of l && prove_equal l rlit then
-              map.(n) <- rlit
-      end
+      if Aig.node_of l <> 0 then merge n l
     end
   done;
   (* final miter on g2 *)
-  let m1 = List.map lit_map p.outs1 and m2 = List.map lit_map p.outs2 in
-  let diffs = List.map2 (fun a b -> Aig.xor_ g2 a b) m1 m2 in
-  let miter = Aig.or_list g2 diffs in
-  if miter = Aig.lit_false then Equivalent
-  else begin
-    let ml = Encoder.encode_lit enc miter in
-    match sat_solve_counted st b enc.Encoder.solver ~assumptions:[ ml ] () with
-    | Sat.Unsat -> Equivalent
-    | Sat.Unknown -> Undecided (give_up_reason b)
-    | Sat.Sat ->
-        (* map model back through original input order: input i of g maps to
-           input i of g2 (inputs created in the same order) *)
-        let cex = ref [] in
-        for i = 0 to n_in - 1 do
-          let l2 = map.(Aig.node_of (Aig.input_lit g i)) in
-          let v = Encoder.var_of enc (Aig.node_of l2) in
-          if v <> 0 then
-            cex := (p.vars.(i), Sat.value enc.Encoder.solver v) :: !cex
-        done;
-        Inequivalent (List.rev !cex)
-  end
+  solve_miter st b enc (List.map lit_map p.outs1) (List.map lit_map p.outs2)
+    ~cex:(fun () -> model_cex p.vars input_value)
 
 (* ---------- engine dispatch, cache, partitioning ---------- *)
 

@@ -30,8 +30,9 @@ type engine =
   | Bdd_engine  (** monolithic BDDs over the AIG, one variable per input *)
   | Sat_engine  (** one CNF miter, one SAT call *)
   | Sweep_engine
-      (** fraig-style: random simulation classes + incremental SAT merging,
-          then a miter check on the swept AIG *)
+      (** FRAIG sweep: candidate classes from random simulation, refined
+          by every SAT counterexample; each node is merged into its class
+          head by incremental SAT, then a miter check on the swept AIG *)
 
 val engines : (string * engine) list
 (** Every engine under its CLI/wire spelling: ["sweep"], ["sat"], ["bdd"]
@@ -67,7 +68,9 @@ val default_limits : limits
 
 type stats = {
   mutable sat_calls : int;  (** SAT solver invocations *)
-  mutable sim_rounds : int;  (** 64-pattern random simulation rounds (sweep) *)
+  mutable sim_rounds : int;
+      (** 64-pattern simulation words (sweep): 4 random ones per sweep,
+          plus one per SAT counterexample that refined its classes *)
   mutable partitions : int;
       (** output-cone clusters checked — the {!Layout}'s verdict units
           (1 = monolithic) *)

@@ -473,9 +473,11 @@ let metrics_response t id =
 
 let trace_response t id =
   Mutex.lock t.m;
-  (* newest-first ring order flipped: the wire presents oldest to newest *)
-  let entries = List.rev (ring_entries t) in
+  let entries = ring_entries t in
   Mutex.unlock t.m;
+  (* the ring fills as checks complete, but the wire lists admission
+     order: a slow check admitted first still comes first *)
+  let entries = List.sort (fun a b -> compare a.tr_seq b.tr_seq) entries in
   Sjson.Obj
     [
       ("id", id);

@@ -34,13 +34,13 @@
 
     {b Request tracing.}  Every [trace_sample]-th admitted check (by
     admission sequence number, so sampling is deterministic), plus every
-    check slower than [slow_ms], lands in a bounded in-memory ring of 64
-    entries: trace id, verdict, seconds, queue wait, engine, escalations,
-    phase breakdown, and — when the request was captured — its span tree
-    ({!Obs.capture}; spans emitted by pool-worker domains on the
-    request's behalf are not included).  The ring is served by the
-    [trace] op; [stats] summarizes the slow entries as a slow-request
-    log.  Set [slow_ms = infinity] and [trace_sample = 0] to disable
+    check slower than [slow_ms], lands in a bounded in-memory ring that
+    keeps the 64 most recently completed such checks: trace id, verdict,
+    seconds, queue wait, engine, escalations, phase breakdown, and — when
+    the request was captured — its span tree ({!Obs.capture}; spans
+    emitted by pool-worker domains on the request's behalf are not
+    included).  The ring is served by the [trace] op in admission order;
+    [stats] summarizes the slow entries as a slow-request log.  Set [slow_ms = infinity] and [trace_sample = 0] to disable
     capture entirely.
 
     {b Shutdown.}  {!request_stop} (async-signal-safe — the CLI calls it
@@ -101,8 +101,9 @@
         "metrics":"...Prometheus exposition text..."}] — the scrape for
       socket-only deployments.
     - [{"op":"trace"}] returns
-      [{"ok":true,"trace_ring_capacity":64,"traces":[...oldest to
-        newest...]}]; each entry is
+      [{"ok":true,"trace_ring_capacity":64,"traces":[...]}], the
+      entries in admission order (ascending [trace_id]), whatever order
+      their checks completed in; each entry is
       [{"trace_id","id","verdict","seconds","queue_wait_seconds",
         "slow","sampled","engine","escalations",
         "phases":{"unroll_seconds","cec_elapsed_seconds",

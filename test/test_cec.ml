@@ -766,6 +766,83 @@ let test_large_generators_jobs_agree () =
       ("jobs=4", fst (check ~jobs:4 p));
     ]
 
+let fifo4 ?bug entries style = Workloads.fifo ?bug ~entries ~width:4 ~style ()
+
+(* The FIFO pairs have more inputs than 256 random patterns can cover, so
+   the sweep's candidate classes only come apart through SAT
+   counterexamples.  Every engine must give the known verdict, every
+   counterexample must make the output groups differ, and the sweep on an
+   equivalent FIFO pair must simulate counterexample words beyond its
+   random rounds ([`Eq_refined]; the ALU pair has few enough inputs for
+   the random rounds alone). *)
+let test_engines_agree_on_undersampled_pairs () =
+  let alu style = Workloads.lane_alu ~lanes:2 ~width:4 ~stages:2 ~style () in
+  let pairs =
+    [
+      ("fifo16x4", fifo4 16 `Sop, fifo4 16 `Mux, `Eq_refined);
+      ("fifo32x4", fifo4 32 `Sop, fifo4 32 `Mux, `Eq_refined);
+      ( "fifo16x4 resynthesized",
+        fifo4 16 `Sop,
+        Hier.resynthesize ~seed:3 (fifo4 16 `Mux),
+        `Eq_refined );
+      ("alu2x4x2", alu `Ripple, alu `Select, `Eq);
+      ("fifo16x4 bug", fifo4 16 `Sop, fifo4 ~bug:true 16 `Mux, `Neq);
+      ( "fifo16x4 broken output",
+        fifo4 16 `Sop,
+        Hier.break_output (fifo4 16 `Mux),
+        `Neq );
+    ]
+  in
+  List.iter
+    (fun (name, c1, c2, expect) ->
+      let p = problem_of c1 c2 in
+      List.iter
+        (fun (ename, engine) ->
+          let what = name ^ ", " ^ ename in
+          let v, s = Cec.check_problem_with_stats ~engine p in
+          match (v, expect) with
+          | Cec.Equivalent, (`Eq | `Eq_refined) ->
+              if engine = Cec.Sweep_engine && expect = `Eq_refined then
+                Alcotest.(check bool)
+                  (what ^ ": counterexamples refined the classes")
+                  true (s.Cec.sim_rounds > 4)
+          | Cec.Inequivalent cex, `Neq ->
+              Alcotest.(check bool)
+                (what ^ ": counterexample separates the outputs")
+                true
+                (Seqprob.cex_is_valid p cex)
+          | Cec.Undecided r, _ -> Alcotest.failf "%s: undecided: %s" what r
+          | _ -> Alcotest.failf "%s: wrong verdict" what)
+        Cec.engines)
+    pairs
+
+let test_sweep_sat_calls_on_colliding_classes () =
+  (* monolithic fifo32x4: the random rounds leave many false candidates
+     in shared classes; refining with each counterexample keeps the SAT
+     calls near the number of true merges (the sweep is seeded, so the
+     count repeats exactly) *)
+  let p = problem_of (fifo4 32 `Sop) (fifo4 32 `Mux) in
+  let v, s = Cec.check_problem_with_stats ~partition:false p in
+  Alcotest.(check bool) "equivalent" true (v = Cec.Equivalent);
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 150 SAT calls (made %d)" s.Cec.sat_calls)
+    true (s.Cec.sat_calls <= 150)
+
+let test_checks_leave_problem_graph_alone () =
+  (* engines build their miters outside the caller's AIG, so one problem
+     can be checked again, or from another domain, unchanged *)
+  let p = problem_of (fifo4 16 `Sop) (fifo4 16 `Mux) in
+  let nodes = Aig.node_count p.Seqprob.graph in
+  List.iter
+    (fun (name, engine) ->
+      let v, _ = Cec.check_problem_with_stats ~engine p in
+      Alcotest.(check bool) (name ^ ": equivalent") true (v = Cec.Equivalent);
+      Alcotest.(check int)
+        (name ^ ": problem graph unchanged")
+        nodes
+        (Aig.node_count p.Seqprob.graph))
+    Cec.engines
+
 let test_sat_time_charged_to_sat () =
   (* regression: every SAT call's time lands in sat_seconds — the sweep
      engine's merge queries used to be charged to sweep_seconds, leaving
@@ -830,4 +907,10 @@ let suite =
       test_large_generators_jobs_agree;
     Alcotest.test_case "sat time charged to sat bucket" `Quick
       test_sat_time_charged_to_sat;
+    Alcotest.test_case "engines agree on under-sampled pairs" `Quick
+      test_engines_agree_on_undersampled_pairs;
+    Alcotest.test_case "sweep: SAT calls on colliding classes" `Quick
+      test_sweep_sat_calls_on_colliding_classes;
+    Alcotest.test_case "checks leave the problem graph unchanged" `Quick
+      test_checks_leave_problem_graph_alone;
   ]

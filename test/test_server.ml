@@ -595,6 +595,41 @@ let test_trace_slow_log () =
             sl
       | _ -> Alcotest.fail "no slow list in stats")
 
+let test_trace_admission_order () =
+  (* two executors: the check admitted first (a SAT-engine FIFO check)
+     completes after the small sweep check admitted second; the ring fills
+     in completion order, the trace op still lists admission order *)
+  with_server ~executors:2 ~trace_sample:1 ~slow_ms:infinity (fun cfg c ->
+      let fifo16 style =
+        Netlist_io.to_string (Workloads.fifo ~entries:16 ~width:4 ~style ())
+      in
+      let slow = raw_connect cfg.Server.socket_path in
+      raw_send slow
+        (Sjson.to_string
+           (check_req ~id:1 ~engine:"sat" (fifo16 `Sop) (fifo16 `Mux)));
+      let rec wait_admitted () =
+        let s =
+          Server.Client.request c
+            Sjson.(Obj [ ("id", Int 0); ("op", String "stats") ])
+        in
+        match sint s [ "server"; "checks" ] with
+        | Some n when n >= 1 -> ()
+        | _ ->
+            Thread.yield ();
+            wait_admitted ()
+      in
+      wait_admitted ();
+      check_ok "small check"
+        (Server.Client.request c
+           (check_req ~id:2 (fifo_text `Sop) (fifo_text `Mux)));
+      let r1 = raw_recv slow in
+      raw_close slow;
+      Alcotest.(check (option string)) "slow check verdict" (Some "equivalent")
+        (sstr r1 [ "verdict" ]);
+      let entries = trace_entries (Server.Client.request c trace_req) in
+      Alcotest.(check (list int)) "admission order" [ 1; 2 ]
+        (List.filter_map (fun e -> sint e [ "trace_id" ]) entries))
+
 let test_trace_disabled () =
   (* slow path off and no sampling: the ring stays empty *)
   with_server ~slow_ms:infinity (fun _ c ->
@@ -620,5 +655,7 @@ let suite =
     Alcotest.test_case "http GET /metrics" `Quick test_http_metrics;
     Alcotest.test_case "deterministic trace sampling" `Quick test_trace_sampling;
     Alcotest.test_case "slow-request log" `Quick test_trace_slow_log;
+    Alcotest.test_case "trace op lists admission order" `Quick
+      test_trace_admission_order;
     Alcotest.test_case "trace ring disabled" `Quick test_trace_disabled;
   ]
