@@ -877,6 +877,11 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
             let st = cluster_stats.(k) in
             match check_pair st b ~engine ~cache:(Some cache) sub with
             | Equivalent -> None
+            | Undecided "cancelled" ->
+                (* a sibling's counterexample set [cancel] and decided the
+                   check: this cluster was abandoned, not left undecided
+                   (an interrupted engine still counts in deadline_hits) *)
+                None
             | Undecided reason ->
                 st.undecided <- st.undecided + 1;
                 undecided.(k) <- Some reason;

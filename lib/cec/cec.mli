@@ -91,8 +91,9 @@ type stats = {
       (** engine runs stopped by a partition deadline or cancellation *)
   mutable escalations : int;  (** ladder rungs climbed after a blown budget *)
   mutable undecided : int;
-      (** partitions left undecided (includes partitions abandoned because
-          a sibling already found a counterexample) *)
+      (** partitions left undecided by a budget or deadline; a partition
+          abandoned because a sibling found a counterexample does not
+          count *)
   mutable elapsed_seconds : float;
       (** true wall clock of the whole check (monotonic), including
           partitioning and cache probing *)

@@ -2,6 +2,8 @@
    Internal literal encoding: lit = 2*var for the positive literal, 2*var+1
    for the negation (var >= 1).  [neg l = l lxor 1], [var l = l lsr 1]. *)
 
+module Order = Order
+
 type clause = {
   mutable lits : int array;
   mutable activity : float;
@@ -18,14 +20,12 @@ type t = {
   mutable assign : int array; (* var -> -1 undef / 0 false / 1 true *)
   mutable level : int array;
   mutable reason : int array; (* var -> clause index or -1 *)
-  mutable var_act : float array;
   mutable polarity : bool array; (* saved phase *)
   mutable seen : bool array;
   trail : int Vgraph.Vec.t;
   trail_lim : int Vgraph.Vec.t;
   mutable qhead : int;
-  order : (float * int) Vgraph.Heap.t;
-  mutable var_inc : float;
+  order : Order.t; (* VSIDS activities and decision heap *)
   mutable cla_inc : float;
   mutable ok : bool; (* false once a top-level conflict is found *)
   mutable conflicts : int;
@@ -50,10 +50,6 @@ let budget ?conflicts ?propagations ?seconds () =
     max_seconds = seconds;
   }
 
-let heap_cmp (a1, v1) (a2, v2) =
-  (* max-activity first; tie-break on var id for determinism *)
-  if a1 <> a2 then compare a2 a1 else compare v1 v2
-
 let create () =
   {
     num_vars = 0;
@@ -64,14 +60,12 @@ let create () =
     assign = Array.make 4 (-1);
     level = Array.make 4 0;
     reason = Array.make 4 (-1);
-    var_act = Array.make 4 0.;
     polarity = Array.make 4 false;
     seen = Array.make 4 false;
     trail = Vgraph.Vec.create ~dummy:0 ();
     trail_lim = Vgraph.Vec.create ~dummy:0 ();
     qhead = 0;
-    order = Vgraph.Heap.create ~cmp:heap_cmp ~dummy:(0., 0) ();
-    var_inc = 1.0;
+    order = Order.create ();
     cla_inc = 1.0;
     ok = true;
     conflicts = 0;
@@ -95,7 +89,6 @@ let grow_arrays s n =
     s.assign <- extend s.assign (-1);
     s.level <- extend s.level 0;
     s.reason <- extend s.reason (-1);
-    s.var_act <- extend s.var_act 0.;
     s.polarity <- extend s.polarity false;
     s.seen <- extend s.seen false
   end;
@@ -112,7 +105,7 @@ let grow_arrays s n =
 let new_var s =
   s.num_vars <- s.num_vars + 1;
   grow_arrays s s.num_vars;
-  Vgraph.Heap.add s.order (0., s.num_vars);
+  Order.new_var s.order;
   s.num_vars
 
 let ensure_var s v = while s.num_vars < v do ignore (new_var s) done
@@ -136,25 +129,6 @@ let enqueue s l reason =
   s.level.(var_of l) <- decision_level s;
   s.reason.(var_of l) <- reason;
   ignore (Vgraph.Vec.push s.trail l)
-
-let var_bump s v =
-  s.var_act.(v) <- s.var_act.(v) +. s.var_inc;
-  if s.var_act.(v) > 1e100 then begin
-    for i = 1 to s.num_vars do
-      s.var_act.(i) <- s.var_act.(i) *. 1e-100
-    done;
-    s.var_inc <- s.var_inc *. 1e-100;
-    (* every heap entry now carries a pre-rescale activity and would fail
-       pick_branch's staleness check, degrading decisions to the O(n)
-       linear fallback; re-enqueue the live keys under their new
-       activities *)
-    for i = 1 to s.num_vars do
-      if s.assign.(i) = -1 then Vgraph.Heap.add s.order (s.var_act.(i), i)
-    done
-  end;
-  Vgraph.Heap.add s.order (s.var_act.(v), v)
-
-let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
 let cla_bump s c =
   c.activity <- c.activity +. s.cla_inc;
@@ -257,7 +231,7 @@ let backtrack s lvl =
       s.assign.(v) <- -1;
       s.polarity.(v) <- l land 1 = 0;
       s.reason.(v) <- -1;
-      Vgraph.Heap.add s.order (s.var_act.(v), v)
+      Order.insert s.order v
     done;
     Vgraph.Vec.shrink s.trail bound;
     Vgraph.Vec.shrink s.trail_lim lvl;
@@ -271,24 +245,23 @@ let add_clause s lits =
     backtrack s 0;
     let lits = List.map (of_dimacs) lits in
     List.iter (fun l -> ensure_var s (var_of l)) lits;
-    (* simplify: drop false lits, detect satisfied/tautological clauses *)
-    let module IS = Set.Make (Int) in
-    let set = ref IS.empty in
-    let sat_or_taut = ref false in
-    List.iter
-      (fun l ->
-        if lit_value s l = 1 || IS.mem (neg l) !set then sat_or_taut := true
-        else if lit_value s l = 0 then ()
-        else set := IS.add l !set)
-      lits;
-    if not !sat_or_taut then begin
-      match IS.elements !set with
-      | [] -> s.ok <- false
-      | [ l ] ->
-          enqueue s l (-1);
-          if propagate s <> -1 then s.ok <- false
-      | l0 :: l1 :: rest ->
-          ignore (add_clause_internal s (Array.of_list (l0 :: l1 :: rest)) ~learned:false)
+    (* simplify: skip satisfied clauses, drop false lits; sorted, a
+       tautology shows as adjacent [l], [l lxor 1] *)
+    if not (List.exists (fun l -> lit_value s l = 1) lits) then begin
+      let lits =
+        List.sort_uniq Int.compare (List.filter (fun l -> lit_value s l <> 0) lits)
+      in
+      let rec taut = function
+        | a :: (b :: _ as rest) -> neg a = b || taut rest
+        | _ -> false
+      in
+      if not (taut lits) then
+        match lits with
+        | [] -> s.ok <- false
+        | [ l ] ->
+            enqueue s l (-1);
+            if propagate s <> -1 then s.ok <- false
+        | lits -> ignore (add_clause_internal s (Array.of_list lits) ~learned:false)
     end
   end
 
@@ -310,7 +283,7 @@ let analyze s confl =
           let v = var_of q in
           if (not s.seen.(v)) && s.level.(v) > 0 then begin
             s.seen.(v) <- true;
-            var_bump s v;
+            Order.bump s.order v;
             if s.level.(v) >= decision_level s then incr counter
             else learnt := q :: !learnt
           end
@@ -377,28 +350,13 @@ let reduce_db s =
   s.learnts <- List.filter_map (fun (ci, c) -> if c.dead then None else Some ci) arr;
   s.num_learnts <- List.length s.learnts
 
-let pick_branch s =
-  let rec from_heap () =
-    if Vgraph.Heap.is_empty s.order then -1
-    else
-      let a, v = Vgraph.Heap.pop_min s.order in
-      if s.assign.(v) = -1 && a = s.var_act.(v) then v
-      else begin
-        if s.assign.(v) = -1 then Vgraph.Heap.add s.order (s.var_act.(v), v);
-        from_heap ()
-      end
-  in
-  let v = from_heap () in
-  if v >= 0 then v
-  else begin
-    let r = ref (-1) in
-    let v = ref 1 in
-    while !r = -1 && !v <= s.num_vars do
-      if s.assign.(!v) = -1 then r := !v;
-      incr v
-    done;
-    !r
-  end
+(* The heap holds every unassigned variable, so an empty heap means a
+   full assignment.  Assigned variables left in it are dropped here. *)
+let rec pick_branch s =
+  if Order.is_empty s.order then -1
+  else
+    let v = Order.pop s.order in
+    if s.assign.(v) = -1 then v else pick_branch s
 
 (* Luby sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
 let rec luby i =
@@ -468,7 +426,7 @@ let solve_body ~assumptions ?budget ?cancel s =
             cla_bump s (Vgraph.Vec.get s.clauses ci);
             enqueue s learnt.(0) ci
           end;
-          var_decay s;
+          Order.decay s.order;
           cla_decay s;
           if s.num_learnts > s.max_learnts then begin
             reduce_db s;

@@ -4,9 +4,19 @@
     learning, VSIDS branching, phase saving, Luby restarts and
     activity-based learned-clause deletion.
 
+    Decisions are deterministic: the solver branches on the unassigned
+    variable of highest VSIDS activity, ties to the lower variable (see
+    {!Order}), in its saved phase.  The same clauses, added in the same
+    order and solved under the same assumptions, give the same decisions,
+    conflicts and answers.
+
     Literals use the DIMACS convention: variables are positive integers
     [1..nvars]; a negative integer denotes negation.  Variables are created
     on demand by {!new_var} or implicitly by {!add_clause}. *)
+
+module Order = Order
+(** The VSIDS decision order: variable activities and an indexed max-heap
+    that holds each variable at most once. *)
 
 type t
 

@@ -766,6 +766,28 @@ let test_large_generators_jobs_agree () =
       ("jobs=4", fst (check ~jobs:4 p));
     ]
 
+(* Under [no_limits] only a sibling's counterexample can stop a
+   partition, and a partition stopped that way is abandoned, not
+   undecided.  The fifo64x16 pair is big enough that siblings are still
+   in flight when the first counterexample lands. *)
+let test_cancelled_siblings_not_undecided () =
+  let p =
+    problem_of
+      (Workloads.fifo ~entries:64 ~width:16 ~style:`Sop ())
+      (Workloads.fifo ~entries:64 ~width:16 ~style:`Mux ~bug:true ())
+  in
+  List.iter
+    (fun jobs ->
+      let v, s =
+        Cec.check_problem_with_stats ~jobs ~partition:true ~limits:Cec.no_limits p
+      in
+      (match v with
+      | Cec.Inequivalent _ -> ()
+      | _ -> Alcotest.failf "jobs=%d: mutant not refuted" jobs);
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: undecided" jobs) 0
+        s.Cec.undecided)
+    [ 2; 4 ]
+
 let fifo4 ?bug entries style = Workloads.fifo ?bug ~entries ~width:4 ~style ()
 
 (* The FIFO pairs have more inputs than 256 random patterns can cover, so
@@ -907,6 +929,8 @@ let suite =
       test_large_generators_jobs_agree;
     Alcotest.test_case "sat time charged to sat bucket" `Quick
       test_sat_time_charged_to_sat;
+    Alcotest.test_case "cancelled siblings are not undecided" `Quick
+      test_cancelled_siblings_not_undecided;
     Alcotest.test_case "engines agree on under-sampled pairs" `Quick
       test_engines_agree_on_undersampled_pairs;
     Alcotest.test_case "sweep: SAT calls on colliding classes" `Quick

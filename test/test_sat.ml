@@ -196,12 +196,133 @@ let test_cancel () =
     (Sat.solve ~cancel:c s = Sat.Unsat)
 
 let test_activity_rescale () =
-  (* php(6,5) drives enough conflicts through VSIDS to cross the 1e100
-     activity rescale; decisions must stay heap-driven and the answer
-     correct *)
+  (* php(8,7) drives the VSIDS increment past the 1e100 rescale (first
+     near conflict 4,430); the counts pin the decision order across the
+     heap rebuild that follows *)
   let s = Sat.create () in
-  add_pigeonhole s ~pigeons:6 ~holes:5;
-  Alcotest.(check bool) "php(6,5) unsat" true (Sat.solve s = Sat.Unsat)
+  add_pigeonhole s ~pigeons:8 ~holes:7;
+  Alcotest.(check bool) "php(8,7) unsat" true (Sat.solve s = Sat.Unsat);
+  let conflicts, decisions, propagations = Sat.stats s in
+  Alcotest.(check int) "conflicts" 5009 conflicts;
+  Alcotest.(check int) "decisions" 6106 decisions;
+  Alcotest.(check int) "propagations" 67537 propagations
+
+(* Sat.Order against a reference that repeats its activity arithmetic on
+   a plain array and pops by a linear argmax.  The operations follow the
+   solver's use: new variables, propagated assignments (the variable
+   stays in the heap), decisions (pop until an unassigned variable),
+   backtracking (unassign the trail's top, insert when absent), bumps and
+   decays.  Variables past 8 are bumped only early on and variables past
+   40 never, so later rescales underflow their activities to ties that
+   the heap must re-order by variable.  Checks fail by hand, not through
+   Alcotest.check, which logs every assertion. *)
+let test_order_reference () =
+  let st = Random.State.make [| 0x0DE |] in
+  let o = Sat.Order.create () in
+  let max_vars = 48 in
+  let act = Array.make (max_vars + 1) 0. and inc = ref 1.0 in
+  let held = Array.make (max_vars + 1) false in
+  let assigned = Array.make (max_vars + 1) false in
+  let trail = ref [] in
+  let n = ref 0 in
+  let rescales = ref 0 and collapses = ref 0 in
+  let before a b = act.(a) > act.(b) || (act.(a) = act.(b) && a < b) in
+  let distinct () =
+    List.length (List.sort_uniq Float.compare (Array.to_list (Array.sub act 1 !n)))
+  in
+  let bump v =
+    act.(v) <- act.(v) +. !inc;
+    if act.(v) > 1e100 then begin
+      let d = distinct () in
+      for i = 1 to !n do
+        act.(i) <- act.(i) *. 1e-100
+      done;
+      inc := !inc *. 1e-100;
+      incr rescales;
+      if distinct () < d then incr collapses
+    end;
+    Sat.Order.bump o v
+  in
+  let step = ref 0 in
+  let expect what ok = if not ok then Alcotest.failf "step %d: %s" !step what in
+  let pop () =
+    let best = ref 0 in
+    for v = 1 to !n do
+      if held.(v) && (!best = 0 || before v !best) then best := v
+    done;
+    let v = Sat.Order.pop o in
+    expect "pop is the reference argmax" (v = !best);
+    held.(v) <- false;
+    v
+  in
+  let rec decide () =
+    if Sat.Order.is_empty o then ()
+    else
+      let v = pop () in
+      if assigned.(v) then decide ()
+      else begin
+        assigned.(v) <- true;
+        trail := v :: !trail
+      end
+  in
+  let unassigned () = List.filter (fun v -> not assigned.(v)) (List.init !n succ) in
+  let check () =
+    let els = Sat.Order.elements o in
+    expect "no variable held twice"
+      (List.length els = List.length (List.sort_uniq compare els));
+    expect "size within variables" (List.length els <= !n);
+    expect "holds the reference set"
+      (List.sort compare els = List.filter (fun v -> held.(v)) (List.init !n succ));
+    expect "every unassigned variable held"
+      (List.for_all (fun v -> List.mem v els) (unassigned ()));
+    for v = 1 to !n do
+      expect "same activity" (Float.equal act.(v) (Sat.Order.activity o v))
+    done;
+    (* slot order is a heap: no slot is decided before its parent *)
+    let slots = Array.of_list els in
+    Array.iteri
+      (fun i v -> if i > 0 then expect "heap order" (not (before v slots.((i - 1) / 2))))
+      slots
+  in
+  while !step < 40_000 do
+    incr step;
+    (match Random.State.int st 20 with
+    | 0 when !n < max_vars ->
+        incr n;
+        Sat.Order.new_var o;
+        held.(!n) <- true
+    | 1 | 2 -> (
+        match unassigned () with
+        | [] -> ()
+        | vs ->
+            let v = List.nth vs (Random.State.int st (List.length vs)) in
+            assigned.(v) <- true;
+            trail := v :: !trail)
+    | 3 | 4 -> decide ()
+    | 5 | 6 ->
+        for _ = 1 to 1 + Random.State.int st 4 do
+          match !trail with
+          | [] -> ()
+          | v :: rest ->
+              trail := rest;
+              assigned.(v) <- false;
+              held.(v) <- true;
+              Sat.Order.insert o v
+        done
+    | 7 | 8 when !n > 0 ->
+        let hot = min !n 8 and warm = min !n 40 in
+        bump
+          (if !step < 2_000 && Random.State.int st 4 = 0 then
+             1 + Random.State.int st warm
+           else 1 + Random.State.int st hot)
+    | _ ->
+        inc := !inc /. 0.95;
+        Sat.Order.decay o);
+    check ()
+  done;
+  Alcotest.(check bool) "crossed the 1e100 rescale" true (!rescales >= 1);
+  Alcotest.(check bool) "a rescale collapsed activities to ties" true
+    (!collapses >= 1)
 
 let test_stats_move () =
   let s = Sat.create () in
@@ -225,5 +346,6 @@ let suite =
     Alcotest.test_case "budgeted answers never lie" `Quick test_budget_never_lies;
     Alcotest.test_case "cooperative cancel" `Quick test_cancel;
     Alcotest.test_case "activity rescale" `Quick test_activity_rescale;
+    Alcotest.test_case "order heap vs reference" `Quick test_order_reference;
     Alcotest.test_case "stats" `Quick test_stats_move;
   ]
