@@ -122,21 +122,6 @@ let eval g env l =
   let vals = simulate g words in
   Int64.logand (sim_lit vals l) 1L = 1L
 
-let cone_nodes g roots =
-  let seen = Array.make (node_count g) false in
-  let rec visit n =
-    if not seen.(n) then begin
-      seen.(n) <- true;
-      if n > 0 && not (is_input_node g n) then begin
-        let f0, f1 = fanins g n in
-        visit (node_of f0);
-        visit (node_of f1)
-      end
-    end
-  in
-  List.iter (fun l -> visit (node_of l)) roots;
-  seen
-
 let cone_inputs g groups =
   let seen = Array.make (node_count g) false in
   let acc = ref [] in
@@ -154,33 +139,91 @@ let cone_inputs g groups =
   List.iter (List.iter (fun l -> visit (node_of l))) groups;
   List.rev !acc
 
-type extraction = { sub : t; map : lit array; sub_inputs : int array }
+(* Cone traversal scratch, sized for one graph and reused across cones:
+   [stamp.(n) = pass] marks [n] visited by the current traversal, so a
+   cone costs O(cone) however many are taken, and nothing graph-sized is
+   allocated or scanned per cone. *)
+type walk = {
+  graph : t;
+  stamp : int array;
+  mutable pass : int;
+  stack : int Vgraph.Vec.t;
+  cone : int Vgraph.Vec.t;
+  map : lit array; (* extraction: parent node -> sub literal *)
+  input_pos : int array; (* input node -> input index, -1 elsewhere *)
+}
 
-let extract g ~roots =
-  let keep = cone_nodes g roots in
-  let sub = create () in
-  let map = Array.make (node_count g) (-1) in
+let walk g =
+  let n = node_count g in
+  let input_pos = Array.make n (-1) in
+  Vgraph.Vec.iteri (fun i node -> input_pos.(node) <- i) g.inputs;
+  let map = Array.make n (-1) in
   map.(0) <- lit_false;
-  let rev_inputs = ref [] in
+  {
+    graph = g;
+    stamp = Array.make n 0;
+    pass = 0;
+    stack = Vgraph.Vec.create ~dummy:0 ();
+    cone = Vgraph.Vec.create ~dummy:0 ();
+    map;
+    input_pos;
+  }
+
+let cone w roots =
+  let g = w.graph in
+  w.pass <- w.pass + 1;
+  Vgraph.Vec.clear w.cone;
+  let push n =
+    if w.stamp.(n) <> w.pass then begin
+      w.stamp.(n) <- w.pass;
+      ignore (Vgraph.Vec.push w.cone n);
+      ignore (Vgraph.Vec.push w.stack n)
+    end
+  in
+  List.iter (fun l -> push (node_of l)) roots;
+  while not (Vgraph.Vec.is_empty w.stack) do
+    let n = Vgraph.Vec.pop w.stack in
+    if n > 0 && not (is_input_node g n) then begin
+      push (node_of (Vgraph.Vec.get g.fanin0 n));
+      push (node_of (Vgraph.Vec.get g.fanin1 n))
+    end
+  done;
+  w.cone
+
+type extraction = { sub : t; roots : lit list; sub_inputs : int array }
+
+let extract w roots =
+  let g = w.graph in
+  let c = cone w roots in
+  let nodes = Array.init (Vgraph.Vec.length c) (Vgraph.Vec.get c) in
+  Array.sort (fun (a : int) b -> compare a b) nodes;
+  let sub = create () in
   let sub_lit l =
-    let m = map.(node_of l) in
-    assert (m >= 0);
+    let m = w.map.(node_of l) in
     if is_complement l then neg m else m
   in
-  (* parent ids are topologically ordered: fanins precede their ANDs *)
-  let input_pos = Hashtbl.create 64 in
-  Vgraph.Vec.iteri (fun i n -> Hashtbl.replace input_pos n i) g.inputs;
-  for n = 1 to node_count g - 1 do
-    if keep.(n) then
-      if is_input_node g n then begin
-        map.(n) <- input sub;
-        rev_inputs := Hashtbl.find input_pos n :: !rev_inputs
-      end
-      else
-        let f0, f1 = fanins g n in
-        map.(n) <- and_ sub (sub_lit f0) (sub_lit f1)
-  done;
-  { sub; map; sub_inputs = Array.of_list (List.rev !rev_inputs) }
+  let rev_inputs = ref [] in
+  (* parent ids are topologically ordered: copying the cone in ascending
+     id order builds fanins before their ANDs and numbers the sub-AIG's
+     nodes and inputs in parent order *)
+  Array.iter
+    (fun n ->
+      if n > 0 then
+        if is_input_node g n then begin
+          w.map.(n) <- input sub;
+          rev_inputs := w.input_pos.(n) :: !rev_inputs
+        end
+        else
+          w.map.(n) <-
+            and_ sub
+              (sub_lit (Vgraph.Vec.get g.fanin0 n))
+              (sub_lit (Vgraph.Vec.get g.fanin1 n)))
+    nodes;
+  {
+    sub;
+    roots = List.map sub_lit roots;
+    sub_inputs = Array.of_list (List.rev !rev_inputs);
+  }
 
 let cone_signature g ~input_label groups =
   let buf = Buffer.create 1024 in

@@ -69,9 +69,7 @@ val sim_lit : int64 array -> lit -> int64
 val eval : t -> bool array -> lit -> bool
 (** Single-pattern reference evaluation. *)
 
-val cone_nodes : t -> lit list -> bool array
-(** [cone_nodes g roots] marks every node (constant, input, AND) in the
-    transitive fanin of [roots], including the root nodes themselves. *)
+(** {1 Cones} *)
 
 val cone_inputs : t -> lit list list -> int list
 (** Input {e node ids} of the cones of the root-literal groups, in
@@ -81,17 +79,33 @@ val cone_inputs : t -> lit list list -> int list
     counterexample, stored by canonical input position, be replayed on a
     different but structurally identical cone. *)
 
+type walk
+(** Reusable scratch for taking many cones of one graph: a visit stamp,
+    an extraction map and an input index per node, allocated once by
+    {!walk}.  Each {!cone} or {!extract} then costs time proportional to
+    the cone, not to the graph.  A walk is not safe to share between
+    domains, and it does not see nodes added to the graph after it was
+    made. *)
+
+val walk : t -> walk
+
+val cone : walk -> lit list -> int Vgraph.Vec.t
+(** [cone w roots] collects every node (constant, input, AND) in the
+    transitive fanin of [roots], the root nodes included, each once.  The
+    result is [w]'s own buffer: it is overwritten by the next {!cone} or
+    {!extract} on [w]. *)
+
 type extraction = {
   sub : t;  (** the extracted sub-AIG *)
-  map : lit array;  (** parent node id -> sub literal ([-1] outside cone) *)
+  roots : lit list;  (** the given roots as sub-AIG literals, in order *)
   sub_inputs : int array;  (** sub input index -> parent input index *)
 }
 
-val extract : t -> roots:lit list -> extraction
-(** Copies the cones of [roots] into a fresh AIG (nodes in parent id
-    order, so the copy is also structurally hashed and topologically
-    ordered).  Translate a parent literal [l] into the sub-AIG with
-    [map.(node_of l) lxor (l land 1)]. *)
+val extract : walk -> lit list -> extraction
+(** [extract w roots] copies the cones of [roots] into a fresh AIG, in
+    ascending parent node order, so the copy is also structurally hashed
+    and topologically ordered and numbers its nodes and inputs as the
+    parent does. *)
 
 val cone_signature : t -> input_label:(int -> string) -> lit list list -> string
 (** Canonical structural signature of the cones of the given root-literal

@@ -607,7 +607,8 @@ let verdict_attr = function
   | Undecided r -> Obs.String ("undecided: " ^ r)
 
 (* Cone-cost attribution: one live histogram per decade of estimated
-   cluster cost (node-frames, {!Layout.estimate}), so a metrics scrape
+   cone cost (node-frames, {!Layout.estimate}: a cluster's own, or a
+   monolithic check's {!Layout.single_cone_cost}), so a metrics scrape
    answers "which cone class burns the time" without a trace.  Names are
    preallocated — the disabled path must not sprintf. *)
 let cost_decade_names =
@@ -785,26 +786,30 @@ module Layout = Layout
 
 (* One sub-AIG per cluster, carved out of the shared problem graph with
    Aig.extract; the sub-problem's variables come through the extraction's
-   input map, so nothing is re-translated from netlists. *)
-let extract_part (p : Seqprob.t) members o1 o2 =
+   input map, so nothing is re-translated from netlists.  Every cluster
+   shares one [walk], so extraction costs time in the clusters' cones,
+   not clusters times the graph. *)
+let extract_part walk (p : Seqprob.t) members o1 o2 =
   let roots1 = List.map (fun i -> o1.(i)) members in
   let roots2 = List.map (fun i -> o2.(i)) members in
-  let ex = Aig.extract p.graph ~roots:(roots1 @ roots2) in
-  let tr l =
-    let m = ex.Aig.map.(Aig.node_of l) in
-    if Aig.is_complement l then Aig.neg m else m
-  in
+  let ex = Aig.extract walk (roots1 @ roots2) in
+  let k = List.length members in
   {
     Seqprob.graph = ex.Aig.sub;
     vars = Array.map (fun pi -> p.vars.(pi)) ex.Aig.sub_inputs;
-    outs1 = List.map tr roots1;
-    outs2 = List.map tr roots2;
+    outs1 = List.filteri (fun i _ -> i < k) ex.Aig.roots;
+    outs2 = List.filteri (fun i _ -> i >= k) ex.Aig.roots;
   }
 
+(* Observed in the cone-cost histogram at the problem's single-cone
+   estimate: it is checked as one cone, whatever a layout would cost it. *)
 let check_monolithic ~engine ~limits ~cache p =
   let st = { (fresh_stats ()) with partitions = 1 } in
   let b = bctx_of_limits limits in
+  let t0 = now () in
   let v = check_pair st b ~engine ~cache p in
+  if Obs.counters_enabled () then
+    observe_cone_cost ~cost:(Layout.single_cone_cost p) (now () -. t0);
   (match v with
   | Undecided _ -> st.undecided <- st.undecided + 1
   | Equivalent | Inequivalent _ -> ());
@@ -831,17 +836,18 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
           let subs =
             if l.Layout.monolithic then [||]
             else
-              Array.of_list l.Layout.clusters
-              |> Array.map (fun cl -> extract_part p cl.Layout.members o1 o2)
+              Obs.span ~name:"cec.layout.extract" (fun () ->
+                  let walk = Aig.walk p.graph in
+                  Array.of_list l.Layout.clusters
+                  |> Array.map (fun cl ->
+                         extract_part walk p cl.Layout.members o1 o2))
           in
           (l, subs))
     in
     if layout.Layout.monolithic then begin
       (* Below the cost threshold the whole check is cheaper than the
          partitioning machinery: run it in one piece, spin up no pool. *)
-      let t0 = now () in
       let v, st = check_monolithic ~engine ~limits ~cache p in
-      observe_cone_cost ~cost:layout.Layout.total_cost (now () -. t0);
       st.partition_seconds <- layout_seconds;
       (v, st)
     end

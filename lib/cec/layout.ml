@@ -76,89 +76,91 @@ let bin_slack = 1.5
 
 let estimate ~nodes ~depth = float_of_int nodes *. float_of_int (max 1 depth)
 
-(* AIG input node -> unroll frame of the variable it carries *)
-let input_delays (p : Seqprob.t) =
-  let d = Hashtbl.create 64 in
-  for i = 0 to Aig.num_inputs p.graph - 1 do
-    Hashtbl.replace d
-      (Aig.node_of (Aig.input_lit p.graph i))
-      (Seqprob.Var.delay p.vars.(i))
-  done;
-  d
+(* AIG node -> unroll frame of the variable an input node carries; 0 for
+   every other node, which never deepens a cone *)
+let input_frames (p : Seqprob.t) =
+  let frames = Array.make (Aig.node_count p.graph) 0 in
+  Array.iteri
+    (fun i v ->
+      frames.(Aig.node_of (Aig.input_lit p.graph i)) <- Seqprob.Var.delay v)
+    p.vars;
+  frames
 
-(* Greedy overlap clustering (moved here from the checker, unchanged
-   semantics): a pair joins an existing group when at least half of the
-   smaller cone (its own, or the group's accumulated one) is already
-   covered by the other.  Chains collapse into one group — degrading
-   gracefully to the monolithic check — while independent cones split. *)
-type out_group = {
-  mutable g_members : int list; (* reversed *)
-  marks : bool array; (* accumulated cone marks over AIG nodes *)
-  mutable gsize : int; (* marked node count *)
-  mutable gdepth : int; (* deepest input frame seen in the group *)
-}
+(* Greedy overlap clustering: a pair joins an existing group when at least
+   half of the smaller cone (its own, or the group's accumulated one) is
+   already covered by the other; the best-covered group wins, ties to the
+   newest.  Chains collapse into one group — degrading gracefully to the
+   monolithic check — while independent cones split.
 
+   Only groups sharing a node with the cone can qualify, so [groups_of]
+   indexes each node's groups and a pair costs time in its cone times the
+   groups per node, never in the graph. *)
 let clusters (p : Seqprob.t) =
   let o1 = Array.of_list p.outs1 and o2 = Array.of_list p.outs2 in
-  let delays = input_delays p in
   let n = Array.length o1 in
-  let groups = ref [] in
-  let marked m =
-    let acc = ref [] in
-    Array.iteri (fun s b -> if b then acc := s :: !acc) m;
-    !acc
-  in
+  let frames = input_frames p in
+  let walk = Aig.walk p.graph in
+  (* node -> ids of the groups whose accumulated cone holds it *)
+  let groups_of = Array.make (Aig.node_count p.graph) [] in
+  (* per group id, in creation order *)
+  let members = Array.make n [] (* reversed *)
+  and size = Array.make n 0
+  and deepest = Array.make n 0 (* deepest input frame in the group *) in
+  let ngroups = ref 0 in
+  let overlap = Array.make n 0 in
+  let touched = Vgraph.Vec.create ~dummy:0 () in
   for i = 0 to n - 1 do
-    let m = Aig.cone_nodes p.graph [ o1.(i); o2.(i) ] in
-    (* work on the marked-node list so scoring an output against a group
-       costs O(|cone|), not O(|graph|) *)
-    let nodes = marked m in
-    let size = List.length nodes in
-    let depth =
-      List.fold_left
-        (fun acc s ->
-          match Hashtbl.find_opt delays s with
-          | Some d -> max acc d
-          | None -> acc)
-        0 nodes
-    in
-    let best = ref None in
-    List.iter
-      (fun g ->
-        let overlap = ref 0 in
-        List.iter (fun s -> if g.marks.(s) then incr overlap) nodes;
-        let score = 2 * !overlap in
-        if score >= min size g.gsize then
-          match !best with
-          | Some (bscore, _) when bscore >= score -> ()
-          | _ -> best := Some (score, g))
-      !groups;
-    match !best with
-    | Some (_, g) ->
+    let cone = Aig.cone walk [ o1.(i); o2.(i) ] in
+    let csize = Vgraph.Vec.length cone in
+    let cdepth = ref 0 in
+    Vgraph.Vec.iter
+      (fun s ->
+        cdepth := max !cdepth frames.(s);
         List.iter
-          (fun s ->
-            if not g.marks.(s) then begin
-              g.marks.(s) <- true;
-              g.gsize <- g.gsize + 1
-            end)
-          nodes;
-        g.gdepth <- max g.gdepth depth;
-        g.g_members <- i :: g.g_members
-    | None ->
-        groups :=
-          { g_members = [ i ]; marks = m; gsize = size; gdepth = depth }
-          :: !groups
+          (fun g ->
+            if overlap.(g) = 0 then ignore (Vgraph.Vec.push touched g);
+            overlap.(g) <- overlap.(g) + 1)
+          groups_of.(s))
+      cone;
+    let best = ref (-1) and best_score = ref 0 in
+    Vgraph.Vec.iter
+      (fun g ->
+        let score = 2 * overlap.(g) in
+        overlap.(g) <- 0;
+        if
+          score >= min csize size.(g)
+          && (score > !best_score || (score = !best_score && g > !best))
+        then begin
+          best := g;
+          best_score := score
+        end)
+      touched;
+    Vgraph.Vec.clear touched;
+    let g =
+      if !best >= 0 then !best
+      else begin
+        incr ngroups;
+        !ngroups - 1
+      end
+    in
+    Vgraph.Vec.iter
+      (fun s ->
+        if not (List.mem g groups_of.(s)) then begin
+          groups_of.(s) <- g :: groups_of.(s);
+          size.(g) <- size.(g) + 1
+        end)
+      cone;
+    deepest.(g) <- max deepest.(g) !cdepth;
+    members.(g) <- i :: members.(g)
   done;
-  List.rev_map
-    (fun g ->
-      let depth = 1 + g.gdepth in
+  List.init !ngroups (fun g ->
+      let depth = 1 + deepest.(g) in
       {
-        members = List.rev g.g_members;
-        nodes = g.gsize;
+        members = List.rev members.(g);
+        nodes = size.(g);
         depth;
-        cost = estimate ~nodes:g.gsize ~depth;
+        cost = estimate ~nodes:size.(g) ~depth;
       })
-    !groups
 
 (* Largest-first (LPT) packing into [bins] bins; deterministic — ties keep
    cluster order (stable sort) and go to the lowest-index bin. *)
@@ -199,16 +201,47 @@ let merge_slack packed =
   in
   go packed
 
-(* Cheap upper bound on the total cost, no clustering pass needed: every
-   cluster's node set is a subset of the graph and its depth is at most
-   the deepest unroll frame anywhere; the factor 2 covers node duplication
-   across overlapping clusters (overlap clustering merges any pair sharing
-   half the smaller cone, so duplication stays mild). *)
-let quick_bound (p : Seqprob.t) =
+let single_cone_cost (p : Seqprob.t) =
   let maxd =
     Array.fold_left (fun a v -> max a (Seqprob.Var.delay v)) 0 p.vars
   in
-  2. *. float_of_int (Aig.node_count p.graph) *. float_of_int (1 + maxd)
+  estimate ~nodes:(Aig.node_count p.graph) ~depth:(1 + maxd)
+
+(* Quick rejection, no clustering pass needed: no cluster can cost more
+   than [single_cone_cost] (its nodes are a subset of the graph, its depth
+   at most the deepest unroll frame), and the factor 2 allows for nodes
+   duplicated across overlapping clusters.  That factor is an allowance,
+   not a proven bound: overlap clustering merges any pair sharing half the
+   smaller cone, so duplication stays mild in practice. *)
+let quick_bound p = 2. *. single_cone_cost p
+
+let of_clusters ?(forced = false) cls =
+  let total = List.fold_left (fun a c -> a +. c.cost) 0. cls in
+  let ncl = List.length cls in
+  if
+    (not forced)
+    && (total < default_threshold
+       || total < min_mean_cluster_cost *. float_of_int (max 1 ncl))
+  then { monolithic = true; total_cost = total; clusters = cls; bins = [] }
+  else begin
+    let bins =
+      min (min max_bins ncl)
+        (max 1 (int_of_float (Float.ceil (total /. bin_cost_target))))
+    in
+    let packed =
+      merge_slack (pack ~bins (List.mapi (fun i c -> (i, c)) cls))
+    in
+    (* heaviest bin first, so the pool starts the critical work early *)
+    let packed =
+      List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) packed
+    in
+    {
+      monolithic = false;
+      total_cost = total;
+      clusters = cls;
+      bins = List.map fst packed;
+    }
+  end
 
 let compute ?(forced = false) (p : Seqprob.t) =
   let bound = quick_bound p in
@@ -217,30 +250,5 @@ let compute ?(forced = false) (p : Seqprob.t) =
        without even paying the clustering pass ([clusters] left empty) *)
     { monolithic = true; total_cost = bound; clusters = []; bins = [] }
   else
-    let cls = clusters p in
-    let total = List.fold_left (fun a c -> a +. c.cost) 0. cls in
-    let ncl = List.length cls in
-    if
-      (not forced)
-      && (total < default_threshold
-         || total < min_mean_cluster_cost *. float_of_int (max 1 ncl))
-    then { monolithic = true; total_cost = total; clusters = cls; bins = [] }
-    else begin
-      let bins =
-        min (min max_bins ncl)
-          (max 1 (int_of_float (Float.ceil (total /. bin_cost_target))))
-      in
-      let packed =
-        merge_slack (pack ~bins (List.mapi (fun i c -> (i, c)) cls))
-      in
-      (* heaviest bin first, so the pool starts the critical work early *)
-      let packed =
-        List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) packed
-      in
-      {
-        monolithic = false;
-        total_cost = total;
-        clusters = cls;
-        bins = List.map fst packed;
-      }
-    end
+    of_clusters ~forced
+      (Obs.span ~name:"cec.layout.cluster" (fun () -> clusters p))

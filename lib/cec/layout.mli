@@ -22,8 +22,10 @@ type t = {
           under the floor): check the whole problem in one piece, spin up
           no pool *)
   total_cost : float;
-      (** sum of cluster costs; for a quick-rejected monolithic layout, a
-          cheap upper bound computed without clustering *)
+      (** sum of cluster costs; for a quick-rejected monolithic layout,
+          the quick bound computed without clustering: twice
+          {!single_cone_cost}, where the factor 2 is an allowance for
+          nodes shared by overlapping clusters, not a proven upper bound *)
   clusters : cluster list;
       (** empty for a quick-rejected monolithic layout (the problem was
           too small to even pay the clustering pass) *)
@@ -52,9 +54,24 @@ val max_bins : int
 val estimate : nodes:int -> depth:int -> float
 (** [nodes * max 1 depth] — monotone in both arguments. *)
 
+val single_cone_cost : Seqprob.t -> float
+(** The whole problem costed as one cone: {!estimate} of the graph's node
+    count at 1 + the deepest unroll frame among its variables.  What a
+    monolithic check costs in the cone-cost histogram. *)
+
 val compute : ?forced:bool -> Seqprob.t -> t
 (** Full layout: cluster, estimate, threshold-check, pack.  The layout is
     monolithic when the total estimate is under {!default_threshold}
-    {e or} the mean cluster cost is under {!min_mean_cluster_cost}.
-    [~forced:true] disables the monolithic fast path (the
-    [~partition:true] contract). *)
+    {e or} the mean cluster cost is under {!min_mean_cluster_cost}; when
+    even twice {!single_cone_cost} is under the threshold it is monolithic
+    without a clustering pass.  [~forced:true] disables the monolithic
+    fast path (the [~partition:true] contract).
+
+    Clustering takes time proportional to the output cones (times the
+    clusters sharing a node), never outputs times the graph, and is
+    traced as a [cec.layout.cluster] span. *)
+
+val of_clusters : ?forced:bool -> cluster list -> t
+(** The threshold check and bin packing of {!compute}, over the given
+    clusters: [compute ~forced p] is [of_clusters ~forced] of [p]'s
+    clusters whenever it clusters at all. *)

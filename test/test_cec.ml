@@ -611,11 +611,15 @@ let test_elapsed_seconds () =
 (* ---- adaptive layout / cost model ---- *)
 
 (* Unroll a sequential pair into the shared Seqprob the layout operates
-   on, exposing the structural feedback plan's latches (same recipe as
-   Verify.check). *)
-let problem_of c1 c2 =
+   on, exposing the named latches (default: the left side's structural
+   feedback plan, the recipe of Verify.check's callers). *)
+let problem_of ?exposed c1 c2 =
   let names =
-    List.map (Circuit.signal_name c1) (Feedback.plan_structural c1).Feedback.exposed
+    match exposed with
+    | Some names -> names
+    | None ->
+        List.map (Circuit.signal_name c1)
+          (Feedback.plan_structural c1).Feedback.exposed
   in
   let ex c s = List.mem (Circuit.signal_name c s) names in
   let bld = Seqprob.builder () in
@@ -680,6 +684,41 @@ let test_below_threshold_no_pool () =
           (Obs.collect ())
       in
       Alcotest.(check int) "no worker domain spawned" 0 (List.length workers))
+
+(* A monolithic check lands in the cone-cost histogram at its own
+   single-cone estimate, nodes x (1 + deepest frame), on both monolithic
+   routes: jobs 1, and an adaptive jobs-2 check the quick bound rejects.
+   s1196 against a resynthesis of itself sits where the quick bound,
+   twice that estimate, is one decade higher. *)
+let test_monolithic_cone_cost_decade () =
+  let a = Workloads.by_name "s1196" in
+  let p = problem_of a (Hier.resynthesize ~seed:1 a) in
+  let maxd =
+    Array.fold_left (fun m v -> max m (Seqprob.Var.delay v)) 0 p.Seqprob.vars
+  in
+  let own = Aig.node_count p.Seqprob.graph * (1 + maxd) in
+  Alcotest.(check bool)
+    (Printf.sprintf "own estimate %d in 1e2, twice it in 1e3" own)
+    true
+    (own >= 100 && own < 1000 && 2 * own >= 1000);
+  let was_on = Obs.counters_enabled () in
+  Obs.enable_counters ();
+  Fun.protect ~finally:(fun () -> if not was_on then Obs.disable_counters ())
+  @@ fun () ->
+  let count d =
+    match Obs.Histogram.find (Printf.sprintf "cec.cone_seconds.cost_1e%d" d) with
+    | Some h -> h.Obs.Histogram.count
+    | None -> 0
+  in
+  let e2 = count 2 and e3 = count 3 in
+  List.iter
+    (fun jobs ->
+      let v, s = Cec.check_problem_with_stats ~jobs p in
+      Alcotest.(check bool) "equivalent" true (v = Cec.Equivalent);
+      Alcotest.(check int) "monolithic" 1 s.Cec.partitions)
+    [ 1; 2 ];
+  Alcotest.(check (pair int int))
+    "observed in 1e2, not 1e3" (e2 + 2, e3) (count 2, count 3)
 
 let test_layout_deterministic_and_partitioning () =
   (* the layout is a pure function of the problem: recomputing gives
@@ -796,7 +835,9 @@ let fifo4 ?bug entries style = Workloads.fifo ?bug ~entries ~width:4 ~style ()
    counterexample must make the output groups differ, and the sweep on an
    equivalent FIFO pair must simulate counterexample words beyond its
    random rounds ([`Eq_refined]; the ALU pair has few enough inputs for
-   the random rounds alone). *)
+   the random rounds alone).  Two more paths per pair must agree: a forced
+   partitioned check, and a re-check that answers every cluster from a
+   reopened persistent store. *)
 let test_engines_agree_on_undersampled_pairs () =
   let alu style = Workloads.lane_alu ~lanes:2 ~width:4 ~stages:2 ~style () in
   let pairs =
@@ -818,24 +859,57 @@ let test_engines_agree_on_undersampled_pairs () =
   List.iter
     (fun (name, c1, c2, expect) ->
       let p = problem_of c1 c2 in
+      let judge what v =
+        match (v, expect) with
+        | Cec.Equivalent, (`Eq | `Eq_refined) -> ()
+        | Cec.Inequivalent cex, `Neq ->
+            Alcotest.(check bool)
+              (what ^ ": counterexample separates the outputs")
+              true
+              (Seqprob.cex_is_valid p cex)
+        | Cec.Undecided r, _ -> Alcotest.failf "%s: undecided: %s" what r
+        | _ -> Alcotest.failf "%s: wrong verdict" what
+      in
       List.iter
         (fun (ename, engine) ->
           let what = name ^ ", " ^ ename in
           let v, s = Cec.check_problem_with_stats ~engine p in
-          match (v, expect) with
-          | Cec.Equivalent, (`Eq | `Eq_refined) ->
-              if engine = Cec.Sweep_engine && expect = `Eq_refined then
-                Alcotest.(check bool)
-                  (what ^ ": counterexamples refined the classes")
-                  true (s.Cec.sim_rounds > 4)
-          | Cec.Inequivalent cex, `Neq ->
-              Alcotest.(check bool)
-                (what ^ ": counterexample separates the outputs")
-                true
-                (Seqprob.cex_is_valid p cex)
-          | Cec.Undecided r, _ -> Alcotest.failf "%s: undecided: %s" what r
-          | _ -> Alcotest.failf "%s: wrong verdict" what)
-        Cec.engines)
+          judge what v;
+          if v = Cec.Equivalent && engine = Cec.Sweep_engine && expect = `Eq_refined
+          then
+            Alcotest.(check bool)
+              (what ^ ": counterexamples refined the classes")
+              true (s.Cec.sim_rounds > 4))
+        Cec.engines;
+      judge (name ^ ", partitioned")
+        (fst (Cec.check_problem_with_stats ~partition:true ~jobs:2 p));
+      (* at jobs 1 clusters run in order, so the warm re-check reaches
+         exactly the clusters the cold one decided (up to the first
+         counterexample) *)
+      let dir = Test_store.fresh_dir () in
+      let run () =
+        let store = Store.open_ dir in
+        Fun.protect
+          ~finally:(fun () -> Store.close store)
+          (fun () ->
+            Cec.check_problem_with_stats ~partition:true ~jobs:1
+              ~cache:(Cec.Cache.create ~store ()) p)
+      in
+      let _, cold = run () in
+      let v, warm = run () in
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir;
+      let what = name ^ ", store-warm" in
+      judge what v;
+      Alcotest.(check int)
+        (what ^ ": every decided cluster answered from the log")
+        cold.Cec.store_writes warm.Cec.store_hits;
+      if expect <> `Neq then
+        Alcotest.(check int)
+          (what ^ ": every cluster answered")
+          warm.Cec.partitions
+          (warm.Cec.store_hits + warm.Cec.cache_hits);
+      Alcotest.(check int) (what ^ ": SAT calls") 0 warm.Cec.sat_calls)
     pairs
 
 let test_sweep_sat_calls_on_colliding_classes () =
@@ -921,6 +995,8 @@ let suite =
       test_small_problem_goes_monolithic;
     Alcotest.test_case "layout: below threshold spawns no pool" `Quick
       test_below_threshold_no_pool;
+    Alcotest.test_case "layout: monolithic checks in their own cost decade"
+      `Quick test_monolithic_cone_cost_decade;
     Alcotest.test_case "layout: deterministic, partitions outputs" `Quick
       test_layout_deterministic_and_partitioning;
     Alcotest.test_case "layout: signature survives extraction" `Quick

@@ -12,6 +12,7 @@ let () =
       ("aig", Test_aig.suite);
       ("sim", Test_sim.suite);
       ("cec", Test_cec.suite);
+      ("layout", Test_layout.suite);
       ("synth", Test_synth.suite);
       ("retiming", Test_retiming.suite);
       ("seqprob", Test_seqprob.suite);
