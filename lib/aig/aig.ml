@@ -273,43 +273,6 @@ let cone_signature g ~input_label groups =
     groups;
   Buffer.contents buf
 
-type cnf_map = { var_of_node : int array; solver : Sat.t }
-
-let cnf_lit m l =
-  let v = m.var_of_node.(node_of l) in
-  if v = 0 then invalid_arg "Aig.cnf_lit: node not encoded";
-  if is_complement l then -v else v
-
-let to_cnf ?solver g ~roots =
-  let solver = match solver with Some s -> s | None -> Sat.create () in
-  let var_of_node = Array.make (node_count g) 0 in
-  (* mark cones *)
-  let rec mark n =
-    if var_of_node.(n) = 0 then begin
-      var_of_node.(n) <- Sat.new_var solver;
-      if n > 0 && not (is_input_node g n) then begin
-        let f0, f1 = fanins g n in
-        mark (node_of f0);
-        mark (node_of f1)
-      end
-    end
-  in
-  List.iter (fun l -> mark (node_of l)) roots;
-  let m = { var_of_node; solver } in
-  (* constant node, if referenced *)
-  if var_of_node.(0) <> 0 then Sat.add_clause solver [ -var_of_node.(0) ];
-  for n = 1 to node_count g - 1 do
-    if var_of_node.(n) <> 0 && not (is_input_node g n) then begin
-      let f0, f1 = fanins g n in
-      let ln = var_of_node.(n) in
-      let l0 = cnf_lit m f0 and l1 = cnf_lit m f1 in
-      Sat.add_clause solver [ -ln; l0 ];
-      Sat.add_clause solver [ -ln; l1 ];
-      Sat.add_clause solver [ ln; -l0; -l1 ]
-    end
-  done;
-  m
-
 let apply_fn g fn ins =
   match (fn : Circuit.gate_fn) with
   | Const b -> if b then lit_true else lit_false

@@ -117,19 +117,6 @@ val cone_signature : t -> input_label:(int -> string) -> lit list list -> string
     cones over identically labelled inputs — the key used by the
     equivalence checker's result cache. *)
 
-(** {1 CNF export} *)
-
-type cnf_map = { var_of_node : int array; solver : Sat.t }
-
-val to_cnf : ?solver:Sat.t -> t -> roots:lit list -> cnf_map
-(** Tseitin-encodes the cones of [roots] into a SAT solver (a fresh one
-    unless [solver] is given).  Every node in the cones gets a SAT
-    variable. *)
-
-val cnf_lit : cnf_map -> lit -> int
-(** DIMACS literal for an encoded AIG literal.
-    @raise Invalid_argument if the node was not encoded. *)
-
 (** {1 Circuit conversion} *)
 
 val apply_fn : t -> Circuit.gate_fn -> lit array -> lit

@@ -44,7 +44,6 @@ let man ?(cache_size = 1 lsl 14) () =
 let zero _ = 0
 let one _ = 1
 let is_zero _ f = f = 0
-let is_one _ f = f = 1
 let equal (a : t) (b : t) = a = b
 let id (a : t) = a
 

@@ -36,7 +36,6 @@ val id : t -> int
     functions have equal ids). *)
 
 val is_zero : man -> t -> bool
-val is_one : man -> t -> bool
 
 val not_ : man -> t -> t
 val and_ : man -> t -> t -> t

@@ -44,14 +44,3 @@ val unroll :
     (name order), then exposed-latch enable functions (name order, enabled
     latches only) — the same convention as {!Cbf.unroll}.  Diagnoses:
     [Non_exposed_cycle] for a sequential cycle with no exposed latch. *)
-
-val unroll_netlist :
-  ?guard:bool ->
-  table:Events.table ->
-  ?exposed:(Circuit.signal -> bool) ->
-  Circuit.t ->
-  Circuit.t * info
-(** Reference netlist materialization (inputs named
-    ["source@d@event"]), kept for netlist-level experiments and as the
-    baseline the AIG path is measured against.
-    @raise Invalid_argument on a sequential cycle with no exposed latch. *)

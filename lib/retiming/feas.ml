@@ -1,80 +1,3 @@
-open Vgraph
-
-(* ------------------------------------------------------------------ *)
-(* Naive reference engine: rebuilds the zero-weight subgraph and       *)
-(* re-sorts it on every FEAS round, and cold-starts every period       *)
-(* probed by the binary search.  Retained for differential tests.      *)
-(* ------------------------------------------------------------------ *)
-
-module Naive = struct
-  let zero_weight_topo (g : Rgraph.t) ~r =
-    (* subgraph of register-free edges *)
-    let sub = Digraph.create () in
-    Digraph.add_nodes sub (Digraph.node_count g.graph);
-    Digraph.iter_edges
-      (fun _ e ->
-        let w = e.weight + r.(e.dst) - r.(e.src) in
-        assert (w >= 0);
-        if w = 0 then ignore (Digraph.add_edge sub e.src e.dst))
-      g.graph;
-    (sub, Topo.sort_exn sub)
-
-  let arrival g ~r =
-    let sub, order = zero_weight_topo g ~r in
-    let n = Digraph.node_count sub in
-    let delta = Array.make n 0 in
-    List.iter
-      (fun v ->
-        let best = ref 0 in
-        Digraph.iter_pred sub v (fun _ e -> best := max !best delta.(e.src));
-        delta.(v) <- !best + g.delay.(v))
-      order;
-    delta
-
-  let period_of g ~r = Array.fold_left max 0 (arrival g ~r)
-
-  let feasible ?init g ~period =
-    let n = Digraph.node_count g.Rgraph.graph in
-    let r = match init with Some r -> Array.copy r | None -> Array.make n 0 in
-    assert (Rgraph.is_legal g ~r:(Rgraph.normalize g ~r));
-    (* FEAS: repeatedly advance every too-late gate by one register.  The host
-       vertices are pinned; if an increment would make an I/O edge negative
-       the period is unachievable (a register cannot move past the
-       environment), which surfaces as an illegal intermediate labeling. *)
-    let ok = ref false in
-    let legal = ref true in
-    let i = ref 0 in
-    while !legal && (not !ok) && !i <= n do
-      let delta = arrival g ~r in
-      let violated = ref false in
-      for v = 2 to n - 1 do
-        if delta.(v) > period then begin
-          violated := true;
-          r.(v) <- r.(v) + 1
-        end
-      done;
-      if not !violated then ok := true
-      else if not (Rgraph.is_legal g ~r) then legal := false;
-      incr i
-    done;
-    if !ok then Some (Rgraph.normalize g ~r) else None
-
-  let min_period g =
-    let n = Digraph.node_count g.Rgraph.graph in
-    let r0 = Array.make n 0 in
-    let hi0 = period_of g ~r:r0 in
-    let lo0 = Array.fold_left max 0 g.delay in
-    let rec search lo hi best =
-      if lo >= hi then best
-      else
-        let mid = (lo + hi) / 2 in
-        match feasible g ~period:mid with
-        | Some r -> search lo mid (mid, r)
-        | None -> search (mid + 1) hi best
-    in
-    search lo0 hi0 (hi0, r0)
-end
-
 (* ------------------------------------------------------------------ *)
 (* Incremental engine.                                                 *)
 (*                                                                     *)

@@ -7,9 +7,7 @@
     changed.  The binary search is warm-started — FEAS from the all-zero
     labeling yields the pointwise-{e minimal} feasible retiming, and
     minimal labelings are monotone in the period, so each probe seeds from
-    the labeling of the best period found so far.  {!Naive} retains the
-    original cold-start implementation as a differential-testing
-    reference. *)
+    the labeling of the best period found so far. *)
 
 val arrival : Rgraph.t -> r:int array -> int array
 (** Combinational arrival time Δ(v) of every vertex under retiming labels
@@ -32,15 +30,3 @@ val min_period : ?pool:Par.Pool.t -> Rgraph.t -> int * int array
     [pool], each bisection step probes [Par.Pool.jobs pool] candidate
     periods in parallel (each probe runs on its own state against the
     shared CSR). *)
-
-(** The original implementation: per-round zero-weight subgraph + topo
-    sort, cold-started bisection.  Reference for property tests. *)
-module Naive : sig
-  val arrival : Rgraph.t -> r:int array -> int array
-
-  val period_of : Rgraph.t -> r:int array -> int
-
-  val feasible : ?init:int array -> Rgraph.t -> period:int -> int array option
-
-  val min_period : Rgraph.t -> int * int array
-end

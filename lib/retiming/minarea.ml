@@ -28,23 +28,22 @@ let check_constraints r constraints =
 (* W/D-matrix period constraints.                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Original generator: one {!Dijkstra.lexicographic} per source, every
-   violating pair emitted.  Reference for differential tests. *)
-let period_constraints_reference g ~period =
-  let n = Digraph.node_count g.Rgraph.graph in
-  let acc = ref [] in
-  for u = 0 to n - 1 do
-    let w, d = Dijkstra.lexicographic g.graph ~src:u ~tie:(fun e -> g.delay.(e.dst)) in
-    for v = 0 to n - 1 do
-      if w.(v) < max_int then begin
-        let duv = d.(v) + g.delay.(u) in
-        if duv > period && u <> v then acc := (u, v, w.(v) - 1) :: !acc
-      end
-    done
-  done;
-  !acc
+let node_bits n =
+  let b = ref 1 in
+  while 1 lsl !b < n do incr b done;
+  !b
 
-(* Fast generator.  Two ideas on top of the reference:
+(* Whether every key [W·DB + (DB−1−D)], shifted past the node bits, fits
+   an int: W is bounded by the total latch count and D by the total
+   delay. *)
+let keys_pack (g : Rgraph.t) =
+  let db = 1 + Array.fold_left ( + ) 0 g.delay in
+  let wb = ref 1 in
+  Digraph.iter_edges (fun _ e -> wb := !wb + e.weight) g.graph;
+  !wb <= max_int asr (node_bits (Digraph.node_count g.graph) + 2) / db
+
+(* One lexicographic Dijkstra per source finds its violating pairs; two
+   ideas make that cheap:
 
    Packed Dijkstra: the lexicographic (min W, then max D) search runs over
    the shared {!Rgraph.csr} image with reusable distance/heap scratch and
@@ -70,11 +69,7 @@ let period_constraints_reference g ~period =
 let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
   let n = c.nv in
   let db = 1 + Array.fold_left ( + ) 0 delay in
-  let node_bits =
-    let b = ref 1 in
-    while 1 lsl !b < n do incr b done;
-    !b
-  in
+  let node_bits = node_bits n in
   let w = Array.make n max_int in
   let d = Array.make n 0 in
   let touched = Array.make n 0 in
@@ -156,49 +151,32 @@ let period_constraints ?pool g ~period =
   let c = Rgraph.csr g in
   let delay = g.Rgraph.delay in
   let n = c.nv in
-  let db = 1 + Array.fold_left ( + ) 0 delay in
-  let wb =
-    1 + Array.fold_left ( + ) 0 c.succ_weight
+  let chunks =
+    match pool with
+    | Some pool when Par.Pool.jobs pool > 1 && n > 64 ->
+        let jobs = Par.Pool.jobs pool in
+        let pieces = min n (4 * jobs) in
+        List.init pieces (fun i -> (i * n / pieces, ((i + 1) * n / pieces) - 1))
+    | _ -> [ (0, n - 1) ]
   in
-  let node_bits =
-    let b = ref 1 in
-    while 1 lsl !b < n do incr b done;
-    !b
+  let work (lo, hi) = period_constraints_csr c ~delay ~period ~lo ~hi () in
+  let results =
+    match (pool, chunks) with
+    | Some pool, _ :: _ :: _ -> Par.Pool.map pool work chunks
+    | _ -> List.map work chunks
   in
-  (* keys must pack: fall back to the reference generator on (absurdly)
-     wide graphs rather than overflow *)
-  if n > 0 && wb > max_int asr (node_bits + 2) / db then
-    period_constraints_reference g ~period
-  else begin
-    let chunks =
-      match pool with
-      | Some pool when Par.Pool.jobs pool > 1 && n > 64 ->
-          let jobs = Par.Pool.jobs pool in
-          let pieces = min n (4 * jobs) in
-          List.init pieces (fun i ->
-              (i * n / pieces, ((i + 1) * n / pieces) - 1))
-      | _ -> [ (0, n - 1) ]
-    in
-    let work (lo, hi) = period_constraints_csr c ~delay ~period ~lo ~hi () in
-    let results =
-      match (pool, chunks) with
-      | Some pool, _ :: _ :: _ -> Par.Pool.map pool work chunks
-      | _ -> List.map work chunks
-    in
-    let kept = List.fold_left (fun t (_, k, _) -> t + k) 0 results in
-    let pruned = List.fold_left (fun t (_, _, p) -> t + p) 0 results in
-    Obs.count "minarea.constraints_kept" kept;
-    Obs.count "minarea.constraints_pruned" pruned;
-    Obs.attr (fun () ->
-        [ ("kept", Obs.Int kept); ("pruned", Obs.Int pruned) ]);
-    List.concat_map (fun (l, _, _) -> l) results
-  end
+  let kept = List.fold_left (fun t (_, k, _) -> t + k) 0 results in
+  let pruned = List.fold_left (fun t (_, _, p) -> t + p) 0 results in
+  Obs.count "minarea.constraints_kept" kept;
+  Obs.count "minarea.constraints_pruned" pruned;
+  Obs.attr (fun () -> [ ("kept", Obs.Int kept); ("pruned", Obs.Int pruned) ]);
+  List.concat_map (fun (l, _, _) -> l) results
 
 (* ------------------------------------------------------------------ *)
 (* LP via min-cost flow                                                *)
 (* ------------------------------------------------------------------ *)
 
-let lp_solve ~reference ~nvertices ~constraints ~a =
+let lp_solve ~nvertices ~constraints ~a =
   (* Feasibility first: the difference-constraint graph (edge v -> u with
      weight b per constraint r(u) - r(v) <= b) must have no negative cycle;
      otherwise the flow below would see a negative-cost cycle.  Its
@@ -221,41 +199,26 @@ let lp_solve ~reference ~nvertices ~constraints ~a =
           constraints
       in
       let supply = Array.map (fun x -> -x) a in
-      let flow =
-        if reference then Mincost_flow.solve_reference ~nodes:nvertices ~arcs supply
-        else
-          let init_potentials = Array.map (fun p -> -p) dist in
-          Mincost_flow.solve ~init_potentials ~nodes:nvertices ~arcs supply
-      in
-      (match flow with
+      let init_potentials = Array.map (fun p -> -p) dist in
+      match Mincost_flow.solve ~init_potentials ~nodes:nvertices ~arcs supply with
       | None -> None
-      | Some { potentials; _ } -> Some (Array.map (fun p -> -p) potentials))
+      | Some { potentials; _ } -> Some (Array.map (fun p -> -p) potentials)
 
-let solve ?period ?(max_exact_vertices = 4000) ?pool ?(reference = false) g =
+(* Largest graph that gets the exact (quadratic) W/D constraints. *)
+let max_exact_vertices = 4000
+
+let solve ?period ?pool g =
   Obs.span ~name:"minarea.solve" @@ fun () ->
   let n = Digraph.node_count g.Rgraph.graph in
   let a = objective g in
   let base = edge_constraints g in
-  let exact_period =
-    match period with
-    | Some c when n <= max_exact_vertices -> Some c
-    | Some _ | None -> None
-  in
   let constraints =
-    match exact_period with
-    | Some c ->
-        let pc =
-          if reference then period_constraints_reference g ~period:c
-          else period_constraints ?pool g ~period:c
-        in
-        pc @ base
-    | None -> base
+    match period with
+    | Some c when n <= max_exact_vertices && keys_pack g ->
+        period_constraints ?pool g ~period:c @ base
+    | Some _ | None -> base
   in
-  let feas_feasible ?init g ~period =
-    if reference then Feas.Naive.feasible ?init g ~period
-    else Feas.feasible ?init g ~period
-  in
-  match lp_solve ~reference ~nvertices:n ~constraints ~a with
+  match lp_solve ~nvertices:n ~constraints ~a with
   | None ->
       (* base constraints alone are always satisfiable (r = 0), so a failure
          without a period bound is an internal bug, not an input property *)
@@ -270,12 +233,12 @@ let solve ?period ?(max_exact_vertices = 4000) ?pool ?(reference = false) g =
         match period with
         | None -> Some r
         | Some c ->
-            (* exact mode already satisfies the period; fallback mode
+            (* exact mode already satisfies the period; FEAS-repair mode
                repairs.  FEAS's round bound only covers the all-zero start,
                so if the repair from the min-area labels stalls, restart
                from scratch (area-suboptimal but correct). *)
             if Feas.period_of g ~r <= c then Some r
             else (
-              match feas_feasible ~init:r g ~period:c with
+              match Feas.feasible ~init:r g ~period:c with
               | Some _ as s -> s
-              | None -> feas_feasible g ~period:c))
+              | None -> Feas.feasible g ~period:c))

@@ -9,24 +9,18 @@
     the base edge constraints) are pruned before the flow sees them, and
     the Bellman–Ford feasibility distances seed the flow's potentials. *)
 
-val solve :
-  ?period:int ->
-  ?max_exact_vertices:int ->
-  ?pool:Par.Pool.t ->
-  ?reference:bool ->
-  Rgraph.t ->
-  int array option
-(** Optimal (normalized, legal) labels, or [None] iff the requested period
-    is infeasible (without [period] the base constraint system is always
-    satisfiable, so the result is always [Some]).  When a period is
-    requested and the graph has more than [max_exact_vertices] (default
-    4000) vertices, the quadratic [W]/[D] constraint generation is
-    skipped: the unconstrained optimum is repaired with FEAS iterations
-    instead (area-suboptimal but period-legal).
+val solve : ?period:int -> ?pool:Par.Pool.t -> Rgraph.t -> int array option
+(** Normalized, legal labels, or [None] iff the requested period is
+    infeasible (without [period] the base constraint system is always
+    satisfiable, so the result is always [Some]).
+
+    The labels are latch-minimal without [period], and with one on a
+    graph of at most 4,000 vertices whose packed [W]/[D] Dijkstra keys fit
+    an int, which holds unless (latch total + 1) × (delay total + 1)
+    exceeds about [max_int / 2^(⌈log2 n⌉ + 2)].  Any other graph skips the
+    quadratic [W]/[D] constraint generation and takes the FEAS-repair
+    mode: the unconstrained optimum is repaired with FEAS iterations,
+    which meets the period but may keep more latches than the minimum.
 
     [pool] parallelizes the per-source W/D Dijkstras of the constraint
-    generation.  [reference] (default false) routes the whole solve
-    through the retained original implementations — unpruned constraint
-    generation, the pre-scaling flow core, naive FEAS repair — for
-    differential testing; both engines reach the same optimal latch
-    total, though tie-breaking between equal-cost labelings may differ. *)
+    generation. *)

@@ -145,7 +145,6 @@ let var_lit b v =
       b.n <- b.n + 1;
       l
 
-let var_count b = b.n
 let builder_vars b = Array.of_list (List.rev b.rev_vars)
 
 let problem b ~outs1 ~outs2 =

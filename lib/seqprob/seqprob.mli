@@ -120,8 +120,6 @@ val graph : builder -> Aig.t
 val var_lit : builder -> Var.t -> Aig.lit
 (** The AIG input literal for a variable, interning on first use. *)
 
-val var_count : builder -> int
-
 val builder_vars : builder -> Var.t array
 (** Snapshot of the interned variables in input-creation order (what
     {!problem} will freeze into [vars]). *)

@@ -190,7 +190,3 @@ let all_input_seqs c ~depth =
     List.concat_map (fun v -> List.map (fun s -> v :: s) shorter) vectors
   in
   seqs depth
-
-let random_input_seq st c ~cycles =
-  let ni = List.length (Circuit.inputs c) in
-  List.init cycles (fun _ -> Array.init ni (fun _ -> Random.State.bool st))

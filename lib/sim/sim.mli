@@ -49,6 +49,3 @@ val equivalent_exact :
 
 val all_input_seqs : Circuit.t -> depth:int -> bool array list list
 (** All input sequences of the given length (use only for tiny circuits). *)
-
-val random_input_seq :
-  Random.State.t -> Circuit.t -> cycles:int -> bool array list

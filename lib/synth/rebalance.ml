@@ -106,10 +106,8 @@ let balance g (sinks : Aig.lit list) =
   let mapped = List.map build_lit sinks in
   (g2, mapped)
 
-(* Regenerate a netlist from an AIG in the chosen style. *)
-type style = Nand_inv | And_not
-
-let emit_netlist style nc g2 source_signals lits =
+(* Regenerate a netlist of NAND/INV gates from an AIG. *)
+let emit_netlist nc g2 source_signals lits =
   (* source_signals.(i) is the netlist signal feeding input i of g2 *)
   let n = Aig.node_count g2 in
   let pos = Array.make n (-1) in
@@ -123,12 +121,9 @@ let emit_netlist style nc g2 source_signals lits =
         if Aig.is_input_node g2 n' then assert false
         else begin
           let f0, f1 = Aig.fanins g2 n' in
-          match style with
-          | Nand_inv ->
-              let nand = Circuit.add_gate nc Nand [ signal_neg_aware f0; signal_neg_aware f1 ] in
-              neg_sig.(n') <- nand;
-              Circuit.add_gate nc Not [ nand ]
-          | And_not -> Circuit.add_gate nc And [ signal_neg_aware f0; signal_neg_aware f1 ]
+          let nand = Circuit.add_gate nc Nand [ signal_neg_aware f0; signal_neg_aware f1 ] in
+          neg_sig.(n') <- nand;
+          Circuit.add_gate nc Not [ nand ]
         end
       in
       pos.(n') <- s;
@@ -159,7 +154,7 @@ let emit_netlist style nc g2 source_signals lits =
   in
   List.map lit_signal lits
 
-let optimize ?(rewrite = false) style c =
+let run ?(rewrite = false) c =
   Circuit.check c;
   let g, env, sources = build_aig c in
   (* sinks: primary outputs, latch data, latch enables *)
@@ -202,7 +197,7 @@ let optimize ?(rewrite = false) style c =
   let source_signals =
     Array.of_list (List.map (fun s -> Hashtbl.find new_of_src s) sources)
   in
-  let mapped_signals = emit_netlist style nc g2 source_signals mapped in
+  let mapped_signals = emit_netlist nc g2 source_signals mapped in
   let n_out = List.length (Circuit.outputs c) in
   let out_signals = List.filteri (fun i _ -> i < n_out) mapped_signals in
   let rest = List.filteri (fun i _ -> i >= n_out) mapped_signals in
@@ -231,6 +226,3 @@ let optimize ?(rewrite = false) style c =
   List.iter (Circuit.mark_output nc) out_signals;
   Circuit.check nc;
   nc
-
-let run ?rewrite c = optimize ?rewrite Nand_inv c
-let balance_only c = optimize And_not c

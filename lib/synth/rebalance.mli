@@ -11,7 +11,3 @@
 val run : ?rewrite:bool -> Circuit.t -> Circuit.t
 (** With [~rewrite:true] (default false) the AIG is first restructured by
     {!Aig_rewrite.rewrite}. *)
-
-val balance_only : Circuit.t -> Circuit.t
-(** Same pipeline but mapped back through generic 2-input AND/NOT gates
-    (useful to inspect the balancing in isolation). *)

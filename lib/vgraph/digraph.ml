@@ -43,14 +43,8 @@ let add_edge g ?(weight = 0) u v =
 
 let edge g id = Vec.get g.edges id
 
-let set_weight g id w =
-  let e = Vec.get g.edges id in
-  Vec.set g.edges id { e with weight = w }
-
 let succ g u = Vec.get g.succs u
 let pred g v = Vec.get g.preds v
-let out_degree g u = List.length (succ g u)
-let in_degree g v = List.length (pred g v)
 
 let iter_edges f g = Vec.iteri (fun id e -> f id e) g.edges
 
@@ -61,12 +55,6 @@ let has_self_loop g u = List.exists (fun id -> (edge g id).dst = u) (succ g u)
 
 let copy g =
   { edges = Vec.copy g.edges; succs = Vec.copy g.succs; preds = Vec.copy g.preds }
-
-let transpose g =
-  let t = create () in
-  add_nodes t (node_count g);
-  iter_edges (fun _ e -> ignore (add_edge t ~weight:e.weight e.dst e.src)) g;
-  t
 
 let induced g ~keep =
   let t = create () in

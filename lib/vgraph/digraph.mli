@@ -26,18 +26,11 @@ val add_edge : t -> ?weight:int -> int -> int -> int
 
 val edge : t -> int -> edge
 
-val set_weight : t -> int -> int -> unit
-(** [set_weight g e w] updates the weight of edge [e]. *)
-
 val succ : t -> int -> int list
 (** Outgoing edge ids of a node. *)
 
 val pred : t -> int -> int list
 (** Incoming edge ids of a node. *)
-
-val out_degree : t -> int -> int
-
-val in_degree : t -> int -> int
 
 val iter_edges : (int -> edge -> unit) -> t -> unit
 
@@ -50,8 +43,6 @@ val iter_pred : t -> int -> (int -> edge -> unit) -> unit
 val has_self_loop : t -> int -> bool
 
 val copy : t -> t
-
-val transpose : t -> t
 
 val induced : t -> keep:(int -> bool) -> t
 (** Subgraph on the nodes satisfying [keep] (node ids preserved; dropped

@@ -1,7 +1,7 @@
 (** Monomorphic int min-heap.
 
     A binary heap over plain [int] keys backed by a bare [int array] — no
-    boxing, no comparator closure — for the hot loops of {!Dijkstra}-style
+    boxing, no comparator closure — for the hot loops of Dijkstra-style
     searches where entries are (priority, payload) pairs packed into one
     integer.  The heap is reusable: {!clear} keeps the backing storage, so
     a search run thousands of times (one per augmenting path, one per

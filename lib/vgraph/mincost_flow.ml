@@ -2,9 +2,9 @@ type arc = { src : int; dst : int; capacity : int; cost : int }
 
 type result = { flow : int array; potentials : int array; total_cost : int }
 
-(* Both solvers share the paired-arc residual encoding: arc [2i] is forward
-   arc [i], arc [2i+1] its reverse; [head.(a)], [tail.(a)], [res.(a)]
-   (residual capacity), [cost_.(a)]. *)
+(* Paired-arc residual encoding: arc [2i] is forward arc [i], arc [2i+1]
+   its reverse; [head.(a)], [tail.(a)], [res.(a)] (residual capacity),
+   [cost_.(a)]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Scaling successive-shortest-paths core.                             *)
@@ -258,137 +258,5 @@ let solve ?init_potentials ~nodes ~arcs supply =
         flow.(i) <- f;
         total := !total + (f * a.cost))
       arcs_a;
-    Some { flow; potentials = pi; total_cost = !total }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Reference solver: the original list-adjacency successive-shortest-  *)
-(* paths implementation, retained verbatim for differential tests.     *)
-(* Note its Bellman–Ford init silently proceeds with stale             *)
-(* potentials on a negative-cost cycle — the fast core rejects         *)
-(* that input instead.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let solve_reference ~nodes ~arcs supply =
-  let m = List.length arcs in
-  if Array.length supply <> nodes then invalid_arg "Mincost_flow.solve: supply size";
-  if Array.fold_left ( + ) 0 supply <> 0 then
-    invalid_arg "Mincost_flow.solve: supplies must sum to zero";
-  let head = Array.make (2 * m) 0 in
-  let tail = Array.make (2 * m) 0 in
-  let res = Array.make (2 * m) 0 in
-  let cost_ = Array.make (2 * m) 0 in
-  let adj = Array.make nodes [] in
-  List.iteri
-    (fun i a ->
-      if a.capacity < 0 then invalid_arg "Mincost_flow.solve: negative capacity";
-      let f = 2 * i and b = (2 * i) + 1 in
-      head.(f) <- a.dst;
-      tail.(f) <- a.src;
-      res.(f) <- a.capacity;
-      cost_.(f) <- a.cost;
-      head.(b) <- a.src;
-      tail.(b) <- a.dst;
-      res.(b) <- 0;
-      cost_.(b) <- -a.cost;
-      adj.(a.src) <- f :: adj.(a.src);
-      adj.(a.dst) <- b :: adj.(a.dst))
-    arcs;
-  let excess = Array.copy supply in
-  let pi = Array.make nodes 0 in
-  let dist = Array.make nodes 0 in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds < nodes do
-    changed := false;
-    incr rounds;
-    for a = 0 to (2 * m) - 1 do
-      if res.(a) > 0 && dist.(tail.(a)) + cost_.(a) < dist.(head.(a)) then begin
-        dist.(head.(a)) <- dist.(tail.(a)) + cost_.(a);
-        changed := true
-      end
-    done
-  done;
-  Array.blit dist 0 pi 0 nodes;
-  let infeasible = ref false in
-  let total_excess () =
-    let t = ref 0 in
-    Array.iter (fun e -> if e > 0 then t := !t + e) excess;
-    !t
-  in
-  let parent_arc = Array.make nodes (-1) in
-  while (not !infeasible) && total_excess () > 0 do
-    let d = Array.make nodes max_int in
-    Array.fill parent_arc 0 nodes (-1);
-    let heap =
-      Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~dummy:(0, -1) ()
-    in
-    for v = 0 to nodes - 1 do
-      if excess.(v) > 0 then begin
-        d.(v) <- 0;
-        Heap.add heap (0, v)
-      end
-    done;
-    while not (Heap.is_empty heap) do
-      let dv, v = Heap.pop_min heap in
-      if dv = d.(v) then
-        List.iter
-          (fun a ->
-            if res.(a) > 0 then begin
-              let w = head.(a) in
-              let rc = cost_.(a) + pi.(v) - pi.(w) in
-              assert (rc >= 0);
-              let nd = dv + rc in
-              if nd < d.(w) then begin
-                d.(w) <- nd;
-                parent_arc.(w) <- a;
-                Heap.add heap (nd, w)
-              end
-            end)
-          adj.(v)
-    done;
-    let sink = ref (-1) in
-    for v = 0 to nodes - 1 do
-      if excess.(v) < 0 && d.(v) < max_int && (!sink = -1 || d.(v) < d.(!sink)) then
-        sink := v
-    done;
-    if !sink = -1 then infeasible := true
-    else begin
-      let cap = d.(!sink) in
-      for v = 0 to nodes - 1 do
-        pi.(v) <- pi.(v) + min d.(v) cap
-      done;
-      let rec bottleneck v acc =
-        let a = parent_arc.(v) in
-        if a = -1 then acc else bottleneck tail.(a) (min acc res.(a))
-      in
-      let s = !sink in
-      let rec path_src v = if parent_arc.(v) = -1 then v else path_src tail.(parent_arc.(v)) in
-      let src = path_src s in
-      let amount = min (min excess.(src) (- excess.(s))) (bottleneck s max_int) in
-      assert (amount > 0);
-      let rec push v =
-        let a = parent_arc.(v) in
-        if a <> -1 then begin
-          res.(a) <- res.(a) - amount;
-          res.(a lxor 1) <- res.(a lxor 1) + amount;
-          push tail.(a)
-        end
-      in
-      push s;
-      excess.(src) <- excess.(src) - amount;
-      excess.(s) <- excess.(s) + amount
-    end
-  done;
-  if !infeasible then None
-  else begin
-    let flow = Array.make m 0 in
-    let total = ref 0 in
-    List.iteri
-      (fun i a ->
-        let f = res.((2 * i) + 1) in
-        flow.(i) <- f;
-        total := !total + (f * a.cost))
-      arcs;
     Some { flow; potentials = pi; total_cost = !total }
   end

@@ -33,11 +33,4 @@ val solve :
     @raise Invalid_argument on malformed input: sizes, negative capacities,
     supplies not summing to zero, potentials that are not reduced-cost
     feasible, or a negative-cost cycle of positive-capacity arcs (whose
-    min-cost circulation would be unbounded below; the former implementation
-    silently proceeded with stale potentials). *)
-
-val solve_reference : nodes:int -> arcs:arc list -> int array -> result option
-(** The original (pre-scaling, list-adjacency) successive-shortest-paths
-    solver, retained as a differential-testing reference.
-    Same contract as {!solve} except negative-cost cycles are not
-    detected. *)
+    min-cost circulation would be unbounded below). *)

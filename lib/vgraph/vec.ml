@@ -79,8 +79,6 @@ let of_list ~dummy xs =
   List.iter (fun x -> ignore (push v x)) xs;
   v
 
-let map_to_list f v = List.map f (to_list v)
-
 let exists p v =
   let rec loop i = i < v.len && (p (Array.unsafe_get v.data i) || loop (i + 1)) in
   loop 0

@@ -45,8 +45,6 @@ val to_list : 'a t -> 'a list
 
 val of_list : dummy:'a -> 'a list -> 'a t
 
-val map_to_list : ('a -> 'b) -> 'a t -> 'b list
-
 val exists : ('a -> bool) -> 'a t -> bool
 
 val copy : 'a t -> 'a t

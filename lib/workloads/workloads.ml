@@ -631,7 +631,7 @@ let table2_suite () =
     table2_params
 
 (* (name, width, stages, seed); the first is small enough for the
-   fast-vs-reference differential *)
+   differential against the test oracles *)
 let retime_params =
   [
     ("deep_w4x64", 4, 64, 11);

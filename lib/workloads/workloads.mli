@@ -69,8 +69,8 @@ val table2_suite : unit -> (string * Circuit.t) list
 (** ex1..ex12 of Table 2 (published latch and exposure counts). *)
 
 val retime_suite : unit -> (string * Circuit.t) list
-(** Deep-datapath instances for the retiming tier (fast vs reference
-    engines in the retiming tests): from a small differential-checkable
+(** Deep-datapath instances for the retiming tier (shipped engines vs
+    the test oracles in the retiming tests): from a small differential-checkable
     instance (256 latches) up to thousands of latches, all within the exact
     min-area vertex bound. *)
 

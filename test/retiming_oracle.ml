@@ -1,0 +1,304 @@
+(* Reference retiming engines, kept as test oracles for {!Feas},
+   {!Minarea} and {!Vgraph.Mincost_flow}: the original cold-start FEAS,
+   the unpruned W/D-matrix constraints (one boxed lexicographic Dijkstra
+   per source), and the list-adjacency successive-shortest-paths flow.
+   The shipped engines must reach the same periods, the same minimal
+   labelings and the same optimal latch totals. *)
+
+open Vgraph
+
+(* ---- FEAS ---- *)
+
+(* Rebuilds the zero-weight subgraph and re-sorts it on every FEAS round,
+   and cold-starts every period probed by the binary search. *)
+module Naive_feas = struct
+  let zero_weight_topo (g : Rgraph.t) ~r =
+    (* subgraph of register-free edges *)
+    let sub = Digraph.create () in
+    Digraph.add_nodes sub (Digraph.node_count g.graph);
+    Digraph.iter_edges
+      (fun _ e ->
+        let w = e.weight + r.(e.dst) - r.(e.src) in
+        assert (w >= 0);
+        if w = 0 then ignore (Digraph.add_edge sub e.src e.dst))
+      g.graph;
+    (sub, Topo.sort_exn sub)
+
+  let arrival g ~r =
+    let sub, order = zero_weight_topo g ~r in
+    let n = Digraph.node_count sub in
+    let delta = Array.make n 0 in
+    List.iter
+      (fun v ->
+        let best = ref 0 in
+        Digraph.iter_pred sub v (fun _ e -> best := max !best delta.(e.src));
+        delta.(v) <- !best + g.delay.(v))
+      order;
+    delta
+
+  let period_of g ~r = Array.fold_left max 0 (arrival g ~r)
+
+  let feasible ?init g ~period =
+    let n = Digraph.node_count g.Rgraph.graph in
+    let r = match init with Some r -> Array.copy r | None -> Array.make n 0 in
+    assert (Rgraph.is_legal g ~r:(Rgraph.normalize g ~r));
+    (* FEAS: repeatedly advance every too-late gate by one register.  The host
+       vertices are pinned; if an increment would make an I/O edge negative
+       the period is unachievable (a register cannot move past the
+       environment), which surfaces as an illegal intermediate labeling. *)
+    let ok = ref false in
+    let legal = ref true in
+    let i = ref 0 in
+    while !legal && (not !ok) && !i <= n do
+      let delta = arrival g ~r in
+      let violated = ref false in
+      for v = 2 to n - 1 do
+        if delta.(v) > period then begin
+          violated := true;
+          r.(v) <- r.(v) + 1
+        end
+      done;
+      if not !violated then ok := true
+      else if not (Rgraph.is_legal g ~r) then legal := false;
+      incr i
+    done;
+    if !ok then Some (Rgraph.normalize g ~r) else None
+
+  let min_period g =
+    let n = Digraph.node_count g.Rgraph.graph in
+    let r0 = Array.make n 0 in
+    let hi0 = period_of g ~r:r0 in
+    let lo0 = Array.fold_left max 0 g.delay in
+    let rec search lo hi best =
+      if lo >= hi then best
+      else
+        let mid = (lo + hi) / 2 in
+        match feasible g ~period:mid with
+        | Some r -> search lo mid (mid, r)
+        | None -> search (mid + 1) hi best
+    in
+    search lo0 hi0 (hi0, r0)
+end
+
+(* ---- W/D matrices ---- *)
+
+(* Lexicographic shortest paths: minimum primary weight and, among paths
+   of equal weight, maximum sum of [tie e] — the (W(u,v), D(u,v)) pair of
+   Leiserson–Saxe retiming with the latch count as weight and gate delay
+   as tie-breaker.  Heap entries are ordered by (w, -d); a node is settled
+   the first time it is popped with its current best label.  Unreachable
+   entries are (max_int, 0). *)
+let lexicographic g ~src ~tie =
+  let n = Digraph.node_count g in
+  let w = Array.make n max_int in
+  let d = Array.make n 0 in
+  let cmp (w1, nd1, _) (w2, nd2, _) =
+    if w1 <> w2 then compare w1 w2 else compare nd1 nd2
+  in
+  let heap = Heap.create ~cmp ~dummy:(0, 0, -1) () in
+  w.(src) <- 0;
+  d.(src) <- 0;
+  Heap.add heap (0, 0, src);
+  while not (Heap.is_empty heap) do
+    let wv, ndv, v = Heap.pop_min heap in
+    if wv = w.(v) && ndv = -d.(v) then
+      Digraph.iter_succ g v (fun _ e ->
+          assert (e.weight >= 0);
+          let w' = wv + e.weight in
+          let d' = d.(v) + tie e in
+          let better =
+            w' < w.(e.dst) || (w' = w.(e.dst) && d' > d.(e.dst))
+          in
+          if better then begin
+            w.(e.dst) <- w';
+            d.(e.dst) <- d';
+            Heap.add heap (w', -d', e.dst)
+          end)
+  done;
+  (w, d)
+
+(* Every violating pair: r(u) − r(v) ≤ W(u,v) − 1 whenever D(u,v) > period. *)
+let period_constraints (g : Rgraph.t) ~period =
+  let n = Digraph.node_count g.graph in
+  let acc = ref [] in
+  for u = 0 to n - 1 do
+    let w, d = lexicographic g.graph ~src:u ~tie:(fun e -> g.delay.(e.dst)) in
+    for v = 0 to n - 1 do
+      if w.(v) < max_int then begin
+        let duv = d.(v) + g.delay.(u) in
+        if duv > period && u <> v then acc := (u, v, w.(v) - 1) :: !acc
+      end
+    done
+  done;
+  !acc
+
+(* ---- min-cost flow ---- *)
+
+(* Plain successive shortest paths over list adjacency.  Its Bellman–Ford
+   init silently proceeds with stale potentials on a negative-cost cycle,
+   where the shipped solver raises. *)
+let flow_reference ~nodes ~(arcs : Mincost_flow.arc list) supply =
+  let m = List.length arcs in
+  if Array.length supply <> nodes then invalid_arg "flow_reference: supply size";
+  if Array.fold_left ( + ) 0 supply <> 0 then
+    invalid_arg "flow_reference: supplies must sum to zero";
+  let head = Array.make (2 * m) 0 in
+  let tail = Array.make (2 * m) 0 in
+  let res = Array.make (2 * m) 0 in
+  let cost_ = Array.make (2 * m) 0 in
+  let adj = Array.make nodes [] in
+  List.iteri
+    (fun i (a : Mincost_flow.arc) ->
+      if a.capacity < 0 then invalid_arg "flow_reference: negative capacity";
+      let f = 2 * i and b = (2 * i) + 1 in
+      head.(f) <- a.dst;
+      tail.(f) <- a.src;
+      res.(f) <- a.capacity;
+      cost_.(f) <- a.cost;
+      head.(b) <- a.src;
+      tail.(b) <- a.dst;
+      res.(b) <- 0;
+      cost_.(b) <- -a.cost;
+      adj.(a.src) <- f :: adj.(a.src);
+      adj.(a.dst) <- b :: adj.(a.dst))
+    arcs;
+  let excess = Array.copy supply in
+  let pi = Array.make nodes 0 in
+  let dist = Array.make nodes 0 in
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds < nodes do
+    changed := false;
+    incr rounds;
+    for a = 0 to (2 * m) - 1 do
+      if res.(a) > 0 && dist.(tail.(a)) + cost_.(a) < dist.(head.(a)) then begin
+        dist.(head.(a)) <- dist.(tail.(a)) + cost_.(a);
+        changed := true
+      end
+    done
+  done;
+  Array.blit dist 0 pi 0 nodes;
+  let infeasible = ref false in
+  let total_excess () =
+    let t = ref 0 in
+    Array.iter (fun e -> if e > 0 then t := !t + e) excess;
+    !t
+  in
+  let parent_arc = Array.make nodes (-1) in
+  while (not !infeasible) && total_excess () > 0 do
+    let d = Array.make nodes max_int in
+    Array.fill parent_arc 0 nodes (-1);
+    let heap =
+      Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) ~dummy:(0, -1) ()
+    in
+    for v = 0 to nodes - 1 do
+      if excess.(v) > 0 then begin
+        d.(v) <- 0;
+        Heap.add heap (0, v)
+      end
+    done;
+    while not (Heap.is_empty heap) do
+      let dv, v = Heap.pop_min heap in
+      if dv = d.(v) then
+        List.iter
+          (fun a ->
+            if res.(a) > 0 then begin
+              let w = head.(a) in
+              let rc = cost_.(a) + pi.(v) - pi.(w) in
+              assert (rc >= 0);
+              let nd = dv + rc in
+              if nd < d.(w) then begin
+                d.(w) <- nd;
+                parent_arc.(w) <- a;
+                Heap.add heap (nd, w)
+              end
+            end)
+          adj.(v)
+    done;
+    let sink = ref (-1) in
+    for v = 0 to nodes - 1 do
+      if excess.(v) < 0 && d.(v) < max_int && (!sink = -1 || d.(v) < d.(!sink)) then
+        sink := v
+    done;
+    if !sink = -1 then infeasible := true
+    else begin
+      let cap = d.(!sink) in
+      for v = 0 to nodes - 1 do
+        pi.(v) <- pi.(v) + min d.(v) cap
+      done;
+      let rec bottleneck v acc =
+        let a = parent_arc.(v) in
+        if a = -1 then acc else bottleneck tail.(a) (min acc res.(a))
+      in
+      let s = !sink in
+      let rec path_src v = if parent_arc.(v) = -1 then v else path_src tail.(parent_arc.(v)) in
+      let src = path_src s in
+      let amount = min (min excess.(src) (- excess.(s))) (bottleneck s max_int) in
+      assert (amount > 0);
+      let rec push v =
+        let a = parent_arc.(v) in
+        if a <> -1 then begin
+          res.(a) <- res.(a) - amount;
+          res.(a lxor 1) <- res.(a lxor 1) + amount;
+          push tail.(a)
+        end
+      in
+      push s;
+      excess.(src) <- excess.(src) - amount;
+      excess.(s) <- excess.(s) + amount
+    end
+  done;
+  if !infeasible then None
+  else begin
+    let flow = Array.make m 0 in
+    let total = ref 0 in
+    List.iteri
+      (fun i (a : Mincost_flow.arc) ->
+        let f = res.((2 * i) + 1) in
+        flow.(i) <- f;
+        total := !total + (f * a.cost))
+      arcs;
+    Some { Mincost_flow.flow; potentials = pi; total_cost = !total }
+  end
+
+(* ---- min-area retiming ---- *)
+
+(* The latch-minimal retiming at [period], from the parts above: every
+   violating W/D pair plus the edge constraints, a Bellman–Ford
+   feasibility pass, and the reference flow on the dual.  Unlike
+   {!Minarea.solve} it has no vertex cap and no FEAS-repair mode. *)
+let minarea (g : Rgraph.t) ~period =
+  let n = Digraph.node_count g.graph in
+  (* the two host vertices must retime identically *)
+  let edge_constraints =
+    ref [ (Rgraph.host, Rgraph.host_sink, 0); (Rgraph.host_sink, Rgraph.host, 0) ]
+  in
+  Digraph.iter_edges
+    (fun _ e -> edge_constraints := (e.src, e.dst, e.weight) :: !edge_constraints)
+    g.graph;
+  let constraints = period_constraints g ~period @ !edge_constraints in
+  let cg = Digraph.create () in
+  Digraph.add_nodes cg n;
+  List.iter (fun (u, v, b) -> ignore (Digraph.add_edge cg ~weight:b v u)) constraints;
+  match Bellman_ford.feasible_potentials cg with
+  | None -> None
+  | Some _ -> (
+      (* objective a(v) = indeg(v) − outdeg(v); node v supplies −a(v) *)
+      let a = Array.make n 0 in
+      Digraph.iter_edges
+        (fun _ e ->
+          a.(e.dst) <- a.(e.dst) + 1;
+          a.(e.src) <- a.(e.src) - 1)
+        g.graph;
+      let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
+      let arcs =
+        List.map
+          (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
+          constraints
+      in
+      match flow_reference ~nodes:n ~arcs (Array.map (fun x -> -x) a) with
+      | None -> None
+      | Some { potentials; _ } ->
+          let r = Rgraph.normalize g ~r:(Array.map (fun p -> -p) potentials) in
+          if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then Some r
+          else None)

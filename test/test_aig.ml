@@ -78,7 +78,7 @@ let test_cnf_equisatisfiable () =
       pool := Aig.and_ g l1 l2 :: !pool
     done;
     let root = List.hd !pool in
-    let m = Aig.to_cnf g ~roots:[ root ] in
+    let m = Cnf_oracle.to_cnf g ~roots:[ root ] in
     for mask = 0 to (1 lsl n_in) - 1 do
       let env = Array.init n_in (fun i -> mask land (1 lsl i) <> 0) in
       let expected = Aig.eval g env root in
@@ -86,16 +86,16 @@ let test_cnf_equisatisfiable () =
       let assumptions = ref [] in
       List.iteri
         (fun i l ->
-          match Aig.cnf_lit m l with
+          match Cnf_oracle.cnf_lit m l with
           | v -> assumptions := (if env.(i) then v else -v) :: !assumptions
           | exception Invalid_argument _ -> () (* input not in cone *))
         ins;
-      let rl = Aig.cnf_lit m root in
+      let rl = Cnf_oracle.cnf_lit m root in
       let sat_true =
-        Sat.solve ~assumptions:(rl :: !assumptions) m.Aig.solver = Sat.Sat
+        Sat.solve ~assumptions:(rl :: !assumptions) m.Cnf_oracle.solver = Sat.Sat
       in
       let sat_false =
-        Sat.solve ~assumptions:(-rl :: !assumptions) m.Aig.solver = Sat.Sat
+        Sat.solve ~assumptions:(-rl :: !assumptions) m.Cnf_oracle.solver = Sat.Sat
       in
       Alcotest.(check bool) "cnf agrees (true)" expected sat_true;
       Alcotest.(check bool) "cnf agrees (false)" (not expected) sat_false

@@ -1,10 +1,27 @@
 (* Events and EDBF: Figs. 4, 5, 10, 11 of the paper, the rule-(5) rewrite,
-   and soundness of the conservative check on synthesized circuits. *)
+   and soundness of the conservative check on synthesized circuits, all on
+   the shipped route; then a differential against the netlist oracle. *)
 
 let st = Random.State.make [| 0xEDB |]
 
-(* verdict of the combinational check of two circuits *)
-let cec c1 c2 = fst (Cec.check_problem_with_stats (Cec.of_circuits c1 c2))
+let get_ok = function
+  | Ok x -> x
+  | Error d ->
+      Alcotest.failf "unexpected diagnosis: %s" (Seqprob.diagnosis_to_string d)
+
+(* The shipped route, as {!Verify.check} runs it: both circuits unrolled
+   into one builder over one shared event table, then one combinational
+   check.  Returns the verdict and each side's unrolling info. *)
+let edbf_check ?guard ~table c1 c2 =
+  let b = Seqprob.builder () in
+  let o1, i1 = get_ok (Edbf.unroll ?guard ~table b c1) in
+  let o2, i2 = get_ok (Edbf.unroll ?guard ~table b c2) in
+  let p = get_ok (Seqprob.problem b ~outs1:o1 ~outs2:o2) in
+  (fst (Cec.check_problem_with_stats p), i1, i2)
+
+let edbf_verdict ~table c1 c2 =
+  let v, _, _ = edbf_check ~table c1 c2 in
+  v
 
 let vcheck ?guard_events c1 c2 =
   match Verify.check ?guard_events c1 c2 with
@@ -21,10 +38,15 @@ let test_fig4 () =
   Circuit.mark_output c y;
   Circuit.check c;
   let table = Events.create () in
-  let u, info = Edbf.unroll_netlist ~table c in
+  let b = Seqprob.builder () in
+  let outs, info = get_ok (Edbf.unroll ~table b c) in
   Alcotest.(check int) "one variable" 1 info.Edbf.variables;
   Alcotest.(check int) "two events (empty + [e])" 2 info.Edbf.events;
-  Alcotest.(check int) "no latches" 0 (Circuit.latch_count u)
+  (* y is x sampled at the instant of the event [e] *)
+  let ev = Events.push table ~pred:(Events.pred_var table ~source:"e" ~shift:0) Events.empty in
+  Alcotest.(check (list int)) "y = x(η[e])"
+    [ Seqprob.var_lit b (Seqprob.Var.at "x" ~shift:0 ~event:ev) ]
+    outs
 
 (* Fig. 5: z = u(η[e1,e2]) AND v(η[e3]): a two-latch chain and a parallel
    single latch. *)
@@ -42,8 +64,7 @@ let test_fig5 () =
   Circuit.mark_output c z;
   Circuit.check c;
   let table = Events.create () in
-  let u, info = Edbf.unroll_netlist ~table c in
-  ignore u;
+  let _, info = get_ok (Edbf.unroll ~table (Seqprob.builder ()) c) in
   (* variables: u@[e1,e2], v@[e3]; events: empty, [e2], [e1,e2], [e3] *)
   Alcotest.(check int) "two variables" 2 info.Edbf.variables;
   Alcotest.(check int) "four events" 4 info.Edbf.events
@@ -57,9 +78,7 @@ let test_shared_table_matches () =
     in
     let c2 = Gen.demorganize c in
     let table = Events.create () in
-    let u1, _ = Edbf.unroll_netlist ~table c in
-    let u2, _ = Edbf.unroll_netlist ~table c2 in
-    match cec u1 u2 with
+    match edbf_verdict ~table c c2 with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "rewritten circuit got different EDBF"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -74,9 +93,7 @@ let test_synthesis_preserves_edbf () =
     in
     let o = Synth_script.delay_script c in
     let table = Events.create () in
-    let u1, _ = Edbf.unroll_netlist ~table c in
-    let u2, _ = Edbf.unroll_netlist ~table o in
-    match cec u1 u2 with
+    match edbf_verdict ~table c o with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "synthesis changed the EDBF"
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -91,9 +108,7 @@ let test_edbf_finds_bugs () =
     in
     let bugged = Gen.negate_one_output c in
     let table = Events.create () in
-    let u1, _ = Edbf.unroll_netlist ~table c in
-    let u2, _ = Edbf.unroll_netlist ~table bugged in
-    match cec u1 u2 with
+    match edbf_verdict ~table c bugged with
     | Cec.Equivalent -> Alcotest.fail "EDBF missed a seeded bug"
     | Cec.Inequivalent _ -> ()
     | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -126,18 +141,12 @@ let fig10_pair () =
 let test_fig10_rewrite () =
   let ca, cb = fig10_pair () in
   (* without rule (5): false negative *)
-  let t0 = Events.create ~rewrite:false () in
-  let u1, _ = Edbf.unroll_netlist ~table:t0 ca in
-  let u2, _ = Edbf.unroll_netlist ~table:t0 cb in
-  (match cec u1 u2 with
+  (match edbf_verdict ~table:(Events.create ~rewrite:false ()) ca cb with
   | Cec.Equivalent -> Alcotest.fail "expected false negative without rewrite"
   | Cec.Inequivalent _ -> ()
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r);
   (* with rule (5): the [a, ab] event collapses to [ab] and they match *)
-  let t1 = Events.create ~rewrite:true () in
-  let v1, _ = Edbf.unroll_netlist ~table:t1 ca in
-  let v2, _ = Edbf.unroll_netlist ~table:t1 cb in
-  match cec v1 v2 with
+  match edbf_verdict ~table:(Events.create ~rewrite:true ()) ca cb with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "rewrite rule failed to merge events"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -172,9 +181,7 @@ let test_fig11_equivalent_forms_merge () =
      paper's syntactic events here) *)
   let c1, c2 = fig11_pair () in
   let table = Events.create () in
-  let u1, _ = Edbf.unroll_netlist ~table c1 in
-  let u2, _ = Edbf.unroll_netlist ~table c2 in
-  match cec u1 u2 with
+  match edbf_verdict ~table c1 c2 with
   | Cec.Equivalent -> ()
   | Cec.Inequivalent _ -> Alcotest.fail "same-function data should match"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -203,9 +210,7 @@ let test_fig11_false_negative () =
   Circuit.mark_output c2 l2;
   Circuit.check c2;
   let table = Events.create () in
-  let u1, _ = Edbf.unroll_netlist ~table c1 in
-  let u2, _ = Edbf.unroll_netlist ~table c2 in
-  match cec u1 u2 with
+  match edbf_verdict ~table c1 c2 with
   | Cec.Equivalent -> Alcotest.fail "distinct data functions merged"
   | Cec.Inequivalent _ -> ()
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
@@ -259,12 +264,16 @@ let test_mixed_latches () =
   Circuit.mark_output c r2;
   Circuit.check c;
   let table = Events.create () in
-  let u, info = Edbf.unroll_netlist ~table c in
-  ignore u;
+  let b = Seqprob.builder () in
+  let outs, info = get_ok (Edbf.unroll ~table b c) in
   (* x is sampled one cycle before the event, which itself is evaluated one
      cycle in the past: depth covers both regular latches *)
   Alcotest.(check bool) "depth >= 1" true (info.Edbf.depth >= 1);
-  Alcotest.(check int) "single variable" 1 info.Edbf.variables
+  Alcotest.(check int) "single variable" 1 info.Edbf.variables;
+  let ev = Events.push table ~pred:(Events.pred_var table ~source:"e" ~shift:1) Events.empty in
+  Alcotest.(check (list int)) "r2 = x@1(η[e@1])"
+    [ Seqprob.var_lit b (Seqprob.Var.at "x" ~shift:1 ~event:ev) ]
+    outs
 
 let suite =
   [
@@ -383,3 +392,105 @@ let test_event_decompose () =
   Alcotest.(check (pair string int)) "var_source b" ("b", 1) (Events.var_source t 1)
 
 let suite = suite @ [ Alcotest.test_case "event decompose/var_source" `Quick test_event_decompose ]
+
+(* ---- the netlist oracle ---- *)
+
+let verdict_class = function
+  | Cec.Equivalent -> "EQ"
+  | Cec.Inequivalent _ -> "NEQ"
+  | Cec.Undecided r -> "UNDECIDED: " ^ r
+
+(* Verdict of the shipped unrolling of [c] against the oracle's netlist
+   of [c], both over one table: the netlist input "source@d@event" is the
+   variable [Var.at source ~shift:d ~event]. *)
+let shipped_vs_oracle ?guard ~rewrite c =
+  let table = Events.create ~rewrite () in
+  let b = Seqprob.builder () in
+  let shipped, _ = get_ok (Edbf.unroll ?guard ~table b c) in
+  let u, _ = Edbf_oracle.unroll_netlist ?guard ~table c in
+  let event_of = Hashtbl.create 16 in
+  for e = 0 to Events.count table - 1 do
+    Hashtbl.replace event_of (Events.to_string table e) e
+  done;
+  let source s =
+    let name = Circuit.signal_name u s in
+    let at = String.rindex name '@' in
+    let sh = String.rindex_from name (at - 1) '@' in
+    Seqprob.var_lit b
+      (Seqprob.Var.at (String.sub name 0 sh)
+         ~shift:(int_of_string (String.sub name (sh + 1) (at - sh - 1)))
+         ~event:(Hashtbl.find event_of (String.sub name (at + 1) (String.length name - at - 1))))
+  in
+  let env = Aig.of_circuit_comb (Seqprob.graph b) u ~source in
+  let oracle = List.map (fun o -> env.Aig.of_signal.(o)) (Circuit.outputs u) in
+  fst (Cec.check_problem_with_stats (get_ok (Seqprob.problem b ~outs1:shipped ~outs2:oracle)))
+
+(* Random circuit whose enabled latches sit behind regular ones, so their
+   enables are evaluated at shifts above 0, which {!Gen.acyclic} rarely
+   builds. *)
+let staged st ~name =
+  let c = Circuit.create name in
+  let pool = ref (List.init 3 (fun i -> Circuit.add_input c (Printf.sprintf "i%d" i))) in
+  let gates k =
+    for _ = 1 to k do
+      pool := Gen.random_gate st c !pool :: !pool
+    done
+  in
+  gates 6;
+  let enabled =
+    List.init 2 (fun _ ->
+        Circuit.add_latch c ~enable:(Gen.pick st !pool) ~data:(Gen.pick st !pool) ())
+  in
+  pool := enabled @ !pool;
+  gates 6;
+  List.iter
+    (fun l ->
+      let r = Circuit.add_latch c ~data:(Circuit.add_gate c Xor [ l; Gen.pick st !pool ]) () in
+      Circuit.mark_output c (Circuit.add_gate c Or [ r; Gen.pick st !pool ]))
+    enabled;
+  Circuit.check c;
+  c
+
+(* The shipped route and the netlist oracle must agree on every pair: the
+   same verdict and the same info on each side, and on each side the same
+   function.  Each random enabled-latch circuit is checked against its De
+   Morgan rewrite (rule (5) on and off), its synthesized version (guard
+   off and on), a seeded bug and an unrelated circuit. *)
+let test_oracle_differential () =
+  let st = Random.State.make [| 0xD1F |] in
+  let info_fields (i : Edbf.info) = [ i.depth; i.variables; i.events; i.replication ] in
+  let compare_routes what ?guard ~rewrite c1 c2 =
+    let shipped, s1, s2 = edbf_check ?guard ~table:(Events.create ~rewrite ()) c1 c2 in
+    let table = Events.create ~rewrite () in
+    let u1, o1 = Edbf_oracle.unroll_netlist ?guard ~table c1 in
+    let u2, o2 = Edbf_oracle.unroll_netlist ?guard ~table c2 in
+    let oracle = fst (Cec.check_problem_with_stats (Cec.of_circuits u1 u2)) in
+    Alcotest.(check string) (what ^ ": verdict") (verdict_class oracle)
+      (verdict_class shipped);
+    Alcotest.(check (list int)) (what ^ ": left info") (info_fields o1) (info_fields s1);
+    Alcotest.(check (list int)) (what ^ ": right info") (info_fields o2) (info_fields s2);
+    List.iter
+      (fun c ->
+        Alcotest.(check string) (what ^ ": same function") "EQ"
+          (verdict_class (shipped_vs_oracle ?guard ~rewrite c)))
+      [ c1; c2 ]
+  in
+  for i = 1 to 60 do
+    let gen name =
+      let name = Printf.sprintf "%s%d" name i in
+      if i mod 2 = 0 then staged st ~name
+      else Gen.acyclic st ~name ~inputs:3 ~gates:25 ~latches:4 ~outputs:2 ~enables:true
+    in
+    let c = gen "od" in
+    let rewritten = Gen.demorganize c in
+    let synthesized = Synth_script.delay_script c in
+    compare_routes "rewrite, rule (5)" ~rewrite:true c rewritten;
+    compare_routes "rewrite, no rule (5)" ~rewrite:false c rewritten;
+    compare_routes "synthesis" ~rewrite:true c synthesized;
+    compare_routes "synthesis, guarded" ~guard:true ~rewrite:true c synthesized;
+    compare_routes "seeded bug" ~rewrite:true c (Gen.negate_one_output c);
+    compare_routes "unrelated" ~rewrite:true c (gen "ou")
+  done
+
+let suite =
+  suite @ [ Alcotest.test_case "shipped route = netlist oracle" `Quick test_oracle_differential ]

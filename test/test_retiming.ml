@@ -214,7 +214,9 @@ let test_pipeline_balances () =
     (rep.Retime.period_after < rep.Retime.period_before);
   flush_compare c rt ~cycles:40 ~skip:20
 
-(* ---- fast engines vs retained references ---- *)
+(* ---- shipped engines vs the test oracles ---- *)
+
+module Naive = Retiming_oracle.Naive_feas
 
 let random_rgraph i =
   let c = if i mod 2 = 0 then random_acyclic i else random_feedback i in
@@ -228,7 +230,7 @@ let test_feas_fast_vs_naive () =
   for i = 1 to 30 do
     let g = random_rgraph (300 + i) in
     let p_fast, r_fast = Feas.min_period g in
-    let p_naive, r_naive = Feas.Naive.min_period g in
+    let p_naive, r_naive = Naive.min_period g in
     Alcotest.(check int) "periods agree" p_naive p_fast;
     Alcotest.check labels "labels agree" (Array.to_list r_naive)
       (Array.to_list r_fast);
@@ -241,7 +243,7 @@ let test_feas_fast_vs_naive_pooled () =
   for i = 1 to 12 do
     let g = random_rgraph (400 + i) in
     let p_fast, r_fast = Feas.min_period ~pool g in
-    let p_naive, r_naive = Feas.Naive.min_period g in
+    let p_naive, r_naive = Naive.min_period g in
     Alcotest.(check int) "periods agree (pool)" p_naive p_fast;
     Alcotest.check labels "labels agree (pool)" (Array.to_list r_naive)
       (Array.to_list r_fast)
@@ -251,11 +253,11 @@ let test_feas_feasible_differential () =
   (* same verdict and same labeling at every period, warm and cold *)
   for i = 1 to 20 do
     let g = random_rgraph (500 + i) in
-    let p_min, r_min = Feas.Naive.min_period g in
+    let p_min, r_min = Naive.min_period g in
     List.iter
       (fun period ->
         let fast = Feas.feasible g ~period in
-        let naive = Feas.Naive.feasible g ~period in
+        let naive = Naive.feasible g ~period in
         (match (fast, naive) with
         | Some rf, Some rn ->
             Alcotest.check labels "feasible labels agree" (Array.to_list rn)
@@ -264,7 +266,7 @@ let test_feas_feasible_differential () =
         | _ -> Alcotest.fail "feasibility verdicts differ");
         (* warm start from the min-period labeling (legal by construction) *)
         match
-          (Feas.feasible ~init:r_min g ~period, Feas.Naive.feasible ~init:r_min g ~period)
+          (Feas.feasible ~init:r_min g ~period, Naive.feasible ~init:r_min g ~period)
         with
         | Some rf, Some rn ->
             Alcotest.check labels "warm labels agree" (Array.to_list rn)
@@ -277,11 +279,11 @@ let test_feas_feasible_differential () =
 let test_feas_arrival_differential () =
   for i = 1 to 20 do
     let g = random_rgraph (600 + i) in
-    let _, r = Feas.Naive.min_period g in
+    let _, r = Naive.min_period g in
     Alcotest.check labels "arrival agrees"
-      (Array.to_list (Feas.Naive.arrival g ~r))
+      (Array.to_list (Naive.arrival g ~r))
       (Array.to_list (Feas.arrival g ~r));
-    Alcotest.(check int) "period_of agrees" (Feas.Naive.period_of g ~r)
+    Alcotest.(check int) "period_of agrees" (Naive.period_of g ~r)
       (Feas.period_of g ~r)
   done
 
@@ -290,11 +292,11 @@ let test_minarea_fast_vs_reference () =
      differ between equal-cost optima) and agree on infeasibility *)
   for i = 1 to 15 do
     let g = random_rgraph (700 + i) in
-    let p_min, _ = Feas.Naive.min_period g in
+    let p_min, _ = Naive.min_period g in
     List.iter
       (fun period ->
         match
-          (Minarea.solve ~period g, Minarea.solve ~period ~reference:true g)
+          (Minarea.solve ~period g, Retiming_oracle.minarea g ~period)
         with
         | Some rf, Some rr ->
             Alcotest.(check bool) "fast legal" true (Rgraph.is_legal g ~r:rf);
@@ -332,9 +334,9 @@ let test_retime_suite_fast_vs_reference () =
       Alcotest.(check bool) (name ^ ": meets period") true
         (Feas.period_of g ~r <= period);
       if Rgraph.vertex_count g <= 1000 then begin
-        let p_ref, _ = Feas.Naive.min_period g in
+        let p_ref, _ = Naive.min_period g in
         Alcotest.(check int) (name ^ ": same period") p_ref period;
-        match Minarea.solve ~period:p_ref ~reference:true g with
+        match Retiming_oracle.minarea g ~period:p_ref with
         | Some rr ->
             Alcotest.(check int) (name ^ ": same latch count")
               (Rgraph.total_latches_after g ~r:rr)
@@ -344,6 +346,53 @@ let test_retime_suite_fast_vs_reference () =
     (List.filter
        (fun (_, c) -> Circuit.latch_count c <= 800)
        (Workloads.retime_suite ()))
+
+(* Graphs outside exact W/D mode take the FEAS-repair mode: one past the
+   4,000-vertex cap, and a small one with an edge weight just past the
+   bound under which the W/D Dijkstra keys pack into an int.  Neither may
+   build W/D constraints; each must meet its minimum period and reject
+   period 0. *)
+let test_minarea_feas_repair () =
+  let deep =
+    Rgraph.build (Workloads.deep_datapath ~name:"deep" ~width:8 ~stages:330 ~seed:1)
+  in
+  Alcotest.(check int) "deep graph past the exact cap" 4282 (Rgraph.vertex_count deep);
+  let heavy =
+    let g =
+      Rgraph.build
+        (Workloads.pipeline ~name:"heavy" ~width:6 ~stages:4 ~imbalance:5 ~seed:3)
+    in
+    let n = Rgraph.vertex_count g in
+    let bits = ref 1 in
+    while 1 lsl !bits < n do incr bits done;
+    let db = 1 + Array.fold_left ( + ) 0 g.delay in
+    let graph = Vgraph.Digraph.create () in
+    Vgraph.Digraph.add_nodes graph n;
+    Vgraph.Digraph.iter_edges
+      (fun i e ->
+        let weight = if i = 0 then max_int asr (!bits + 2) / db else e.weight in
+        ignore (Vgraph.Digraph.add_edge graph ~weight e.src e.dst))
+      g.graph;
+    { g with graph }
+  in
+  List.iter
+    (fun (name, g) ->
+      let p, _ = Feas.min_period g in
+      let r, events = Obs.capture (fun () -> Minarea.solve ~period:p g) in
+      Alcotest.(check bool) (name ^ ": no W/D constraints") false
+        (List.exists
+           (function
+             | Obs.Begin { name = "minarea.period_constraints"; _ } -> true
+             | _ -> false)
+           events);
+      (match r with
+      | Some r ->
+          Alcotest.(check bool) (name ^ ": legal") true (Rgraph.is_legal g ~r);
+          Alcotest.(check bool) (name ^ ": meets period") true (Feas.period_of g ~r <= p)
+      | None -> Alcotest.fail (name ^ ": min period rejected"));
+      Alcotest.(check bool) (name ^ ": period 0 rejected") true
+        (Minarea.solve ~period:0 g = None))
+    [ ("deep_w8x330", deep); ("heavy edge", heavy) ]
 
 let test_classes_grouping () =
   let c = Circuit.create "cls" in
@@ -422,6 +471,7 @@ let suite =
     Alcotest.test_case "min-area fast = reference" `Quick test_minarea_fast_vs_reference;
     Alcotest.test_case "retime suite fast = reference" `Quick
       test_retime_suite_fast_vs_reference;
+    Alcotest.test_case "min-area FEAS-repair mode" `Quick test_minarea_feas_repair;
     Alcotest.test_case "latch class grouping" `Quick test_classes_grouping;
     Alcotest.test_case "forward move legality" `Quick test_forward_move_legality;
     Alcotest.test_case "forward move preserves" `Quick test_forward_move_preserves;

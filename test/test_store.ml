@@ -148,7 +148,51 @@ let quarantine_count dir =
       else acc)
     0 (Sys.readdir dir)
 
+(* [seed_store dir 3] writes an 8-byte magic and three 28-byte records:
+   a 92-byte log. *)
+let magic_len = 8
+let record_len = 28
+
+let seeded_log () =
+  let dir = fresh_dir () in
+  seed_store dir 3;
+  let log = In_channel.with_open_bin (log_path dir) In_channel.input_all in
+  Alcotest.(check int) "seeded log size" (magic_len + (3 * record_len)) (String.length log);
+  log
+
+(* Opens a store whose whole log is [log], damaged at byte [offset], and
+   checks what it salvaged: exactly the records wholly before [offset],
+   each with the verdict written, and no key of the damaged record or a
+   later one. *)
+let check_damaged dir ~what ~offset ~quarantined log =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Out_channel.with_open_bin (log_path dir) (fun oc -> output_string oc log);
+  let st = Store.open_ dir in
+  let i = Store.info st in
+  let whole = if offset < magic_len then 0 else (offset - magic_len) / record_len in
+  Alcotest.(check int) (what ^ ": entries") whole i.Store.entries;
+  Alcotest.(check bool) (what ^ ": quarantined") quarantined (i.Store.quarantined_to <> None);
+  for k = 0 to 2 do
+    let key = Printf.sprintf "c%d" k in
+    if k < whole then
+      check_verdict (what ^ ": salvaged " ^ key) (Store.Inequivalent [ (k, true) ])
+        (Store.find st key)
+    else
+      Alcotest.(check bool) (what ^ ": lost " ^ key) true (Store.find st key = None)
+  done;
+  Store.close st
+
 let test_truncated_log () =
+  (* every truncation length: only a cut on a record boundary, or one that
+     empties the file, leaves a healthy log *)
+  let log = seeded_log () in
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  for len = 0 to String.length log - 1 do
+    let boundary = len = 0 || (len >= magic_len && (len - magic_len) mod record_len = 0) in
+    check_damaged dir ~what:(Printf.sprintf "cut at %d" len) ~offset:len
+      ~quarantined:(not boundary) (String.sub log 0 len)
+  done;
   let dir = fresh_dir () in
   seed_store dir 3;
   let path = log_path dir in
@@ -173,6 +217,19 @@ let test_truncated_log () =
   Store.close st
 
 let test_bit_flip () =
+  (* every single-bit flip: the magic, a record length, a CRC or a payload
+     byte; each one quarantines the log *)
+  let log = seeded_log () in
+  let dir = fresh_dir () in
+  Unix.mkdir dir 0o755;
+  for offset = 0 to String.length log - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string log in
+      Bytes.set b offset (Char.chr (Char.code log.[offset] lxor (1 lsl bit)));
+      check_damaged dir ~what:(Printf.sprintf "flip %d.%d" offset bit) ~offset
+        ~quarantined:true (Bytes.to_string b)
+    done
+  done;
   let dir = fresh_dir () in
   seed_store dir 3;
   let path = log_path dir in

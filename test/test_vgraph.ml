@@ -187,30 +187,7 @@ let test_bf_negative_cycle () =
   Alcotest.(check bool) "feasible none" true
     (Vgraph.Bellman_ford.feasible_potentials g = None)
 
-(* ---- Dijkstra ---- *)
-
-let test_dijkstra_vs_bf () =
-  for _ = 1 to 30 do
-    let n = 15 in
-    let g = Vgraph.Digraph.create () in
-    Vgraph.Digraph.add_nodes g n;
-    for _ = 1 to 40 do
-      let u = Random.State.int st n and v = Random.State.int st n in
-      ignore (Vgraph.Digraph.add_edge g ~weight:(Random.State.int st 10) u v)
-    done;
-    let d = Vgraph.Dijkstra.shortest g ~src:0 in
-    (* reference: Bellman-Ford style relaxation *)
-    let ref_d = Array.make n max_int in
-    ref_d.(0) <- 0;
-    for _ = 1 to n do
-      Vgraph.Digraph.iter_edges
-        (fun _ e ->
-          if ref_d.(e.src) < max_int && ref_d.(e.src) + e.weight < ref_d.(e.dst) then
-            ref_d.(e.dst) <- ref_d.(e.src) + e.weight)
-        g
-    done;
-    Alcotest.(check (array int)) "dijkstra = bf" ref_d d
-  done
+(* ---- lexicographic Dijkstra (the W/D oracle) ---- *)
 
 let test_dijkstra_lexicographic () =
   (* diamond: two paths of equal weight, different delay: D must take max *)
@@ -221,7 +198,7 @@ let test_dijkstra_lexicographic () =
   ignore (Vgraph.Digraph.add_edge g ~weight:0 1 3);
   ignore (Vgraph.Digraph.add_edge g ~weight:0 0 2);
   ignore (Vgraph.Digraph.add_edge g ~weight:1 2 3);
-  let w, d = Vgraph.Dijkstra.lexicographic g ~src:0 ~tie:(fun e -> delay.(e.dst)) in
+  let w, d = Retiming_oracle.lexicographic g ~src:0 ~tie:(fun e -> delay.(e.dst)) in
   Alcotest.(check int) "W(0,3)" 1 w.(3);
   (* both paths have weight 1; delays: via 1: 5+2=7, via 2: 1+2=3 -> 7 *)
   Alcotest.(check int) "D(0,3) picks max-delay min-weight path" 7 d.(3)
@@ -348,7 +325,7 @@ let test_flow_init_potentials () =
     (fun () -> ignore (Vgraph.Mincost_flow.solve ~init_potentials:bad ~nodes:3 ~arcs [| 4; 0; -4 |]))
 
 let test_flow_fast_vs_reference_random () =
-  (* the scaling core and the retained reference must agree on feasibility
+  (* the scaling core and the reference oracle must agree on feasibility
      and on the optimal cost over random instances *)
   for _ = 1 to 60 do
     let n = 2 + Random.State.int st 6 in
@@ -373,7 +350,7 @@ let test_flow_fast_vs_reference_random () =
     done;
     match
       ( Vgraph.Mincost_flow.solve ~nodes:n ~arcs supply,
-        Vgraph.Mincost_flow.solve_reference ~nodes:n ~arcs supply )
+        Retiming_oracle.flow_reference ~nodes:n ~arcs supply )
     with
     | Some f, Some r ->
         Alcotest.(check int) "optimal costs agree" r.Vgraph.Mincost_flow.total_cost
@@ -440,7 +417,6 @@ let suite =
     Alcotest.test_case "scc = mutual reachability" `Quick test_scc_mutual_reach;
     Alcotest.test_case "bellman-ford feasible systems" `Quick test_bf_feasible_difference_constraints;
     Alcotest.test_case "bellman-ford negative cycle" `Quick test_bf_negative_cycle;
-    Alcotest.test_case "dijkstra matches bellman-ford" `Quick test_dijkstra_vs_bf;
     Alcotest.test_case "dijkstra lexicographic (W,D)" `Quick test_dijkstra_lexicographic;
     Alcotest.test_case "min-cost flow transport" `Quick test_flow_simple_transport;
     Alcotest.test_case "min-cost flow infeasible" `Quick test_flow_infeasible;
