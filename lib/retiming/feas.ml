@@ -258,6 +258,83 @@ let run st ~period =
   !outcome
 
 (* ------------------------------------------------------------------ *)
+(* Lattice bounds                                                      *)
+(*                                                                     *)
+(* The labelings that are legal, meet a period and keep both hosts at  *)
+(* 0 are the solutions of a difference-constraint system, so they form *)
+(* a lattice: each vertex has a least and a greatest label over them.  *)
+(* Every legal labeling is at least r0(v) = -W(host, v), and r0 is     *)
+(* itself legal (triangle inequality), so FEAS from r0 -- every        *)
+(* increment forced, as from the all-zero start -- ends at the least   *)
+(* solution.  The same pass on the reversed graph, where arrival times *)
+(* become departure times and -r is a solution iff r is, gives the     *)
+(* greatest.                                                           *)
+(*                                                                     *)
+(* A feasible pass ends within n - 1 rounds: with gap(v) the distance  *)
+(* from the current label to the least solution, every vertex whose   *)
+(* gap is the largest is violating (lowering the solution by 1 on      *)
+(* exactly those vertices would otherwise give a smaller solution), so *)
+(* the largest gap falls by one per round; and it starts at most       *)
+(* n - 1, since a constraint chain from the host is simple and each    *)
+(* W/D step r(v) >= r(u) - W(u,v) + 1 adds at most one to the          *)
+(* legality bound.  So a pass that exhausts its n + 1 rounds has met   *)
+(* an infeasible period, just like one that goes illegal.              *)
+(*                                                                     *)
+(* A vertex the host cannot reach has no lower bound; it starts at     *)
+(* -(latch total + n + 2) and rises at most n + 1, so it stays below   *)
+(* every label the host can force, its out-edges keep a latch, and it  *)
+(* cannot move the reachable vertices.                                 *)
+(* ------------------------------------------------------------------ *)
+
+type bounds = { lb : int array; ub : int array }
+
+let unbounded = max_int / 4
+
+let reverse c =
+  { c with pof = c.sof; psrc = c.sdst; pw = c.sw; sof = c.pof; sdst = c.psrc; sw = c.pw }
+
+(* W(src, v) over the successor half of [c], max_int where [src] cannot
+   reach [v]: Dijkstra with entries [W lsl bits lor v]. *)
+let min_weights c ~latches src =
+  let bits = ref 1 in
+  while 1 lsl !bits < c.n do incr bits done;
+  let bits = !bits in
+  if latches > max_int asr (bits + 1) then invalid_arg "Feas.bounds: latch total overflows";
+  let w = Array.make c.n max_int in
+  let heap = Vgraph.Iheap.create () in
+  w.(src) <- 0;
+  Vgraph.Iheap.add heap src;
+  while not (Vgraph.Iheap.is_empty heap) do
+    let e = Vgraph.Iheap.pop_min heap in
+    let v = e land ((1 lsl bits) - 1) in
+    let wv = e lsr bits in
+    if wv = w.(v) then
+      for k = c.sof.(v) to c.sof.(v + 1) - 1 do
+        let y = c.sdst.(k) in
+        let nw = wv + c.sw.(k) in
+        if nw < w.(y) then begin
+          w.(y) <- nw;
+          Vgraph.Iheap.add heap ((nw lsl bits) lor y)
+        end
+      done
+  done;
+  w
+
+(* The least solution at [period] on [c] ([-unbounded] where [src]
+   cannot reach), by FEAS from the least legal labeling. *)
+let least c ~latches ~src ~period =
+  let w = min_weights c ~latches src in
+  let st = make_state c in
+  for v = 2 to c.n - 1 do
+    st.r.(v) <- (if w.(v) = max_int then -(latches + c.n + 2) else -w.(v))
+  done;
+  full_arrival st;
+  match run st ~period with
+  | Feasible ->
+      Some (Array.mapi (fun v x -> if v >= 2 && w.(v) = max_int then -unbounded else x) st.r)
+  | Illegal | Exhausted -> None
+
+(* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -382,3 +459,15 @@ let min_period ?pool g =
         done);
     (!hi, Array.copy best_r)
   end
+
+let bounds g ~period =
+  Obs.span ~name:"feas.bounds" @@ fun () ->
+  let c = csr g in
+  let latches = Array.fold_left ( + ) 0 c.pw in
+  (* even the hosts' zero delay exceeds a negative period *)
+  match if period < 0 then None else least c ~latches ~src:Rgraph.host ~period with
+  | None -> None
+  | Some lb ->
+      (* the forward pass found a solution, so the reversed one does too *)
+      let neg = Option.get (least (reverse c) ~latches ~src:Rgraph.host_sink ~period) in
+      Some { lb; ub = Array.map (fun x -> -x) neg }

@@ -42,8 +42,8 @@ let keys_pack (g : Rgraph.t) =
   Digraph.iter_edges (fun _ e -> wb := !wb + e.weight) g.graph;
   !wb <= max_int asr (node_bits (Digraph.node_count g.graph) + 2) / db
 
-(* One lexicographic Dijkstra per source finds its violating pairs; two
-   ideas make that cheap:
+(* One lexicographic Dijkstra per free source finds its violating pairs;
+   three ideas make that cheap:
 
    Packed Dijkstra: the lexicographic (min W, then max D) search runs over
    the shared {!Rgraph.csr} image with reusable distance/heap scratch and
@@ -51,24 +51,35 @@ let keys_pack (g : Rgraph.t) =
    accumulated delay; min-weight paths are simple because zero-weight
    cycles would be register-free feedback loops).
 
+   Lattice bounds: with every label held in [lb, ub] (see {!Feas.bounds}),
+   the pair (u, v) is implied when ub(u) − lb(v) ≤ W(u,v) − 1, and any
+   pair with a fixed endpoint is implied too, since every solution gives
+   that endpoint its one label.  So only free vertices are searched, and
+   a source's search stops once its popped W reaches ub(u) − (least
+   finite free lb) + 1: every target from there on is implied (a source
+   the host reaches only reaches vertices with finite lb).
+
    Dominance pruning: the constraint [r(u) − r(v) ≤ W(u,v) − 1] is implied
    whenever some violating predecessor [x] of [v] has
    [W(u,x) + w(x→v) ≤ W(u,v)]: chaining x's constraint with the base edge
    constraint of [x→v] gives a bound at least as strong (and x's own
-   constraint is either emitted or implied in turn — a cyclic chain would
+   constraint is emitted or implied in turn — a cyclic chain would
    need two zero-weight edges closing a register-free cycle, which cannot
-   exist).  Only the earliest violating vertices along each shortest path
-   survive, typically a few percent of the violating pairs.  (Stopping
-   the search itself at the violation frontier was tried and rejected: it
-   starves the dominance check of marked predecessors, inflating the kept
-   set ~7x and shifting the cost into the flow.)
+   exist).  Such an [x] has a smaller W than [v], so the stopped search
+   has settled it.  Only the earliest violating vertices along each
+   shortest path survive, typically a few percent of the violating pairs.
+   (Stopping the search itself at the violation frontier was tried and
+   rejected: it starves the dominance check of marked predecessors,
+   inflating the kept set ~7x and shifting the cost into the flow.)
 
    Sources are swept in parallel on the {!Par.Pool} when one is given;
    every chunk runs against the shared read-only CSR with its own
-   scratch. *)
-let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
+   scratch, and returns its pairs in source order. *)
+let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lb ~ub ~lb_min ~sources ~lo ~hi
+    () =
   let n = c.nv in
   let db = 1 + Array.fold_left ( + ) 0 delay in
+  let wmax = Array.fold_left ( + ) 0 c.succ_weight in
   let node_bits = node_bits n in
   let w = Array.make n max_int in
   let d = Array.make n 0 in
@@ -78,8 +89,11 @@ let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
   let heap = Iheap.create () in
   let acc = ref [] in
   let kept = ref 0 and pruned = ref 0 in
-  for u = lo to hi do
-    (* lexicographic Dijkstra from u, stopped at the violation frontier *)
+  for i = lo to hi do
+    let u = sources.(i) in
+    (* lexicographic Dijkstra from u, stopped at W = cutoff *)
+    let cutoff = if lb.(u) = -Feas.unbounded then max_int else ub.(u) - lb_min + 1 in
+    let stop = if cutoff > wmax then max_int else cutoff * db in
     let du = delay.(u) in
     ntouched := 0;
     w.(u) <- 0;
@@ -88,11 +102,13 @@ let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
     incr ntouched;
     (* key(v) = w(v)·db + (db − 1 − d(v)); entry = key lsl node_bits | v *)
     Iheap.add heap (((db - 1) lsl node_bits) lor u);
-    while not (Iheap.is_empty heap) do
+    let searching = ref true in
+    while !searching && not (Iheap.is_empty heap) do
       let e = Iheap.pop_min heap in
       let v = e land ((1 lsl node_bits) - 1) in
       let key = e lsr node_bits in
-      if key = (w.(v) * db) + (db - 1 - d.(v)) then
+      if key >= stop then searching := false
+      else if key = (w.(v) * db) + (db - 1 - d.(v)) then
         for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
           let y = c.succ_dst.(k) in
           let nw = w.(v) + c.succ_weight.(k) in
@@ -111,16 +127,16 @@ let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
           end
         done
     done;
-    (* violating targets of u *)
+    (* violating targets of u among the settled vertices *)
     for i = 0 to !ntouched - 1 do
       let v = touched.(i) in
-      if v <> u && d.(v) + du > period then cand.(v) <- u
+      if v <> u && w.(v) < cutoff && d.(v) + du > period then cand.(v) <- u
     done;
-    (* emit the dominance-free subset *)
+    (* emit the pairs neither the bounds nor dominance imply *)
     for i = 0 to !ntouched - 1 do
       let v = touched.(i) in
       if cand.(v) = u then begin
-        let implied = ref false in
+        let implied = ref (lb.(v) = ub.(v) || ub.(u) - lb.(v) <= w.(v) - 1) in
         let k = ref c.pred_off.(v) in
         let stop = c.pred_off.(v + 1) in
         while (not !implied) && !k < stop do
@@ -144,22 +160,31 @@ let period_constraints_csr (c : Rgraph.csr) ~delay ~period ~lo ~hi () =
     done;
     Iheap.clear heap
   done;
-  (!acc, !kept, !pruned)
+  (List.rev !acc, !kept, !pruned)
 
-let period_constraints ?pool g ~period =
+let period_constraints ?pool g ~period ~lb ~ub ~free =
   Obs.span ~name:"minarea.period_constraints" @@ fun () ->
   let c = Rgraph.csr g in
   let delay = g.Rgraph.delay in
-  let n = c.nv in
+  let sources = Array.of_list (List.filter free (List.init c.nv Fun.id)) in
+  let lb_min =
+    Array.fold_left
+      (fun m v -> if lb.(v) = -Feas.unbounded then m else min m lb.(v))
+      max_int sources
+  in
+  let ns = Array.length sources in
+  Obs.count "minarea.sources_searched" ns;
   let chunks =
     match pool with
-    | Some pool when Par.Pool.jobs pool > 1 && n > 64 ->
+    | Some pool when Par.Pool.jobs pool > 1 && ns > 64 ->
         let jobs = Par.Pool.jobs pool in
-        let pieces = min n (4 * jobs) in
-        List.init pieces (fun i -> (i * n / pieces, ((i + 1) * n / pieces) - 1))
-    | _ -> [ (0, n - 1) ]
+        let pieces = min ns (4 * jobs) in
+        List.init pieces (fun i -> (i * ns / pieces, ((i + 1) * ns / pieces) - 1))
+    | _ -> [ (0, ns - 1) ]
   in
-  let work (lo, hi) = period_constraints_csr c ~delay ~period ~lo ~hi () in
+  let work (lo, hi) =
+    period_constraints_csr c ~delay ~period ~lb ~ub ~lb_min ~sources ~lo ~hi ()
+  in
   let results =
     match (pool, chunks) with
     | Some pool, _ :: _ :: _ -> Par.Pool.map pool work chunks
@@ -169,7 +194,8 @@ let period_constraints ?pool g ~period =
   let pruned = List.fold_left (fun t (_, _, p) -> t + p) 0 results in
   Obs.count "minarea.constraints_kept" kept;
   Obs.count "minarea.constraints_pruned" pruned;
-  Obs.attr (fun () -> [ ("kept", Obs.Int kept); ("pruned", Obs.Int pruned) ]);
+  Obs.attr (fun () ->
+      [ ("sources", Obs.Int ns); ("kept", Obs.Int kept); ("pruned", Obs.Int pruned) ]);
   List.concat_map (fun (l, _, _) -> l) results
 
 (* ------------------------------------------------------------------ *)
@@ -207,38 +233,138 @@ let lp_solve ~nvertices ~constraints ~a =
 (* Largest graph that gets the exact (quadratic) W/D constraints. *)
 let max_exact_vertices = 4000
 
+let internal msg = failwith ("Minarea.solve: internal error: " ^ msg)
+
+(* The vertices whose bound needs an arc to the host.  [carry c] is
+   [Some (x, y)] when the kept constraint [c] carries x's bound to y:
+   for (u, v, b), u's lower bound to v when lb(u) − b = lb(v), and v's
+   upper bound to u when ub(v) + b = ub(u).  A vertex reached along such
+   a chain from a vertex with an arc has its bound implied, so only the
+   vertices without a carrying in-edge get an arc, then one per cycle
+   still uncovered.  Arcs into and out of the host for every free vertex
+   would make the host a hub that most augmenting searches of the flow
+   cross. *)
+let uncarried ~n ~bounded carry constraints =
+  let succ = Array.make n [] and entered = Array.make n false in
+  List.iter
+    (fun c ->
+      match carry c with
+      | Some (x, y) when bounded x && bounded y ->
+          succ.(x) <- y :: succ.(x);
+          entered.(y) <- true
+      | Some _ | None -> ())
+    constraints;
+  let covered = Array.make n false in
+  let rec cover = function
+    | [] -> ()
+    | x :: rest when covered.(x) -> cover rest
+    | x :: rest ->
+        covered.(x) <- true;
+        cover (succ.(x) @ rest)
+  in
+  let pick roots v =
+    if bounded v && not covered.(v) then begin
+      cover [ v ];
+      v :: roots
+    end
+    else roots
+  in
+  let vs = List.init n Fun.id in
+  let roots = List.fold_left (fun r v -> if entered.(v) then r else pick r v) [] vs in
+  List.rev (List.fold_left pick roots vs)
+
+(* The LP over the free vertices and the host: the W/D pairs and the
+   edges the bounds do not imply, plus the host arcs of the bounds no
+   kept constraint carries; a fixed vertex takes its one label.  Returns
+   the full labeling and the constraints it must satisfy, or [None] when
+   the system is infeasible. *)
+let solve_bounded ?pool g ~n ~pairs_at ~lb ~ub =
+  let free v = lb.(v) < ub.(v) in
+  Obs.count "minarea.fixed_vertices" (n - List.length (List.filter free (List.init n Fun.id)));
+  let pairs =
+    match pairs_at with
+    | Some c -> period_constraints ?pool g ~period:c ~lb ~ub ~free
+    | None -> []
+  in
+  let edges =
+    List.filter
+      (fun (u, v, b) -> free u && free v && ub.(u) - lb.(v) > b)
+      (edge_constraints g)
+  in
+  let kept = pairs @ edges in
+  let bounded b v = free v && abs b.(v) < Feas.unbounded in
+  let host_arcs =
+    List.map
+      (fun v -> (Rgraph.host, v, -lb.(v)))
+      (uncarried ~n ~bounded:(bounded lb)
+         (fun (u, v, b) -> if lb.(u) - b = lb.(v) then Some (u, v) else None)
+         kept)
+    @ List.map
+        (fun v -> (v, Rgraph.host, ub.(v)))
+        (uncarried ~n ~bounded:(bounded ub)
+           (fun (u, v, b) -> if ub.(v) + b = ub.(u) then Some (v, u) else None)
+           kept)
+  in
+  let constraints = kept @ host_arcs in
+  (* flow node 0 is the host, the free vertices follow in order *)
+  let node = Array.make n 0 in
+  let k = ref 1 in
+  for v = 0 to n - 1 do
+    if v <> Rgraph.host && free v then begin
+      node.(v) <- !k;
+      incr k
+    end
+  done;
+  let a = objective g in
+  let fa = Array.make !k 0 in
+  for v = 0 to n - 1 do
+    if v <> Rgraph.host && free v then begin
+      fa.(node.(v)) <- a.(v);
+      fa.(0) <- fa.(0) - a.(v)
+    end
+  done;
+  let mapped = List.map (fun (u, v, b) -> (node.(u), node.(v), b)) constraints in
+  match lp_solve ~nvertices:!k ~constraints:mapped ~a:fa with
+  | None -> None
+  | Some p ->
+      Some (Array.init n (fun v -> if free v then p.(node.(v)) - p.(0) else lb.(v)), constraints)
+
 let solve ?period ?pool g =
   Obs.span ~name:"minarea.solve" @@ fun () ->
   let n = Digraph.node_count g.Rgraph.graph in
-  let a = objective g in
-  let base = edge_constraints g in
-  let constraints =
+  let exact =
     match period with
-    | Some c when n <= max_exact_vertices && keys_pack g ->
-        period_constraints ?pool g ~period:c @ base
-    | Some _ | None -> base
+    | Some _ -> n <= max_exact_vertices && keys_pack g
+    | None -> false
   in
-  match lp_solve ~nvertices:n ~constraints ~a with
-  | None ->
-      (* base constraints alone are always satisfiable (r = 0), so a failure
-         without a period bound is an internal bug, not an input property *)
-      if period = None then
-        invalid_arg "Minarea.solve: infeasible constraint system"
-      else None
-  | Some r -> (
-      let r = Rgraph.normalize g ~r in
-      assert (check_constraints r base);
-      if not (check_constraints r constraints) then None
-      else
-        match period with
-        | None -> Some r
-        | Some c ->
-            (* exact mode already satisfies the period; FEAS-repair mode
-               repairs.  FEAS's round bound only covers the all-zero start,
-               so if the repair from the min-area labels stalls, restart
-               from scratch (area-suboptimal but correct). *)
-            if Feas.period_of g ~r <= c then Some r
-            else (
-              match Feas.feasible ~init:r g ~period:c with
-              | Some _ as s -> s
-              | None -> Feas.feasible g ~period:c))
+  let pairs_at = if exact then period else None in
+  (* without W/D pairs every vertex is free and nothing is implied *)
+  let bounds =
+    match pairs_at with
+    | Some c -> Feas.bounds g ~period:c
+    | None ->
+        Some { Feas.lb = Array.make n (-Feas.unbounded); ub = Array.make n Feas.unbounded }
+  in
+  match bounds with
+  | None -> None
+  | Some { lb; ub } -> (
+      (* the bounds prove the period feasible, and the edge constraints
+         alone are met by r = 0 *)
+      match solve_bounded ?pool g ~n ~pairs_at ~lb ~ub with
+      | None -> internal "infeasible constraint system"
+      | Some (r, constraints) -> (
+          if not (check_constraints r constraints && Rgraph.is_legal g ~r) then
+            internal "labels break their constraints";
+          match period with
+          | None -> Some r
+          | Some c ->
+              if Feas.period_of g ~r <= c then Some r
+              else if exact then internal "exact labels miss the period"
+              else (
+                (* the FEAS-repair mode: FEAS's round bound only covers
+                   the all-zero start, so if the repair from the min-area
+                   labels stalls, restart from scratch (area-suboptimal
+                   but correct) *)
+                match Feas.feasible ~init:r g ~period:c with
+                | Some _ as s -> s
+                | None -> Feas.feasible g ~period:c)))

@@ -117,16 +117,25 @@ let lexicographic g ~src ~tie =
   done;
   (w, d)
 
-(* Every violating pair: r(u) − r(v) ≤ W(u,v) − 1 whenever D(u,v) > period. *)
-let period_constraints (g : Rgraph.t) ~period =
+(* The W/D matrices, row by row: (W(u, ·), D(u, ·)) for every source u. *)
+let wd (g : Rgraph.t) =
+  Array.init (Digraph.node_count g.graph) (fun u ->
+      lexicographic g.graph ~src:u ~tie:(fun e -> g.delay.(e.dst)))
+
+(* Every violating pair: r(u) − r(v) ≤ W(u,v) − 1 whenever D(u,v) > period,
+   including u = v for a vertex whose own delay exceeds the period (an
+   unsatisfiable 0 ≤ −1, as no retiming can meet that period).  [wd]
+   (default [wd g]) shares the matrices between periods. *)
+let period_constraints ?wd:m (g : Rgraph.t) ~period =
+  let m = match m with Some m -> m | None -> wd g in
   let n = Digraph.node_count g.graph in
   let acc = ref [] in
   for u = 0 to n - 1 do
-    let w, d = lexicographic g.graph ~src:u ~tie:(fun e -> g.delay.(e.dst)) in
+    let w, d = m.(u) in
     for v = 0 to n - 1 do
       if w.(v) < max_int then begin
         let duv = d.(v) + g.delay.(u) in
-        if duv > period && u <> v then acc := (u, v, w.(v) - 1) :: !acc
+        if duv > period then acc := (u, v, w.(v) - 1) :: !acc
       end
     done
   done;
@@ -197,28 +206,27 @@ let flow_reference ~nodes ~(arcs : Mincost_flow.arc list) supply =
         Heap.add heap (0, v)
       end
     done;
-    while not (Heap.is_empty heap) do
+    (* the first deficit node settled is a nearest one *)
+    let sink = ref (-1) in
+    while !sink = -1 && not (Heap.is_empty heap) do
       let dv, v = Heap.pop_min heap in
       if dv = d.(v) then
-        List.iter
-          (fun a ->
-            if res.(a) > 0 then begin
-              let w = head.(a) in
-              let rc = cost_.(a) + pi.(v) - pi.(w) in
-              assert (rc >= 0);
-              let nd = dv + rc in
-              if nd < d.(w) then begin
-                d.(w) <- nd;
-                parent_arc.(w) <- a;
-                Heap.add heap (nd, w)
-              end
-            end)
-          adj.(v)
-    done;
-    let sink = ref (-1) in
-    for v = 0 to nodes - 1 do
-      if excess.(v) < 0 && d.(v) < max_int && (!sink = -1 || d.(v) < d.(!sink)) then
-        sink := v
+        if excess.(v) < 0 then sink := v
+        else
+          List.iter
+            (fun a ->
+              if res.(a) > 0 then begin
+                let w = head.(a) in
+                let rc = cost_.(a) + pi.(v) - pi.(w) in
+                assert (rc >= 0);
+                let nd = dv + rc in
+                if nd < d.(w) then begin
+                  d.(w) <- nd;
+                  parent_arc.(w) <- a;
+                  Heap.add heap (nd, w)
+                end
+              end)
+            adj.(v)
     done;
     if !sink = -1 then infeasible := true
     else begin
@@ -261,44 +269,114 @@ let flow_reference ~nodes ~(arcs : Mincost_flow.arc list) supply =
     Some { Mincost_flow.flow; potentials = pi; total_cost = !total }
   end
 
+(* ---- the full constraint system ---- *)
+
+(* Legality as difference constraints, the two host vertices tied. *)
+let edge_constraints (g : Rgraph.t) =
+  let acc = ref [ (Rgraph.host, Rgraph.host_sink, 0); (Rgraph.host_sink, Rgraph.host, 0) ] in
+  Digraph.iter_edges (fun _ e -> acc := (e.src, e.dst, e.weight) :: !acc) g.graph;
+  !acc
+
+(* Whether r(u) − r(v) ≤ b for every (u, v, b) has a solution: Bellman–
+   Ford from a virtual source over the constraint graph (edge v -> u of
+   weight b).  Only a negative cycle can close a cycle of predecessor
+   pointers, so a round that leaves one decides unsatisfiable without
+   waiting out all n rounds. *)
+let satisfiable n constraints =
+  let cs = Array.of_list constraints in
+  let dist = Array.make n 0 and pred = Array.make n (-1) in
+  let walk = Array.make n (-1) in
+  let pred_cycle () =
+    (* each walk follows predecessors until it meets a visited vertex,
+       which closes a cycle iff this same walk visited it *)
+    Array.fill walk 0 n (-1);
+    let found = ref false in
+    for s = 0 to n - 1 do
+      let v = ref s in
+      while !v >= 0 && walk.(!v) < 0 do
+        walk.(!v) <- s;
+        v := pred.(!v)
+      done;
+      if !v >= 0 && walk.(!v) = s then found := true
+    done;
+    !found
+  in
+  let rec rounds k =
+    let changed = ref false in
+    Array.iter
+      (fun (u, v, b) ->
+        if dist.(v) + b < dist.(u) then begin
+          dist.(u) <- dist.(v) + b;
+          pred.(u) <- v;
+          changed := true
+        end)
+      cs;
+    (not !changed) || ((not (pred_cycle ())) && k < n && rounds (k + 1))
+  in
+  rounds 0
+
+(* ---- lattice bounds ---- *)
+
+(* Each vertex's least and greatest label over every solution of the full
+   system at [period] (every violating W/D pair plus the edge
+   constraints) with the host at 0: Bellman–Ford from the host over the
+   constraint graph gives the greatest labels, over its reverse the
+   negated least ones.  [None] when the system is unsatisfiable;
+   [min_int]/[max_int] where the host reaches no bound. *)
+let bounds ?wd (g : Rgraph.t) ~period =
+  let n = Digraph.node_count g.graph in
+  let constraints = period_constraints ?wd g ~period @ edge_constraints g in
+  if not (satisfiable n constraints) then None
+  else begin
+    let from_host edges =
+      let dist = Array.make n max_int in
+      dist.(Rgraph.host) <- 0;
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (s, d, w) ->
+            if dist.(s) < max_int && dist.(s) + w < dist.(d) then begin
+              dist.(d) <- dist.(s) + w;
+              changed := true
+            end)
+          edges
+      done;
+      dist
+    in
+    let ub = from_host (List.map (fun (u, v, b) -> (v, u, b)) constraints) in
+    let neg_lb = from_host constraints in
+    Some (Array.map (fun d -> if d = max_int then min_int else -d) neg_lb, ub)
+  end
+
 (* ---- min-area retiming ---- *)
 
 (* The latch-minimal retiming at [period], from the parts above: every
    violating W/D pair plus the edge constraints, a Bellman–Ford
    feasibility pass, and the reference flow on the dual.  Unlike
    {!Minarea.solve} it has no vertex cap and no FEAS-repair mode. *)
-let minarea (g : Rgraph.t) ~period =
+let minarea ?wd (g : Rgraph.t) ~period =
   let n = Digraph.node_count g.graph in
-  (* the two host vertices must retime identically *)
-  let edge_constraints =
-    ref [ (Rgraph.host, Rgraph.host_sink, 0); (Rgraph.host_sink, Rgraph.host, 0) ]
-  in
-  Digraph.iter_edges
-    (fun _ e -> edge_constraints := (e.src, e.dst, e.weight) :: !edge_constraints)
-    g.graph;
-  let constraints = period_constraints g ~period @ !edge_constraints in
-  let cg = Digraph.create () in
-  Digraph.add_nodes cg n;
-  List.iter (fun (u, v, b) -> ignore (Digraph.add_edge cg ~weight:b v u)) constraints;
-  match Bellman_ford.feasible_potentials cg with
-  | None -> None
-  | Some _ -> (
-      (* objective a(v) = indeg(v) − outdeg(v); node v supplies −a(v) *)
-      let a = Array.make n 0 in
-      Digraph.iter_edges
-        (fun _ e ->
-          a.(e.dst) <- a.(e.dst) + 1;
-          a.(e.src) <- a.(e.src) - 1)
-        g.graph;
-      let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
-      let arcs =
-        List.map
-          (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
-          constraints
-      in
-      match flow_reference ~nodes:n ~arcs (Array.map (fun x -> -x) a) with
-      | None -> None
-      | Some { potentials; _ } ->
-          let r = Rgraph.normalize g ~r:(Array.map (fun p -> -p) potentials) in
-          if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then Some r
-          else None)
+  let constraints = period_constraints ?wd g ~period @ edge_constraints g in
+  if not (satisfiable n constraints) then None
+  else begin
+    (* objective a(v) = indeg(v) − outdeg(v); node v supplies −a(v) *)
+    let a = Array.make n 0 in
+    Digraph.iter_edges
+      (fun _ e ->
+        a.(e.dst) <- a.(e.dst) + 1;
+        a.(e.src) <- a.(e.src) - 1)
+      g.graph;
+    let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
+    let arcs =
+      List.map
+        (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
+        constraints
+    in
+    match flow_reference ~nodes:n ~arcs (Array.map (fun x -> -x) a) with
+    | None -> None
+    | Some { potentials; _ } ->
+        let r = Rgraph.normalize g ~r:(Array.map (fun p -> -p) potentials) in
+        if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then Some r
+        else None
+  end

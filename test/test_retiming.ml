@@ -287,31 +287,123 @@ let test_feas_arrival_differential () =
       (Feas.period_of g ~r)
   done
 
+(* The retiming graphs the flow builds for each small Table-1 circuit:
+   B's synthesis with its exposed latches pinned (the C and E solves) and
+   A's (F and G), each with D's delay, the period target of E and G.  The
+   oracle comparisons take those up to 1,000 vertices. *)
+let table1_graphs =
+  lazy
+    (List.concat_map
+       (fun (name, a) ->
+         let exposed =
+           List.map (Circuit.signal_name a) (Feedback.plan_structural a).Feedback.exposed
+         in
+         let b = Circuit.copy ~name:(name ^ "_B") a in
+         List.iter
+           (fun n ->
+             let s = Option.get (Circuit.find_signal b n) in
+             if not (Circuit.is_output b s) then Circuit.mark_output b s)
+           exposed;
+         let graph c exposed =
+           let sy = Synth_script.delay_script c in
+           Rgraph.build ~exposed:(Result.get_ok (Verify.exposed_pred sy exposed)) sy
+         in
+         let target = Circuit.delay (Synth_script.delay_script a) in
+         [
+           (name ^ " B", graph b exposed, target);
+           (name ^ " A", graph (Circuit.copy ~name:(name ^ "_F") a) [], target);
+         ])
+       (Workloads.table1_suite_small ()))
+
+let up_to_1000 (_, g, _) = Rgraph.vertex_count g <= 1000
+
+let check_minarea ?wd name g ~period =
+  match (Minarea.solve ~period g, Retiming_oracle.minarea ?wd g ~period) with
+  | Some rf, Some rr ->
+      Alcotest.(check bool) (name ^ ": fast legal") true (Rgraph.is_legal g ~r:rf);
+      Alcotest.(check bool) (name ^ ": fast meets period") true
+        (Feas.period_of g ~r:rf <= period);
+      Alcotest.(check bool) (name ^ ": reference meets period") true
+        (Feas.period_of g ~r:rr <= period);
+      Alcotest.(check int) (name ^ ": same latch total")
+        (Rgraph.total_latches_after g ~r:rr)
+        (Rgraph.total_latches_after g ~r:rf);
+      true
+  | None, None -> false
+  | _ -> Alcotest.fail (name ^ ": min-area feasibility verdicts differ")
+
 let test_minarea_fast_vs_reference () =
   (* both engines must reach the same optimal latch total (labelings may
-     differ between equal-cost optima) and agree on infeasibility *)
+     differ between equal-cost optima) and agree on infeasibility: on
+     random graphs around the minimum period, and on Table 1's C/F solves
+     (the minimum period) and E/G solves (D's delay, when feasible) *)
   for i = 1 to 15 do
     let g = random_rgraph (700 + i) in
     let p_min, _ = Naive.min_period g in
     List.iter
       (fun period ->
-        match
-          (Minarea.solve ~period g, Retiming_oracle.minarea g ~period)
-        with
-        | Some rf, Some rr ->
-            Alcotest.(check bool) "fast legal" true (Rgraph.is_legal g ~r:rf);
-            Alcotest.(check bool) "fast meets period" true
-              (Feas.period_of g ~r:rf <= period);
-            Alcotest.(check bool) "reference meets period" true
-              (Feas.period_of g ~r:rr <= period);
-            Alcotest.(check int) "same latch total"
-              (Rgraph.total_latches_after g ~r:rr)
-              (Rgraph.total_latches_after g ~r:rf)
-        | None, None ->
-            Alcotest.(check bool) "below minimum period" true (period < p_min)
-        | _ -> Alcotest.fail "min-area feasibility verdicts differ")
+        if not (check_minarea "random" g ~period) then
+          Alcotest.(check bool) "below minimum period" true (period < p_min))
       [ p_min - 1; p_min; p_min + 2 ]
-  done
+  done;
+  List.iter
+    (fun (name, g, target) ->
+      let wd = Retiming_oracle.wd g in
+      let p_min, _ = Feas.min_period g in
+      Alcotest.(check bool) (name ^ ": minimum period feasible") true
+        (check_minarea ~wd name g ~period:p_min);
+      ignore (check_minarea ~wd name g ~period:target))
+    (List.filter up_to_1000 (Lazy.force table1_graphs))
+
+(* Feas.bounds against Bellman–Ford over the full system (every violating
+   W/D pair plus the edge constraints): the same verdict, and on feasible
+   periods the same least and greatest label for every vertex.  Returns
+   how many vertices have no lower bound and how many a negative one. *)
+let check_bounds ?wd name g ~period =
+  match (Feas.bounds g ~period, Retiming_oracle.bounds ?wd g ~period) with
+  | None, None -> (0, 0)
+  | Some { Feas.lb; ub }, Some (olb, oub) ->
+      let lift x =
+        if x = min_int then -Feas.unbounded else if x = max_int then Feas.unbounded else x
+      in
+      let list a = Array.to_list (Array.map lift a) in
+      Alcotest.check labels (name ^ ": least labels") (list olb) (Array.to_list lb);
+      Alcotest.check labels (name ^ ": greatest labels") (list oub) (Array.to_list ub);
+      let count p = Array.fold_left (fun k x -> if p x then k + 1 else k) 0 lb in
+      (count (fun x -> x = -Feas.unbounded), count (fun x -> x < 0 && x > -Feas.unbounded))
+  | Some _, None | None, Some _ -> Alcotest.fail (name ^ ": feasibility verdicts differ")
+
+let test_feas_bounds_vs_oracle () =
+  (* how many vertices of [g] have no lower bound, summed over the periods *)
+  let sweep name g =
+    let wd = Retiming_oracle.wd g in
+    let p_min, _ = Feas.min_period g in
+    List.fold_left
+      (fun k period ->
+        k + fst (check_bounds ~wd (Printf.sprintf "%s @%d" name period) g ~period))
+      0
+      [ p_min - 1; p_min; p_min + 2 ]
+  in
+  for i = 1 to 20 do
+    ignore (sweep "random" (random_rgraph (800 + i)))
+  done;
+  (* the F graphs of s1196, s641 and (at 1,008 vertices) prolog have 2-3
+     vertices the host cannot reach, which must come out unbounded below *)
+  let unreachable = [ "s1196 A"; "s641 A"; "prolog A" ] in
+  List.iter
+    (fun (name, g, _) ->
+      let k = sweep name g in
+      if List.mem name unreachable then
+        Alcotest.(check bool) (name ^ ": unbounded below") true (k > 0))
+    (List.filter
+       (fun ((name, _, _) as t) -> up_to_1000 t || List.mem name unreachable)
+       (Lazy.force table1_graphs));
+  (* deep_w4x64 meets period 2 only with negative labels, which FEAS from
+     the all-zero labeling cannot reach: Feas.min_period says 3 *)
+  let deep = Rgraph.build (List.assoc "deep_w4x64" (Workloads.retime_suite ())) in
+  Alcotest.(check int) "deep_w4x64: Feas.min_period" 3 (fst (Feas.min_period deep));
+  let _, negative = check_bounds "deep_w4x64 @2" deep ~period:2 in
+  Alcotest.(check bool) "deep_w4x64: negative lower bounds at period 2" true (negative > 0)
 
 (* ---- latch classes (Fig. 16) ---- *)
 
@@ -469,6 +561,7 @@ let suite =
     Alcotest.test_case "FEAS feasible differential" `Quick test_feas_feasible_differential;
     Alcotest.test_case "FEAS arrival differential" `Quick test_feas_arrival_differential;
     Alcotest.test_case "min-area fast = reference" `Quick test_minarea_fast_vs_reference;
+    Alcotest.test_case "FEAS bounds = oracle lattice" `Quick test_feas_bounds_vs_oracle;
     Alcotest.test_case "retime suite fast = reference" `Quick
       test_retime_suite_fast_vs_reference;
     Alcotest.test_case "min-area FEAS-repair mode" `Quick test_minarea_feas_repair;
