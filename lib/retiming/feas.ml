@@ -258,27 +258,32 @@ let run st ~period =
   !outcome
 
 (* ------------------------------------------------------------------ *)
-(* Lattice bounds                                                      *)
+(* Least solutions                                                     *)
 (*                                                                     *)
 (* The labelings that are legal, meet a period and keep both hosts at  *)
 (* 0 are the solutions of a difference-constraint system, so they form *)
-(* a lattice: each vertex has a least and a greatest label over them.  *)
-(* Every legal labeling is at least r0(v) = -W(host, v), and r0 is     *)
-(* itself legal (triangle inequality), so FEAS from r0 -- every        *)
-(* increment forced, as from the all-zero start -- ends at the least   *)
-(* solution.  The same pass on the reversed graph, where arrival times *)
-(* become departure times and -r is a solution iff r is, gives the     *)
-(* greatest.                                                           *)
+(* a lattice: each vertex has a least and a greatest label over them,  *)
+(* and a solution lies above a labeling t exactly when t lies below    *)
+(* the greatest one.  FEAS from a legal start t makes only forced      *)
+(* increments (a violating vertex lies below every solution above the  *)
+(* current labeling), so it ends at the least solution above t when    *)
+(* there is one.                                                       *)
 (*                                                                     *)
-(* A feasible pass ends within n - 1 rounds: with gap(v) the distance  *)
-(* from the current label to the least solution, every vertex whose   *)
-(* gap is the largest is violating (lowering the solution by 1 on      *)
-(* exactly those vertices would otherwise give a smaller solution), so *)
-(* the largest gap falls by one per round; and it starts at most       *)
-(* n - 1, since a constraint chain from the host is simple and each    *)
-(* W/D step r(v) >= r(u) - W(u,v) + 1 adds at most one to the          *)
-(* legality bound.  So a pass that exhausts its n + 1 rounds has met   *)
-(* an infeasible period, just like one that goes illegal.              *)
+(* It ends within n - 1 rounds: with gap(v) the distance from the      *)
+(* current label to that solution, every vertex whose gap is the       *)
+(* largest is violating (lowering the solution by 1 on exactly those   *)
+(* vertices would otherwise give a smaller one), so the largest gap    *)
+(* falls by one per round; and it starts at most n - 1, since a        *)
+(* constraint chain is simple and each W/D step                        *)
+(* r(v) >= r(u) - W(u,v) + 1 adds at most one to the bound that t's    *)
+(* own legality gives.  So a pass that goes illegal or exhausts its    *)
+(* n + 1 rounds proves that no solution lies above t.                  *)
+(*                                                                     *)
+(* Every legal labeling is at least r0(v) = -W(host, v), and r0 is     *)
+(* itself legal (triangle inequality), so FEAS from r0 ends at the     *)
+(* least solution or proves the period infeasible.  The same pass on   *)
+(* the reversed graph, where arrival times become departure times and  *)
+(* -r is a solution iff r is, gives the greatest.                      *)
 (*                                                                     *)
 (* A vertex the host cannot reach has no lower bound; it starts at     *)
 (* -(latch total + n + 2) and rises at most n + 1, so it stays below   *)
@@ -299,7 +304,7 @@ let min_weights c ~latches src =
   let bits = ref 1 in
   while 1 lsl !bits < c.n do incr bits done;
   let bits = !bits in
-  if latches > max_int asr (bits + 1) then invalid_arg "Feas.bounds: latch total overflows";
+  if latches > max_int asr (bits + 1) then invalid_arg "Feas: latch total overflows";
   let w = Array.make c.n max_int in
   let heap = Vgraph.Iheap.create () in
   w.(src) <- 0;
@@ -320,15 +325,23 @@ let min_weights c ~latches src =
   done;
   w
 
-(* The least solution at [period] on [c] ([-unbounded] where [src]
-   cannot reach), by FEAS from the least legal labeling. *)
-let least c ~latches ~src ~period =
+(* Load the least legal labeling from [src] into [st], with its
+   arrivals; returns W(src, .). *)
+let start_least st ~src =
+  let c = st.c in
+  let latches = Array.fold_left ( + ) 0 c.pw in
   let w = min_weights c ~latches src in
-  let st = make_state c in
   for v = 2 to c.n - 1 do
     st.r.(v) <- (if w.(v) = max_int then -(latches + c.n + 2) else -w.(v))
   done;
   full_arrival st;
+  w
+
+(* The least solution at [period] on [c] ([-unbounded] where [src]
+   cannot reach). *)
+let least c ~src ~period =
+  let st = make_state c in
+  let w = start_least st ~src in
   match run st ~period with
   | Feasible ->
       Some (Array.mapi (fun v x -> if v >= 2 && w.(v) = max_int then -unbounded else x) st.r)
@@ -347,29 +360,50 @@ let arrival g ~r =
 
 let period_of g ~r = Array.fold_left max 0 (arrival g ~r)
 
+let bounds g ~period =
+  Obs.span ~name:"feas.bounds" @@ fun () ->
+  let c = csr g in
+  (* even the hosts' zero delay exceeds a negative period *)
+  match if period < 0 then None else least c ~src:Rgraph.host ~period with
+  | None -> None
+  | Some lb ->
+      (* the forward pass found a solution, so the reversed one does too *)
+      let neg = Option.get (least (reverse c) ~src:Rgraph.host_sink ~period) in
+      Some { lb; ub = Array.map (fun x -> -x) neg }
+
+(* Clamped into [lb, ub], a legal start stays legal (legal labelings
+   form a lattice too) and lies below the greatest solution, so FEAS
+   ends at the least solution above it.  A start that already lay below
+   some solution lay below ub, and every solution above it lies above lb
+   too, so the clamp leaves its answer unchanged. *)
 let feasible ?init g ~period =
+  Option.bind (bounds g ~period) @@ fun { lb; ub } ->
   let c = csr g in
   let st = make_state c in
-  (match init with
-  | Some r ->
-      assert (Rgraph.is_legal g ~r:(Rgraph.normalize g ~r));
-      Array.blit r 0 st.r 0 c.n
-  | None -> ());
+  let init =
+    match init with
+    | Some r ->
+        let r = Rgraph.normalize g ~r in
+        assert (Rgraph.is_legal g ~r);
+        r
+    | None -> Array.make c.n 0
+  in
+  for v = 0 to c.n - 1 do
+    st.r.(v) <- max lb.(v) (min init.(v) ub.(v))
+  done;
   full_arrival st;
   match run st ~period with
-  | Feasible -> Some (Rgraph.normalize g ~r:st.r)
-  | Illegal | Exhausted -> None
+  | Feasible -> Some st.r
+  | Illegal | Exhausted -> failwith "Feas.feasible: internal error: the clamped start failed"
 
-(* Warm-started binary search.
-   FEAS from the all-zero labeling computes the pointwise-minimal feasible
-   retiming at its period (every increment it performs is forced), and the
-   feasible labelings at period p' < p are a subset of those at p — so the
-   minimal labelings are monotone: r_min(p) <= r_min(p') pointwise.
-   Seeding FEAS at p' with r_min(p) is therefore sound (it starts below
-   the labeling it must reach) and preserves minimality, so the invariant
-   carries across the whole search.  A run that exhausts its round bound
-   is re-checked cold before the period is declared infeasible. *)
-let min_period ?pool g =
+(* Bisection over the delay profile (max gate delay up to the unretimed
+   period).  Solutions at p' < p are solutions at p, so the least
+   solution rises as the period falls, and each probe can start from
+   the least solution of the smallest period met so far (r0 before
+   that): the start lies below the least solution at the probed period,
+   so a probe that goes illegal or exhausts its rounds proves that
+   period infeasible. *)
+let min_period g =
   Obs.span ~name:"feas.min_period" @@ fun () ->
   let c = csr g in
   let n = c.n in
@@ -378,96 +412,24 @@ let min_period ?pool g =
   let hi0 = Array.fold_left max 0 st.delta in
   let lo0 = Array.fold_left max 0 g.Rgraph.delay in
   Obs.attr (fun () -> [ ("lo", Obs.Int lo0); ("hi", Obs.Int hi0) ]);
-  if hi0 <= lo0 then (hi0, Array.make n 0)
-  else begin
-    let best_r = Array.make n 0 in
-    let best_delta = Array.copy st.delta in
-    let save st =
+  ignore (start_least st ~src:Rgraph.host);
+  let best_r = Array.copy st.r and best_delta = Array.copy st.delta in
+  (* hi0 is met, but its least solution is not known yet: starting one
+     above it probes hi0 like any other period *)
+  let lo = ref (lo0 - 1) and hi = ref (hi0 + 1) in
+  let probe p =
+    Array.blit best_r 0 st.r 0 n;
+    Array.blit best_delta 0 st.delta 0 n;
+    if run st ~period:p = Feasible then begin
       Array.blit st.r 0 best_r 0 n;
-      Array.blit st.delta 0 best_delta 0 n
-    in
-    let restore st =
-      Array.blit best_r 0 st.r 0 n;
-      Array.blit best_delta 0 st.delta 0 n
-    in
-    (* probe [p] on [st], warm from the saved minimal labeling of the
-       current upper bound; false-negative-free thanks to the cold retry *)
-    let probe st p =
-      restore st;
-      match run st ~period:p with
-      | Feasible -> true
-      | Illegal -> false
-      | Exhausted ->
-          Array.fill st.r 0 n 0;
-          full_arrival st;
-          run st ~period:p = Feasible
-    in
-    let lo = ref (lo0 - 1) and hi = ref hi0 in
-    (* delay-profile lower bound first: for balanced pipelines the search
-       collapses to a single FEAS run *)
-    if probe st lo0 then begin
-      save st;
-      hi := lo0
+      Array.blit st.delta 0 best_delta 0 n;
+      hi := p
     end
-    else lo := lo0;
-    (match pool with
-    | Some pool when Par.Pool.jobs pool > 1 && !hi - !lo > 2 ->
-        let jobs = Par.Pool.jobs pool in
-        while !hi - !lo > 1 do
-          let w = !hi - !lo - 1 in
-          let np = min jobs w in
-          let pts =
-            if np = 1 then [ (!lo + !hi) / 2 ]
-            else
-              List.init np (fun j -> !lo + 1 + (j * (w - 1) / (np - 1)))
-          in
-          let results =
-            Par.Pool.map pool
-              (fun p ->
-                let stp = make_state c in
-                let ok = probe stp p in
-                (p, ok, (if ok then Some (Array.copy stp.r) else None)))
-              pts
-          in
-          let feas = List.filter (fun (_, ok, _) -> ok) results in
-          (match feas with
-          | [] -> lo := List.fold_left (fun acc (p, _, _) -> max acc p) !lo results
-          | _ ->
-              let p, _, rl =
-                List.fold_left
-                  (fun ((bp, _, _) as b) ((p, _, _) as x) ->
-                    if p < bp then x else b)
-                  (List.hd feas) (List.tl feas)
-              in
-              hi := p;
-              Array.blit (Option.get rl) 0 best_r 0 n;
-              Array.blit (Option.get rl) 0 st.r 0 n;
-              full_arrival st;
-              Array.blit st.delta 0 best_delta 0 n;
-              List.iter
-                (fun (q, ok, _) -> if (not ok) && q < !hi then lo := max !lo q)
-                results)
-        done
-    | _ ->
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if probe st mid then begin
-            save st;
-            hi := mid
-          end
-          else lo := mid
-        done);
-    (!hi, Array.copy best_r)
-  end
-
-let bounds g ~period =
-  Obs.span ~name:"feas.bounds" @@ fun () ->
-  let c = csr g in
-  let latches = Array.fold_left ( + ) 0 c.pw in
-  (* even the hosts' zero delay exceeds a negative period *)
-  match if period < 0 then None else least c ~latches ~src:Rgraph.host ~period with
-  | None -> None
-  | Some lb ->
-      (* the forward pass found a solution, so the reversed one does too *)
-      let neg = Option.get (least (reverse c) ~latches ~src:Rgraph.host_sink ~period) in
-      Some { lb; ub = Array.map (fun x -> -x) neg }
+    else lo := p
+  in
+  (* the delay-profile lower bound first: balanced pipelines stop there *)
+  probe lo0;
+  while !hi - !lo > 1 do
+    probe ((!lo + !hi) / 2)
+  done;
+  (!hi, best_r)

@@ -4,13 +4,15 @@
     The engine is incremental: one CSR image of the retiming graph is
     shared by every FEAS run, and each round recomputes arrival times only
     over the zero-weight-successor closure of the vertices whose label
-    changed.  The binary search is warm-started — FEAS from the all-zero
-    labeling yields the pointwise-{e minimal} feasible retiming, and
-    minimal labelings are monotone in the period, so each probe seeds from
-    the labeling of the best period found so far.  Run from the least
-    legal labeling, forward and on the reversed graph, the same engine
-    gives every label's exact range at a period ({!bounds}), which
-    {!Minarea} uses to bound its LP. *)
+    changed.  Every FEAS pass starts below its answer, so it ends at the
+    least labeling above its start that meets the period or proves there
+    is none.  From the least legal labeling [r(v) = -W(host, v)] that
+    answer is the least labeling meeting the period; these least
+    labelings rise as the period falls, so the binary search seeds each
+    probe from the one of the best period found so far.  Run forward and
+    on the reversed graph, the same engine gives every label's exact range
+    at a period ({!bounds}), which {!Minarea} uses to bound its LP and
+    {!feasible} to clamp its start. *)
 
 val arrival : Rgraph.t -> r:int array -> int array
 (** Combinational arrival time Δ(v) of every vertex under retiming labels
@@ -21,18 +23,23 @@ val period_of : Rgraph.t -> r:int array -> int
 (** Clock period of the retimed graph: max arrival time. *)
 
 val feasible : ?init:int array -> Rgraph.t -> period:int -> int array option
-(** [feasible g ~period] is [Some r] (normalized, legal) if a retiming
-    achieving the period exists, starting the FEAS iteration from [init]
-    (default all-zero, which must be legal). *)
+(** [feasible g ~period] is [Some r] (normalized, legal, meeting the
+    period) exactly when a retiming achieving the period exists, and
+    [None] exactly when the period is infeasible.  FEAS runs from [init]
+    (default all-zero; legal once both host labels are shifted to 0)
+    clamped into the period's {!bounds}, and ends at the least labeling
+    above that start.  Where some labeling meeting the period lies above
+    [init], the result is the least one above [init] itself.
+    @raise Invalid_argument as {!bounds} does. *)
 
-val min_period : ?pool:Par.Pool.t -> Rgraph.t -> int * int array
-(** The minimum feasible clock period and labels achieving it.  The search
-    interval comes from the delay profile (max gate delay up to the period
-    of the unretimed graph), and the delay-profile lower bound is probed
-    first so balanced pipelines collapse to a single FEAS run.  With
-    [pool], each bisection step probes [Par.Pool.jobs pool] candidate
-    periods in parallel (each probe runs on its own state against the
-    shared CSR). *)
+val min_period : Rgraph.t -> int * int array
+(** The minimum feasible clock period, exact, and the least labeling
+    achieving it on the vertices the host reaches (the others sit below
+    every label the host can force).  One bisection over the delay
+    profile (max gate delay up to the period of the unretimed graph)
+    probes the lower bound first, so balanced pipelines settle in a
+    single FEAS run.
+    @raise Invalid_argument as {!bounds} does. *)
 
 type bounds = { lb : int array; ub : int array }
 (** [lb.(v)] and [ub.(v)]: the least and greatest label of [v] over the
@@ -55,7 +62,6 @@ val bounds : Rgraph.t -> period:int -> bounds option
     or exhausts its [n + 1] rounds proves the period infeasible.
     Vertices the host cannot reach start below
     [-(latch total + vertex count)] and stay unbounded.  Labels may be
-    negative: unlike {!min_period}, the bounds are not limited to
-    labelings reachable from the all-zero start.
+    negative.
     @raise Invalid_argument if the latch total does not fit an int
     shifted past the vertex-index bits. *)

@@ -360,11 +360,8 @@ let solve ?period ?pool g =
           | Some c ->
               if Feas.period_of g ~r <= c then Some r
               else if exact then internal "exact labels miss the period"
-              else (
-                (* the FEAS-repair mode: FEAS's round bound only covers
-                   the all-zero start, so if the repair from the min-area
-                   labels stalls, restart from scratch (area-suboptimal
-                   but correct) *)
-                match Feas.feasible ~init:r g ~period:c with
-                | Some _ as s -> s
-                | None -> Feas.feasible g ~period:c)))
+              else
+                (* the FEAS-repair mode: FEAS from the min-area labels,
+                   clamped into the period's bounds, which decide
+                   feasibility (area-suboptimal but correct) *)
+                Feas.feasible ~init:r g ~period:c))

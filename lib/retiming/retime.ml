@@ -22,7 +22,7 @@ let finish g c r =
 let min_period ?exposed ?pool c =
   Obs.span ~name:"retime.min_period" @@ fun () ->
   let g = Rgraph.build ?exposed c in
-  let period, _ = Feas.min_period ?pool g in
+  let period, _ = Feas.min_period g in
   (* among the min-period retimings, take a latch-minimal one; the period
      is feasible by construction, so solve cannot return None *)
   match Minarea.solve ~period ?pool g with

@@ -19,7 +19,8 @@ val min_period :
 (** Retimes for the minimum feasible clock period, then minimizes latch
     count under that period.  [exposed] latches stay in place (pseudo-I/O).
     The circuit must contain only regular latches.  [pool] parallelizes
-    the period search probes and the W/D constraint generation. *)
+    only the W/D constraint generation; the period search is one
+    sequential bisection. *)
 
 val constrained_min_area :
   ?exposed:(Circuit.signal -> bool) ->

@@ -1,9 +1,11 @@
 (* Reference retiming engines, kept as test oracles for {!Feas},
    {!Minarea} and {!Vgraph.Mincost_flow}: the original cold-start FEAS,
    the unpruned W/D-matrix constraints (one boxed lexicographic Dijkstra
-   per source), and the list-adjacency successive-shortest-paths flow.
-   The shipped engines must reach the same periods, the same minimal
-   labelings and the same optimal latch totals. *)
+   per source), the list-adjacency successive-shortest-paths flow, and
+   the exact minimum period and label bounds of the full constraint
+   system by Bellman–Ford.  The shipped engines must reach the same
+   periods, the same least labelings and the same optimal latch
+   totals. *)
 
 open Vgraph
 
@@ -314,6 +316,21 @@ let satisfiable n constraints =
     (not !changed) || ((not (pred_cycle ())) && k < n && rounds (k + 1))
   in
   rounds 0
+
+(* ---- exact period ---- *)
+
+(* Whether some legal labeling with the hosts tied meets [period]: the
+   full system (every violating W/D pair plus the edge constraints) is
+   satisfiable. *)
+let meets ?wd (g : Rgraph.t) ~period =
+  let constraints = period_constraints ?wd g ~period @ edge_constraints g in
+  satisfiable (Digraph.node_count g.graph) constraints
+
+(* The least period, from the largest gate delay up, that [meets]. *)
+let min_period ?wd:m (g : Rgraph.t) =
+  let wd = match m with Some m -> m | None -> wd g in
+  let rec up period = if meets ~wd g ~period then period else up (period + 1) in
+  up (Array.fold_left max 0 g.delay)
 
 (* ---- lattice bounds ---- *)
 
