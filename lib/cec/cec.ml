@@ -141,65 +141,21 @@ module Cache = struct
      Aig.cone_inputs), so a hit on a structurally identical cone pair with
      different variables — the same cone at another unrolling depth, or
      under renamed inputs — replays under the hitting problem's own
-     variables.  Entries are {!Store.verdict}s, in memory and on disk. *)
-  type slot = { entry : Store.verdict; mutable stamp : int }
+     variables.  Entries are {!Store.verdict}s, in memory and on disk.
 
-  (* Bounded in-memory index, optionally backed by a persistent Store.
-     When over capacity a batch eviction drops the least-recently-hit
-     quarter-plus of entries (down to 3/4 capacity), so long Flow runs pay
-     an amortized O(1) per insertion instead of growing without limit.
-     Evicted verdicts that were store-backed are not lost: the store keeps
-     them (under its own, larger bound) and a later miss re-promotes. *)
-  type t = {
-    tbl : (string, slot) Hashtbl.t;
-    m : Mutex.t;
-    capacity : int;
-    store : Store.t option;
-    mutable gen : int; (* LRU logical clock *)
-  }
+     The in-memory index is a bounded {!Lru}, optionally backed by a
+     persistent Store.  Evicted verdicts that were store-backed are not
+     lost: the store keeps them (under its own, larger bound) and a later
+     miss re-promotes. *)
+  type t = { mem : Store.verdict Lru.t; store : Store.t option }
 
   let default_capacity = 65_536
 
   let create ?(capacity = default_capacity) ?store () =
-    {
-      tbl = Hashtbl.create 256;
-      m = Mutex.create ();
-      capacity = max 1 capacity;
-      store;
-      gen = 0;
-    }
+    { mem = Lru.create ~capacity; store }
 
-  let clear t =
-    Mutex.lock t.m;
-    Hashtbl.reset t.tbl;
-    Mutex.unlock t.m
-
-  let size t =
-    Mutex.lock t.m;
-    let n = Hashtbl.length t.tbl in
-    Mutex.unlock t.m;
-    n
-
-  (* m held.  Batch-evict oldest-stamp entries down to 3/4 capacity;
-     returns the number dropped. *)
-  let evict_locked t =
-    let n = Hashtbl.length t.tbl in
-    if n <= t.capacity then 0
-    else begin
-      let arr = Array.make n ("", 0) in
-      let i = ref 0 in
-      Hashtbl.iter
-        (fun k s ->
-          arr.(!i) <- (k, s.stamp);
-          incr i)
-        t.tbl;
-      Array.sort (fun (_, a) (_, b) -> compare (a : int) b) arr;
-      let drop = n - max 1 (t.capacity * 3 / 4) in
-      for j = 0 to drop - 1 do
-        Hashtbl.remove t.tbl (fst arr.(j))
-      done;
-      drop
-    end
+  let clear t = Lru.clear t.mem
+  let size t = Lru.size t.mem
 
   (* where a hit was served from — callers account the two differently *)
   type hit = Memory of Store.verdict | Disk of Store.verdict
@@ -208,57 +164,24 @@ module Cache = struct
      into memory so repeats stay off the store's mutex.  Also returns how
      many entries the promotion evicted. *)
   let find_hit t key =
-    Mutex.lock t.m;
-    match Hashtbl.find_opt t.tbl key with
-    | Some s ->
-        s.stamp <- t.gen;
-        t.gen <- t.gen + 1;
-        let e = s.entry in
-        Mutex.unlock t.m;
-        (Some (Memory e), 0)
+    match Lru.find t.mem key with
+    | Some e -> (Some (Memory e), 0)
     | None -> (
-        Mutex.unlock t.m;
-        match t.store with
+        match Option.bind t.store (fun st -> Store.find st key) with
         | None -> (None, 0)
-        | Some st -> (
-            match Store.find st key with
-            | None -> (None, 0)
-            | Some e ->
-                Mutex.lock t.m;
-                let evicted =
-                  if Hashtbl.mem t.tbl key then 0
-                  else begin
-                    Hashtbl.add t.tbl key { entry = e; stamp = t.gen };
-                    t.gen <- t.gen + 1;
-                    evict_locked t
-                  end
-                in
-                Mutex.unlock t.m;
-                (Some (Disk e), evicted)))
+        | Some e -> (Some (Disk e), Option.value ~default:0 (Lru.add t.mem key e)))
 
-  (* Insert if absent, write-through to the store (outside the cache
+  (* Insert if absent, write-through to the store (outside the index's
      mutex: Store.add dedupes on its own).  Returns (records appended to
      the store, entries evicted). *)
   let add_entry t key entry =
-    Mutex.lock t.m;
-    let fresh = not (Hashtbl.mem t.tbl key) in
-    let evicted =
-      if fresh then begin
-        Hashtbl.add t.tbl key { entry; stamp = t.gen };
-        t.gen <- t.gen + 1;
-        evict_locked t
-      end
-      else 0
-    in
-    Mutex.unlock t.m;
-    let wrote =
-      fresh
-      &&
-      match t.store with
-      | Some st -> Store.add st key entry
-      | None -> false
-    in
-    ((if wrote then 1 else 0), evicted)
+    match Lru.add t.mem key entry with
+    | None -> (0, 0)
+    | Some evicted ->
+        let wrote =
+          match t.store with Some st -> Store.add st key entry | None -> false
+        in
+        ((if wrote then 1 else 0), evicted)
 end
 
 let input_index_tbl g =
@@ -783,6 +706,7 @@ let check_pair st b ~engine ~cache p =
    interface).  Clusters are the verdict and cache-key units; bins only
    group clusters into pool tasks. *)
 module Layout = Layout
+module Lru = Lru
 
 (* One sub-AIG per cluster, carved out of the shared problem graph with
    Aig.extract; the sub-problem's variables come through the extraction's

@@ -125,6 +125,10 @@ type stats = {
     whether or not tracing is enabled; {!stats_pp} prints both the wall
     clock and the per-engine CPU-second sums. *)
 
+val fresh_stats : unit -> stats
+(** Every counter and every second at zero: the stats of a check that
+    ran no engine. *)
+
 val stats_pp : Format.formatter -> stats -> unit
 (** One-line rendering printing {e every} field: counters, the elapsed
     wall clock (with the partitioning share) and the per-engine
@@ -170,6 +174,10 @@ module Layout = Layout
     monolithic fast path below a total-cost threshold, and cost-balanced
     packing of clusters into scheduling {e bins}.  See
     {!Layout.compute}. *)
+
+module Lru = Lru
+(** The bounded table with batch least-recently-hit eviction under
+    {!Cache}'s in-memory index. *)
 
 val check_problem_with_stats :
   ?engine:engine ->

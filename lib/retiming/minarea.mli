@@ -26,9 +26,10 @@ val solve : ?period:int -> ?pool:Par.Pool.t -> Rgraph.t -> int array option
     result that misses the period or breaks its own constraints is an
     internal error ([Failure]), never a [None].  Any other graph skips the
     quadratic [W]/[D] constraint generation and takes the FEAS-repair
-    mode: an unconstrained optimum that misses the period is repaired by
-    one {!Feas.feasible} pass, started from it clamped into the period's
-    {!Feas.bounds}.  The repair meets the period but may keep more latches
+    mode: the period's {!Feas.bounds} decide infeasibility before the
+    flow runs, and an unconstrained optimum that misses the period is
+    repaired by one {!Feas.feasible} pass, started from it clamped into
+    those bounds.  The repair meets the period but may keep more latches
     than the minimum.
 
     Among equally small per-edge totals the labeling returned is the one

@@ -57,6 +57,14 @@ type pending = {
   pcapture : bool;  (* capture this request's span tree *)
 }
 
+(* What a response and a trace entry report about a decided or undecided
+   check (error responses have none). *)
+type checked = {
+  ck_engine : Cec.engine;  (* the requested engine *)
+  ck_stats : Verify.stats;  (* zero but [method_] and [seconds] on a hit *)
+  ck_memo_hit : bool;  (* answered from the request memo *)
+}
+
 type trace_entry = {
   tr_seq : int;  (* trace id *)
   tr_id : Sjson.t;  (* client-supplied request id *)
@@ -65,12 +73,15 @@ type trace_entry = {
   tr_queue_wait : float;
   tr_slow : bool;
   tr_sampled : bool;  (* picked by the 1-in-N policy (vs slow-only) *)
-  tr_check : (Cec.engine * Verify.stats) option;
-      (* requested engine and the check's own stats; None for errors *)
+  tr_check : checked option;  (* None for errors *)
   tr_spans : Sjson.t;  (* span tree, or Null when not captured *)
 }
 
 let trace_ring_cap = 64
+
+(* request memo entries hold a verdict and at most one counterexample,
+   never a circuit *)
+let memo_capacity = 4096
 
 type t = {
   cfg : config;
@@ -80,6 +91,8 @@ type t = {
   pool : Par.Pool.t;
   cache : Cec.Cache.t;
   store : Store.t option;
+  memo : (Verify.verdict * Verify.method_) Cec.Lru.t;
+      (* decided verdicts by request content; see [memo_key] *)
   stop_req : bool Atomic.t;  (* the only thing a signal handler touches *)
   m : Mutex.t;
   work_cv : Condition.t;  (* executors sleep here *)
@@ -101,6 +114,7 @@ type t = {
   mutable n_completed : int;
   mutable n_shed : int;
   mutable n_errors : int;
+  mutable n_memo_hits : int;
   (* bounded ring of traced requests (sampled or slow), newest at
      [(t_pos - 1) mod cap]; guarded by [t.m] *)
   traces : trace_entry option array;
@@ -152,35 +166,44 @@ let shed_response id reason =
 
 (* ---------- request decoding ---------- *)
 
-let circuit_of req field =
+let text_of req field =
   match Sjson.member field req with
-  | Some (Sjson.String s) when String.length s > 0 && s.[0] = '@' -> (
-      let name = String.sub s 1 (String.length s - 1) in
-      (* any registered workload, hier designs' flattened sides included;
-         the error carries the registry's near-miss suggestions *)
-      match Workloads.lookup name with
-      | Ok c -> c
-      | Error msg -> failwith msg)
-  | Some (Sjson.String s) -> Netlist_io.parse s
+  | Some (Sjson.String s) -> s
   | Some _ -> failwith (field ^ ": expected a string")
   | None -> failwith ("missing field " ^ field)
 
-let exposed_of req c1 =
+let circuit_of text =
+  if String.length text > 0 && text.[0] = '@' then
+    (* any registered workload, hier designs' flattened sides included;
+       the error carries the registry's near-miss suggestions *)
+    match Workloads.lookup (String.sub text 1 (String.length text - 1)) with
+    | Ok c -> c
+    | Error msg -> failwith msg
+  else Netlist_io.parse text
+
+(* The exposure spec: [None] for the structural plan (["auto"], the
+   default), else the names in order. *)
+let exposure_of req =
   match Sjson.member "exposed" req with
-  | None | Some (Sjson.String "auto") ->
+  | None | Some (Sjson.String "auto") -> None
+  | Some (Sjson.List l) ->
+      Some
+        (List.map
+           (fun v ->
+             match Sjson.get_string v with
+             | Some s -> s
+             | None -> failwith "exposed: expected latch names")
+           l)
+  | Some _ -> failwith "exposed: expected a list of names or \"auto\""
+
+let exposed_names c1 = function
+  | Some names -> names
+  | None ->
       (* the paper's default: expose a minimum feedback vertex set of the
          left circuit (names must also exist on the right, else the check
          reports the diagnosis) *)
       let plan = Feedback.plan_structural c1 in
       List.map (Circuit.signal_name c1) plan.Feedback.exposed
-  | Some (Sjson.List l) ->
-      List.map
-        (fun v ->
-          match Sjson.get_string v with
-          | Some s -> s
-          | None -> failwith "exposed: expected latch names")
-        l
-  | Some _ -> failwith "exposed: expected a list of names or \"auto\""
 
 let engine_of cfg req =
   match Option.bind (Sjson.member "engine" req) Sjson.get_string with
@@ -215,21 +238,83 @@ let phases_json (s : Verify.stats) =
       ("bdd_cpu_seconds", Sjson.Float cec.Cec.bdd_seconds);
     ]
 
-(* Returns the wire response plus the requested engine and the check's
-   stats for the trace ring / slow log ([None] on an error response). *)
+(* ---------- the request memo ---------- *)
+
+(* A decided verdict depends on exactly the two texts and the exposure
+   spec: the engine, the budgets and [jobs] change only the speed or an
+   Undecided outcome, and the id nothing.  The key is an MD5 of each
+   text's own MD5 followed by the length-prefixed names, so distinct
+   requests have distinct encodings and no text is copied.  MD5 is not
+   collision-resistant: as with lib/hier's store keys, clients are
+   trusted not to send crafted collisions, which would get one text the
+   other's verdict. *)
+let memo_key left right exposure =
+  let b = Buffer.create 64 in
+  Buffer.add_string b (Digest.string left);
+  Buffer.add_string b (Digest.string right);
+  (match exposure with
+  | None -> Buffer.add_char b 'a'
+  | Some names ->
+      Buffer.add_char b 'n';
+      List.iter (fun s -> Printf.bprintf b "%d:%s" (String.length s) s) names);
+  Digest.string (Buffer.contents b)
+
+(* The outcome of a request answered from the memo: no engine ran, so
+   every phase and counter is zero. *)
+let memo_outcome (verdict, method_) ~seconds =
+  {
+    Verify.verdict;
+    stats =
+      {
+        Verify.method_;
+        depth = 0;
+        variables = 0;
+        events = 0;
+        unrolled_nodes = 0;
+        unrolled_gates = (0, 0);
+        cec = Cec.fresh_stats ();
+        unroll_seconds = 0.;
+        seconds;
+      };
+  }
+
+(* Returns the wire response plus what the trace ring and the accounting
+   need ([None] on an error response).  Everything a request can get
+   wrong in its shape is rejected before the memo lookup, so a hit
+   answers only a request a miss would have checked; errors, diagnoses
+   and Undecided answers are never memoized. *)
 let check_response t req =
+  let t0 = Obs.Clock.now () in
   let id = Option.value ~default:Sjson.Null (Sjson.member "id" req) in
   try
-    let c1 = circuit_of req "left" in
-    let c2 = circuit_of req "right" in
-    let exposed = exposed_of req c1 in
+    let left = text_of req "left" in
+    let right = text_of req "right" in
+    let exposure = exposure_of req in
     let engine = engine_of t.cfg req in
-    let limits = limits_of t.cfg req in
-    let jobs = Option.bind (Sjson.member "jobs" req) Sjson.get_int in
-    match
-      Verify.check ~engine ?jobs ~pool:t.pool ~limits ~cache:t.cache ~exposed
-        c1 c2
-    with
+    let key = memo_key left right exposure in
+    let result, memo_hit =
+      match Cec.Lru.find t.memo key with
+      | Some entry ->
+          let seconds = Obs.Clock.now () -. t0 in
+          (Ok (memo_outcome entry ~seconds), true)
+      | None ->
+          let c1 = circuit_of left in
+          let c2 = circuit_of right in
+          let exposed = exposed_names c1 exposure in
+          let limits = limits_of t.cfg req in
+          let jobs = Option.bind (Sjson.member "jobs" req) Sjson.get_int in
+          let result =
+            Verify.check ~engine ?jobs ~pool:t.pool ~limits ~cache:t.cache
+              ~exposed c1 c2
+          in
+          (match result with
+          | Ok { Verify.verdict = Verify.(Equivalent | Inequivalent _) as v; stats }
+            ->
+              ignore (Cec.Lru.add t.memo key (v, stats.Verify.method_))
+          | Ok { Verify.verdict = Verify.Undecided _; _ } | Error _ -> ());
+          (result, false)
+    in
+    match result with
     | Error d -> (error_response id (Seqprob.diagnosis_to_string d), None)
     | Ok outcome ->
         let s = outcome.Verify.stats in
@@ -282,9 +367,10 @@ let check_response t req =
                     ("cache_hits", Sjson.Int cec.Cec.cache_hits);
                     ("store_hits", Sjson.Int cec.Cec.store_hits);
                     ("store_writes", Sjson.Int cec.Cec.store_writes);
+                    ("memo_hits", Sjson.Int (if memo_hit then 1 else 0));
                   ] );
               ]),
-          Some (engine, s) )
+          Some { ck_engine = engine; ck_stats = s; ck_memo_hit = memo_hit } )
   with e -> (error_response id (Printexc.to_string e), None)
 
 (* ---------- traces, stats, metrics (reader thread, answered inline) ---------- *)
@@ -306,11 +392,12 @@ let trace_entry_json ~with_spans e =
   let check_fields =
     match e.tr_check with
     | None -> []
-    | Some (engine, s) ->
+    | Some c ->
         [
-          ("engine", Sjson.String (Cec.engine_name engine));
-          ("escalations", Sjson.Int s.Verify.cec.Cec.escalations);
-          ("phases", phases_json s);
+          ("engine", Sjson.String (Cec.engine_name c.ck_engine));
+          ("memo_hit", Sjson.Bool c.ck_memo_hit);
+          ("escalations", Sjson.Int c.ck_stats.Verify.cec.Cec.escalations);
+          ("phases", phases_json c.ck_stats);
         ]
   in
   Sjson.Obj
@@ -406,6 +493,7 @@ let stats_response t id =
         ("completed", Sjson.Int t.n_completed);
         ("shed", Sjson.Int t.n_shed);
         ("errors", Sjson.Int t.n_errors);
+        ("memo_hits", Sjson.Int t.n_memo_hits);
         ("inflight", Sjson.Int t.inflight);
         ("pending", Sjson.Int t.npending);
         ("executors", Sjson.Int t.cfg.executors);
@@ -580,17 +668,22 @@ let executor t () =
           end
         in
         (* only an error response comes without a check's stats *)
-        let failed =
-          match result with Some (_, None, _, _) -> true | _ -> false
+        let failed, memo_hit =
+          match result with
+          | Some (_, None, _, _) -> (true, false)
+          | Some (_, Some c, _, _) -> (false, c.ck_memo_hit)
+          | None -> (false, false)
         in
         (* account BEFORE sending: a client that reads its response and
            immediately asks for stats must see this check completed *)
         Obs.count "server.completed" 1;
+        if memo_hit then Obs.count "server.memo_hits" 1;
         Mutex.lock t.m;
         t.inflight <- t.inflight - 1;
         Obs.Gauge.set "server.inflight" (float_of_int t.inflight);
         t.n_completed <- t.n_completed + 1;
         if failed then t.n_errors <- t.n_errors + 1;
+        if memo_hit then t.n_memo_hits <- t.n_memo_hits + 1;
         (* trace ring: keep the request if it was picked by the sampler or
            turned out slow; spans only exist when the capture ran *)
         (match result with
@@ -820,6 +913,7 @@ let create cfg =
     pool = Par.Pool.create ~jobs:cfg.pool_jobs;
     cache = Cec.Cache.create ?store ();
     store;
+    memo = Cec.Lru.create ~capacity:memo_capacity;
     stop_req = Atomic.make false;
     m = Mutex.create ();
     work_cv = Condition.create ();
@@ -840,6 +934,7 @@ let create cfg =
     n_completed = 0;
     n_shed = 0;
     n_errors = 0;
+    n_memo_hits = 0;
     traces = Array.make trace_ring_cap None;
     t_pos = 0;
   }

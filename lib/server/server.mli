@@ -17,6 +17,31 @@
     and [ping] answer inline from the reader thread, so the server is
     observable while saturated.
 
+    {b Request memo.}  Each server keeps the decided verdicts of its
+    checks by request content, so a byte-identical repeat skips parse,
+    exposure planning, unrolling and the combinational check.  The key
+    is an MD5 over exactly the fields a decided verdict depends on: the
+    MD5s of the [left] and [right] strings and the exposure spec (absent
+    or ["auto"], else the length-prefixed name list in order).  MD5 is
+    not collision-resistant, so the memo trusts its clients: two texts
+    crafted to share an MD5 would get the first one's verdict, a
+    [certified] counterexample included, for the second.
+    [engine], [timeout], [sat_conflicts], [jobs] and [id] are not in
+    the key: they change only the speed or an [undecided] outcome.  A
+    hit answers the first response's [verdict], [certified], [cex] and
+    [method], with [seconds] the lookup's own time, every phase and
+    counter zero, and ["memo_hits":1]; a hit may thus return the
+    counterexample another engine or pool width found first.
+    [undecided] answers, diagnoses and errors are never memoized.  The
+    engine name, the exposure shape and the required fields are
+    validated before the lookup.  The memo is in memory only, holds at
+    most 4,096 entries and evicts the least recently hit in batches
+    ({!Cec.Lru}); a restarted daemon re-derives each pair once, and a
+    configured store answers that check's cones.  The lookup runs on an
+    executor, so a hit is admitted, completed, timed and traced like any
+    check.  A miss pays for the key, an MD5 over both texts, on top of
+    the check.
+
     {b Admission control.}  At most [max_pending] admitted-but-unstarted
     requests; beyond that a [check] is shed immediately with verdict
     [undecided], reason ["busy"] — the client sees a well-formed response,
@@ -61,7 +86,7 @@
                   "partition_seconds":0.05,"sweep_cpu_seconds":3.1,
                   "sat_cpu_seconds":0.4,"bdd_cpu_seconds":0.0},
         "counters":{"sat_calls":18,"partitions":16,"cache_hits":0,
-                    "store_hits":0,"store_writes":16}}
+                    "store_hits":0,"store_writes":16,"memo_hits":0}}
     v}
 
     [left]/[right] are ["@name"] (a {!Workloads.by_name} suite circuit)
@@ -81,8 +106,8 @@
     - [{"op":"stats"}] returns
       [{"ok":true,"uptime_seconds":...,
         "server":{"connections","checks","completed","shed","errors",
-                  "inflight","pending","executors","pool_jobs",
-                  "pool_spawned"},
+                  "memo_hits","inflight","pending","executors",
+                  "pool_jobs","pool_spawned"},
         "config":{"executors","pool_jobs","max_pending","engine",
                   "timeout_seconds","sat_conflicts","cache_dir",
                   "metrics_addr","trace_sample","slow_ms"},
@@ -105,14 +130,14 @@
       entries in admission order (ascending [trace_id]), whatever order
       their checks completed in; each entry is
       [{"trace_id","id","verdict","seconds","queue_wait_seconds",
-        "slow","sampled","engine","escalations",
+        "slow","sampled","engine","memo_hit","escalations",
         "phases":{"unroll_seconds","cec_elapsed_seconds",
                   "partition_seconds","sweep_cpu_seconds",
                   "sat_cpu_seconds","bdd_cpu_seconds"},
         "spans":[{"name","count","total_seconds","self_seconds",
                   "children":[...]}]}]
       ([verdict] is the response's, or ["error"]; error responses omit
-      [engine]/[escalations]/[phases]; [spans] is [null] when the entry
+      [engine]/[memo_hit]/[escalations]/[phases]; [spans] is [null] when the entry
       was kept for slowness without a capture). *)
 
 type config = {

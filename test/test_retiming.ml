@@ -1,9 +1,11 @@
 (* Retiming: graph extraction, FEAS min-period, min-area LP vs brute force,
    application legality, sequential equivalence of the result. *)
 
-let st = Random.State.make [| 0x4E7 |]
+(* Each test draws from a state of its own, seeded by a constant of its
+   own, so its inputs do not depend on which tests ran before it. *)
+let rng seed = Random.State.make [| 0x4E7; seed |]
 
-let flush_compare c1 c2 ~cycles ~skip =
+let flush_compare st c1 c2 ~cycles ~skip =
   let ni = List.length (Circuit.inputs c1) in
   let seq = List.init cycles (fun _ -> Array.init ni (fun _ -> Random.State.bool st)) in
   let t1 = Sim.run c1 ~init:(Array.make (Circuit.latch_count c1) false) ~inputs:seq in
@@ -13,7 +15,7 @@ let flush_compare c1 c2 ~cycles ~skip =
       if t >= skip && o1 <> List.nth t2 t then Alcotest.fail "retimed behaviour differs")
     t1
 
-let random_acyclic i =
+let random_acyclic st i =
   Gen.acyclic st
     ~name:(Printf.sprintf "r%d" i)
     ~inputs:(2 + Random.State.int st 4)
@@ -22,7 +24,7 @@ let random_acyclic i =
     ~outputs:(1 + Random.State.int st 3)
     ~enables:false
 
-let random_feedback i =
+let random_feedback st i =
   Gen.feedback st
     ~name:(Printf.sprintf "rf%d" i)
     ~inputs:(2 + Random.State.int st 3)
@@ -60,6 +62,7 @@ let test_rgraph_rejects_enabled () =
   with Invalid_argument _ -> ()
 
 let test_latch_ring_auto_exposed () =
+  let st = rng 1 in
   (* a gate-free latch ring must survive via auto-exposure *)
   let c = Circuit.create "ring" in
   let q0 = Circuit.declare c ~name:"q0" () in
@@ -70,20 +73,22 @@ let test_latch_ring_auto_exposed () =
   Circuit.check c;
   let rt, _ = Retime.min_period c in
   Circuit.check rt;
-  flush_compare c rt ~cycles:20 ~skip:10
+  flush_compare st c rt ~cycles:20 ~skip:10
 
 let test_min_period_legal_and_better () =
+  let st = rng 2 in
   for i = 1 to 40 do
-    let c = random_acyclic i in
+    let c = random_acyclic st i in
     let rt, rep = Retime.min_period c in
     Alcotest.(check bool) "period not worse" true
       (rep.Retime.period_after <= rep.Retime.period_before);
     Alcotest.(check int) "delay agrees with report" rep.Retime.period_after
       (Circuit.delay rt);
-    flush_compare c rt ~cycles:40 ~skip:20
+    flush_compare st c rt ~cycles:40 ~skip:20
   done
 
 let test_min_period_feedback () =
+  let st = rng 3 in
   (* Feedback state need not flush, so behaviour is compared under the
      paper's exact 3-valued semantics (all power-up states), past the
      initialization transient that retiming may lengthen. *)
@@ -118,6 +123,7 @@ let test_min_period_feedback () =
   done
 
 let test_min_area_vs_bruteforce () =
+  let st = rng 4 in
   (* exhaustive check of the LP on small graphs: enumerate r in [-2..2]^V *)
   for i = 1 to 20 do
     let c =
@@ -160,12 +166,13 @@ let test_min_area_vs_bruteforce () =
   done
 
 let test_constrained_min_area () =
+  let st = rng 5 in
   for i = 1 to 25 do
-    let c = random_acyclic (100 + i) in
+    let c = random_acyclic st (100 + i) in
     let period0 = Circuit.delay c in
     let rt, rep = Result.get_ok (Retime.constrained_min_area ~period:period0 c) in
     Alcotest.(check bool) "period respected" true (rep.Retime.period_after <= period0);
-    flush_compare c rt ~cycles:40 ~skip:20;
+    flush_compare st c rt ~cycles:40 ~skip:20;
     (* unconstrained can only be <= constrained in latches *)
     let _, rep_u = Retime.min_area c in
     Alcotest.(check bool) "unconstrained <= constrained" true
@@ -187,8 +194,9 @@ let test_infeasible_period () =
   | Ok _ -> Alcotest.fail "infeasible period accepted"
 
 let test_exposed_latches_stay () =
+  let st = rng 6 in
   for i = 1 to 15 do
-    let c = random_feedback (200 + i) in
+    let c = random_feedback st (200 + i) in
     let plan = Feedback.plan_structural c in
     let exposed_names = List.map (Circuit.signal_name c) plan.Feedback.exposed in
     let exposed s = List.mem (Circuit.signal_name c s) exposed_names in
@@ -204,22 +212,23 @@ let test_exposed_latches_stay () =
             | Undriven | Input | Gate _ ->
                 Alcotest.fail (Printf.sprintf "exposed %s no longer a latch" n)))
       exposed_names;
-    flush_compare c rt ~cycles:40 ~skip:20
+    flush_compare st c rt ~cycles:40 ~skip:20
   done
 
 let test_pipeline_balances () =
+  let st = rng 7 in
   let c = Workloads.pipeline ~name:"pb" ~width:6 ~stages:4 ~imbalance:5 ~seed:3 in
   let rt, rep = Retime.min_period c in
   Alcotest.(check bool) "pipeline delay improves" true
     (rep.Retime.period_after < rep.Retime.period_before);
-  flush_compare c rt ~cycles:40 ~skip:20
+  flush_compare st c rt ~cycles:40 ~skip:20
 
 (* ---- shipped engines vs the test oracles ---- *)
 
 module Naive = Retiming_oracle.Naive_feas
 
-let random_rgraph i =
-  let c = if i mod 2 = 0 then random_acyclic i else random_feedback i in
+let random_rgraph st i =
+  let c = if i mod 2 = 0 then random_acyclic st i else random_feedback st i in
   Rgraph.build c
 
 let labels = Alcotest.(list int)
@@ -236,49 +245,51 @@ let check_min_period ?wd name g (p, r) =
   Alcotest.(check bool) (name ^ ": meets period") true (Feas.period_of g ~r <= p)
 
 let test_feas_fast_vs_naive () =
+  let st = rng 8 in
   (* the warm-started search must reach the exact period and the least
      labeling at it, which the cold all-zero start of the naive engine
      can miss *)
   for i = 1 to 30 do
-    let g = random_rgraph (300 + i) in
+    let g = random_rgraph st (300 + i) in
     check_min_period "random" g (Feas.min_period g)
   done
 
 let test_feas_feasible_differential () =
-  (* cold: the oracle's verdict at every period, and the naive engine's
-     labeling wherever its all-zero start succeeds; warm: the same
-     verdict and labeling as the naive engine *)
+  let st = rng 9 in
+  (* from the all-zero start and from the naive min-period labeling: the
+     oracle's verdict at every period, and the naive engine's labeling
+     wherever it succeeds from the same start.  The naive search can end
+     one period above the exact one, and the naive FEAS cannot descend
+     from its labeling to that period, which the shipped engine meets *)
   for i = 1 to 20 do
-    let g = random_rgraph (500 + i) in
+    let g = random_rgraph st (500 + i) in
     let p_min, r_min = Naive.min_period g in
     List.iter
       (fun period ->
-        let fast = Feas.feasible g ~period in
-        Alcotest.(check bool) "feasibility verdict"
-          (Retiming_oracle.meets g ~period) (Option.is_some fast);
-        (match (fast, Naive.feasible g ~period) with
-        | Some rf, Some rn ->
-            Alcotest.check labels "feasible labels agree" (Array.to_list rn)
-              (Array.to_list rf)
-        | Some rf, None ->
-            Alcotest.(check bool) "legal" true (Rgraph.is_legal g ~r:rf);
-            Alcotest.(check bool) "meets period" true (Feas.period_of g ~r:rf <= period)
-        | None, _ -> ());
-        (* warm start from the min-period labeling (legal by construction) *)
-        match
-          (Feas.feasible ~init:r_min g ~period, Naive.feasible ~init:r_min g ~period)
-        with
-        | Some rf, Some rn ->
-            Alcotest.check labels "warm labels agree" (Array.to_list rn)
-              (Array.to_list rf)
-        | None, None -> ()
-        | _ -> Alcotest.fail "warm feasibility verdicts differ")
+        let compare start fast naive =
+          Alcotest.(check bool) (start ^ ": feasibility verdict")
+            (Retiming_oracle.meets g ~period) (Option.is_some fast);
+          match (fast, naive) with
+          | Some rf, Some rn ->
+              Alcotest.check labels (start ^ ": labels agree") (Array.to_list rn)
+                (Array.to_list rf)
+          | Some rf, None ->
+              Alcotest.(check bool) (start ^ ": legal") true (Rgraph.is_legal g ~r:rf);
+              Alcotest.(check bool) (start ^ ": meets period") true
+                (Feas.period_of g ~r:rf <= period)
+          | None, _ -> ()
+        in
+        compare "cold" (Feas.feasible g ~period) (Naive.feasible g ~period);
+        compare "warm"
+          (Feas.feasible ~init:r_min g ~period)
+          (Naive.feasible ~init:r_min g ~period))
       [ p_min - 1; p_min; p_min + 1 ]
   done
 
 let test_feas_arrival_differential () =
+  let st = rng 10 in
   for i = 1 to 20 do
-    let g = random_rgraph (600 + i) in
+    let g = random_rgraph st (600 + i) in
     let _, r = Naive.min_period g in
     Alcotest.check labels "arrival agrees"
       (Array.to_list (Naive.arrival g ~r))
@@ -333,12 +344,13 @@ let check_minarea ?wd name g ~period =
   | _ -> Alcotest.fail (name ^ ": min-area feasibility verdicts differ")
 
 let test_minarea_fast_vs_reference () =
+  let st = rng 11 in
   (* both engines must reach the same optimal latch total (labelings may
      differ between equal-cost optima) and agree on infeasibility: on
      random graphs around the minimum period, and on Table 1's C/F solves
      (the minimum period) and E/G solves (D's delay, when feasible) *)
   for i = 1 to 15 do
-    let g = random_rgraph (700 + i) in
+    let g = random_rgraph st (700 + i) in
     let p_min, _ = Naive.min_period g in
     List.iter
       (fun period ->
@@ -374,6 +386,7 @@ let check_bounds ?wd name g ~period =
   | Some _, None | None, Some _ -> Alcotest.fail (name ^ ": feasibility verdicts differ")
 
 let test_feas_bounds_vs_oracle () =
+  let st = rng 12 in
   (* how many vertices of [g] have no lower bound, summed over the periods *)
   let sweep name g =
     let wd = Retiming_oracle.wd g in
@@ -385,7 +398,7 @@ let test_feas_bounds_vs_oracle () =
       [ p_min - 1; p_min; p_min + 2 ]
   in
   for i = 1 to 20 do
-    ignore (sweep "random" (random_rgraph (800 + i)))
+    ignore (sweep "random" (random_rgraph st (800 + i)))
   done;
   (* the F graphs of s1196, s641 and (at 1,008 vertices) prolog have 2-3
      vertices the host cannot reach, which must come out unbounded below *)
@@ -450,11 +463,14 @@ let test_retime_suite_fast_vs_reference () =
        (fun (_, c) -> Circuit.latch_count c <= 800)
        (Workloads.retime_suite ()))
 
+let ran span events =
+  List.exists (function Obs.Begin { name; _ } -> name = span | _ -> false) events
+
 (* Graphs outside exact W/D mode take the FEAS-repair mode: one past the
    4,000-vertex cap, and a small one with an edge weight just past the
    bound under which the W/D Dijkstra keys pack into an int.  Neither may
    build W/D constraints; each must meet its minimum period and reject
-   period 0.  s15850's F graph (past the cap too) is feasible at period 20
+   period 0 before running the flow.  s15850's F graph (past the cap too) is feasible at period 20
    only with labels below its min-area optimum: the repair must meet 20
    and reject 19, as must FEAS alone. *)
 let test_minarea_feas_repair () =
@@ -485,18 +501,17 @@ let test_minarea_feas_repair () =
       let p, _ = Feas.min_period g in
       let r, events = Obs.capture (fun () -> Minarea.solve ~period:p g) in
       Alcotest.(check bool) (name ^ ": no W/D constraints") false
-        (List.exists
-           (function
-             | Obs.Begin { name = "minarea.period_constraints"; _ } -> true
-             | _ -> false)
-           events);
+        (ran "minarea.period_constraints" events);
+      Alcotest.(check bool) (name ^ ": the flow runs") true (ran "flow.solve" events);
       (match r with
       | Some r ->
           Alcotest.(check bool) (name ^ ": legal") true (Rgraph.is_legal g ~r);
           Alcotest.(check bool) (name ^ ": meets period") true (Feas.period_of g ~r <= p)
       | None -> Alcotest.fail (name ^ ": min period rejected"));
-      Alcotest.(check bool) (name ^ ": period 0 rejected") true
-        (Minarea.solve ~period:0 g = None))
+      let r0, events = Obs.capture (fun () -> Minarea.solve ~period:0 g) in
+      Alcotest.(check bool) (name ^ ": period 0 rejected") true (r0 = None);
+      Alcotest.(check bool) (name ^ ": rejected before the flow") false
+        (ran "flow.solve" events))
     [ ("deep_w8x330", deep); ("heavy edge", heavy) ];
   let s15850 = Rgraph.build (Synth_script.delay_script (Workloads.by_name "s15850")) in
   Alcotest.(check int) "s15850 F graph past the exact cap" 8555 (Rgraph.vertex_count s15850);
@@ -547,6 +562,7 @@ let test_forward_move_legality () =
   Alcotest.(check bool) "mixed classes blocked" false (Classes.can_forward_move c2 ~gate:g2)
 
 let test_forward_move_preserves () =
+  let st = rng 13 in
   (* Fig. 16: moving same-class enabled latches across a gate preserves the
      sequential function when power-up states are matched (we check the
      flushed behaviour: after the first enable pulse the outputs agree) *)
@@ -624,6 +640,7 @@ let single_class_circuit st ~gates ~latches =
   c
 
 let test_single_class_detection () =
+  let st = rng 14 in
   let c = single_class_circuit st ~gates:20 ~latches:4 in
   Alcotest.(check bool) "detected" true (Classes.single_class_enable c <> None);
   (* mixed classes rejected *)
@@ -645,6 +662,7 @@ let test_single_class_detection () =
   Alcotest.(check bool) "derived enable rejected" true (Classes.single_class_enable g = None)
 
 let test_single_class_retime_verified () =
+  let st = rng 15 in
   (* the Legl reduction: retimed single-class circuits verify by EDBF *)
   for i = 1 to 10 do
     ignore i;
@@ -666,6 +684,7 @@ let test_single_class_retime_verified () =
   done
 
 let test_single_class_retime_simulated () =
+  let st = rng 16 in
   (* belt and braces: simulation with sparse enables, matched flush *)
   for i = 1 to 10 do
     ignore i;
@@ -688,6 +707,7 @@ let test_single_class_retime_simulated () =
   done
 
 let test_single_class_min_area () =
+  let st = rng 17 in
   let c = single_class_circuit st ~gates:40 ~latches:5 in
   let period = Circuit.delay c in
   let rt, rep = Result.get_ok (Classes.constrained_min_area_single_class ~period c) in

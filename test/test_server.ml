@@ -76,7 +76,8 @@ let fifo_text style = Netlist_io.to_string (Workloads.fifo ~entries:8 ~width:4 ~
 let fifo_bug_text () =
   Netlist_io.to_string (Workloads.fifo ~bug:true ~entries:8 ~width:4 ~style:`Mux ())
 
-let check_req ?(id = 1) ?engine ?timeout left right =
+let check_req ?(id = 1) ?engine ?timeout ?jobs ?exposed left right =
+  let opt name f = function Some v -> [ (name, f v) ] | None -> [] in
   Sjson.Obj
     ([
        ("id", Sjson.Int id);
@@ -84,8 +85,10 @@ let check_req ?(id = 1) ?engine ?timeout left right =
        ("left", Sjson.String left);
        ("right", Sjson.String right);
      ]
-    @ (match engine with Some e -> [ ("engine", Sjson.String e) ] | None -> [])
-    @ match timeout with Some s -> [ ("timeout", Sjson.Float s) ] | None -> [])
+    @ opt "engine" (fun e -> Sjson.String e) engine
+    @ opt "timeout" (fun s -> Sjson.Float s) timeout
+    @ opt "jobs" (fun n -> Sjson.Int n) jobs
+    @ opt "exposed" (fun l -> Sjson.List (List.map (fun n -> Sjson.String n) l)) exposed)
 
 (* ---- protocol basics ---- *)
 
@@ -136,37 +139,41 @@ let test_check_inequivalent () =
       | Some false -> ()
       | None -> Alcotest.fail "inequivalent response must say certified")
 
+(* 14-input parity as a chain and as a balanced tree: equivalent, and
+   hard enough for SAT that an expired deadline stops it *)
+let xor_texts () =
+  let mk name tree =
+    let c = Circuit.create name in
+    let ins =
+      List.init 14 (fun i -> Circuit.add_input c (Printf.sprintf "p%d" i))
+    in
+    let out =
+      if tree then begin
+        let rec pair = function
+          | a :: b :: tl -> Circuit.add_gate c Xor [ a; b ] :: pair tl
+          | rest -> rest
+        in
+        let rec build = function [ x ] -> x | xs -> build (pair xs) in
+        build ins
+      end
+      else
+        List.fold_left
+          (fun acc i -> Circuit.add_gate c Xor [ acc; i ])
+          (List.hd ins) (List.tl ins)
+    in
+    Circuit.mark_output c out;
+    Circuit.check c;
+    Netlist_io.to_string c
+  in
+  (mk "uchain" false, mk "utree" true)
+
 let test_request_limits () =
   with_server (fun _ c ->
       (* an already-expired per-request deadline: the engine gives up
          before doing any work, deterministically *)
-      let mk name tree =
-        let c = Circuit.create name in
-        let ins =
-          List.init 14 (fun i -> Circuit.add_input c (Printf.sprintf "p%d" i))
-        in
-        let out =
-          if tree then begin
-            let rec pair = function
-              | a :: b :: tl -> Circuit.add_gate c Xor [ a; b ] :: pair tl
-              | rest -> rest
-            in
-            let rec build = function [ x ] -> x | xs -> build (pair xs) in
-            build ins
-          end
-          else
-            List.fold_left
-              (fun acc i -> Circuit.add_gate c Xor [ acc; i ])
-              (List.hd ins) (List.tl ins)
-        in
-        Circuit.mark_output c out;
-        Circuit.check c;
-        Netlist_io.to_string c
-      in
+      let left, right = xor_texts () in
       let r =
-        Server.Client.request c
-          (check_req ~engine:"sat" ~timeout:0.0 (mk "uchain" false)
-             (mk "utree" true))
+        Server.Client.request c (check_req ~engine:"sat" ~timeout:0.0 left right)
       in
       check_ok "ok" r;
       Alcotest.(check (option string)) "expired budget -> undecided"
@@ -286,15 +293,20 @@ let test_stats () =
 let test_warm_requests () =
   let dir = fresh_dir () in
   with_server ~cache_dir:dir (fun _ c ->
-      let req id = check_req ~id (fifo_text `Sop) (fifo_text `Mux) in
-      let r1 = Server.Client.request c (req 1) in
+      (* the repeat's right side gains a comment line: the same circuit,
+         but not the same text, so the request memo misses and the check
+         runs against the warm cluster cache *)
+      let req id right = check_req ~id (fifo_text `Sop) right in
+      let r1 = Server.Client.request c (req 1 (fifo_text `Mux)) in
       check_ok "cold" r1;
       Alcotest.(check (option string)) "cold verdict" (Some "equivalent")
         (sstr r1 [ "verdict" ]);
       let wrote = Option.value ~default:0 (sint r1 [ "counters"; "store_writes" ]) in
       Alcotest.(check bool) "cold run persists verdicts" true (wrote > 0);
-      let r2 = Server.Client.request c (req 2) in
+      let r2 = Server.Client.request c (req 2 (fifo_text `Mux ^ "# rev 2\n")) in
       check_ok "warm" r2;
+      Alcotest.(check (option int)) "warm run: not a memo hit" (Some 0)
+        (sint r2 [ "counters"; "memo_hits" ]);
       Alcotest.(check (option string)) "warm verdict" (Some "equivalent")
         (sstr r2 [ "verdict" ]);
       let counter k = Option.value ~default:(-1) (sint r2 [ "counters"; k ]) in
@@ -638,6 +650,218 @@ let test_trace_disabled () =
       let tr = Server.Client.request c trace_req in
       Alcotest.(check int) "ring empty" 0 (List.length (trace_entries tr)))
 
+(* ---- the request memo ---- *)
+
+(* A load-enabled pair (checked by EDBF): a random acyclic circuit with
+   enabled latches and its delay-synthesized version. *)
+let edbf_texts () =
+  let st = Random.State.make [| 0xEDBF |] in
+  let c =
+    Gen.acyclic st ~name:"en" ~inputs:3 ~gates:30 ~latches:4 ~outputs:2 ~enables:true
+  in
+  (Netlist_io.to_string c, Netlist_io.to_string (Synth_script.delay_script c))
+
+(* What a decided response says about its verdict. *)
+let decided r =
+  (sstr r [ "verdict" ], sbool r [ "certified" ], sget r [ "cex" ], sstr r [ "method" ])
+
+(* The same four fields from an in-process check of the parsed texts,
+   exposed as the server's "auto" plan exposes them. *)
+let decided_in_process left right =
+  let c1 = Netlist_io.parse left and c2 = Netlist_io.parse right in
+  let plan = Feedback.plan_structural c1 in
+  let exposed = List.map (Circuit.signal_name c1) plan.Feedback.exposed in
+  match Verify.check ~exposed c1 c2 with
+  | Error d -> Alcotest.fail (Seqprob.diagnosis_to_string d)
+  | Ok { Verify.verdict; stats } ->
+      let var_json (v, b) =
+        Sjson.List [ Sjson.String (Seqprob.Var.to_string v); Sjson.Bool b ]
+      in
+      let verdict, certified, cex =
+        match verdict with
+        | Verify.Equivalent -> ("equivalent", None, None)
+        | Verify.Inequivalent (Some cex) ->
+            ("inequivalent", Some true, Some (Sjson.List (List.map var_json cex)))
+        | Verify.Inequivalent None -> ("inequivalent", Some false, None)
+        | Verify.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r
+      in
+      let meth =
+        match stats.Verify.method_ with
+        | Verify.Cbf_method -> "CBF"
+        | Verify.Edbf_method -> "EDBF"
+      in
+      (Some verdict, certified, cex, Some meth)
+
+let decided_t =
+  Alcotest.testable
+    (fun ppf (v, c, x, m) ->
+      let str = Option.value ~default:"-" in
+      Format.fprintf ppf "%s certified=%s cex=%s method=%s" (str v)
+        (Option.fold ~none:"-" ~some:string_of_bool c)
+        (Option.fold ~none:"-" ~some:Sjson.to_string x)
+        (str m))
+    ( = )
+
+let memo_hits r = sint r [ "counters"; "memo_hits" ]
+
+let test_memo_repeats () =
+  (* a clean global slate, so the latency histogram counts this test's
+     checks alone *)
+  Obs.reset ();
+  with_server ~trace_sample:1 ~slow_ms:infinity (fun _ c ->
+      let hits = ref 0 in
+      let ask req =
+        let r = Server.Client.request c req in
+        if memo_hits r = Some 1 then incr hits;
+        r
+      in
+      let edbf_l, edbf_r = edbf_texts () in
+      List.iter
+        (fun (name, left, right, expect) ->
+          let r1 = ask (check_req ~id:1 left right) in
+          let says what = name ^ ": " ^ what in
+          check_ok (says "first") r1;
+          Alcotest.(check (option int)) (says "first is a miss") (Some 0) (memo_hits r1);
+          let v, cert, _, m = decided r1 in
+          Alcotest.(check (list (option string))) (says "verdict, certified, method")
+            expect
+            [ v; Option.map string_of_bool cert; m ];
+          Alcotest.check decided_t (says "first = in-process check")
+            (decided_in_process left right) (decided r1);
+          (* repeats that differ only in id, engine, timeout or jobs *)
+          List.iter
+            (fun (what, req) ->
+              let r = ask req in
+              check_ok (says what) r;
+              Alcotest.(check (option int)) (says (what ^ " hits")) (Some 1) (memo_hits r);
+              Alcotest.check decided_t (says (what ^ " = first")) (decided r1) (decided r);
+              Alcotest.(check (option int)) (says (what ^ " runs no engine")) (Some 0)
+                (sint r [ "counters"; "partitions" ]))
+            [
+              ("same request", check_req ~id:1 left right);
+              ("other id", check_req ~id:2 left right);
+              ("other engine", check_req ~id:3 ~engine:"sat" left right);
+              ("a timeout", check_req ~id:4 ~timeout:30. left right);
+              ("one job", check_req ~id:5 ~jobs:1 left right);
+            ];
+          (* one byte changed in either text (the last newline becomes a
+             space): the same circuit, another key *)
+          let tweak text =
+            String.mapi (fun i ch -> if i = String.length text - 1 then ' ' else ch) text
+          in
+          List.iter
+            (fun (what, l, r) ->
+              let resp = ask (check_req ~id:6 l r) in
+              Alcotest.(check (option int)) (says (what ^ " misses")) (Some 0)
+                (memo_hits resp);
+              Alcotest.check decided_t (says (what ^ " verdict")) (decided r1)
+                (decided resp))
+            [ ("left byte", tweak left, right); ("right byte", left, tweak right) ])
+        [
+          ("EQ", fifo_text `Sop, fifo_text `Mux, [ Some "equivalent"; None; Some "CBF" ]);
+          ( "NEQ",
+            fifo_text `Sop,
+            fifo_bug_text (),
+            [ Some "inequivalent"; Some "true"; Some "CBF" ] );
+          ("EDBF", edbf_l, edbf_r, [ Some "equivalent"; None; Some "EDBF" ]);
+        ];
+      (* the exposure list is part of the key, in order *)
+      let l = fifo_text `Sop and r = fifo_text `Mux in
+      let c1 = Netlist_io.parse l in
+      let names =
+        List.map (Circuit.signal_name c1) (Feedback.plan_structural c1).Feedback.exposed
+      in
+      Alcotest.(check bool) "the FIFO plan exposes two or more latches" true
+        (List.length names >= 2);
+      List.iter
+        (fun (what, exposed, expect) ->
+          let resp = ask (check_req ~exposed l r) in
+          check_ok what resp;
+          Alcotest.(check (option int)) what (Some expect) (memo_hits resp);
+          Alcotest.(check (option string)) (what ^ ": verdict") (Some "equivalent")
+            (sstr resp [ "verdict" ]))
+        [
+          ("the plan's names, listed: a miss", names, 0);
+          ("the same list again: a hit", names, 1);
+          ("the list reversed: a miss", List.rev names, 0);
+        ];
+      (* an exposure diagnosis is an error, never memoized *)
+      for id = 1 to 2 do
+        let resp = ask (check_req ~id ~exposed:[ "no_such_latch" ] l r) in
+        Alcotest.(check (option bool)) "diagnosis rejected" (Some false)
+          (sbool resp [ "ok" ]);
+        Alcotest.(check bool) "diagnosis names the latch" true
+          (match sstr resp [ "error" ] with
+          | Some e -> contains e "no_such_latch"
+          | None -> false)
+      done;
+      (* an unknown engine is rejected before the lookup *)
+      let resp = ask (check_req ~engine:"frob" l r) in
+      Alcotest.(check (option bool)) "unknown engine on a memoized pair" (Some false)
+        (sbool resp [ "ok" ]);
+      (* hits keep the accounting: completed, observed, traced, no errors *)
+      let s = ask Sjson.(Obj [ ("id", Int 0); ("op", String "stats") ]) in
+      Alcotest.(check int) "hits: five repeats of three pairs, one list" 16 !hits;
+      Alcotest.(check (option int)) "server memo_hits" (Some !hits)
+        (sint s [ "server"; "memo_hits" ]);
+      Alcotest.(check (option int)) "errors: two diagnoses and the engine" (Some 3)
+        (sint s [ "server"; "errors" ]);
+      let checks = Option.value ~default:(-1) (sint s [ "server"; "checks" ]) in
+      Alcotest.(check (option int)) "every check completed" (Some checks)
+        (sint s [ "server"; "completed" ]);
+      Alcotest.(check (option int)) "every check observed" (Some checks)
+        (sint s [ "latency"; "count" ]);
+      let hit_entries =
+        List.filter
+          (fun e -> sbool e [ "memo_hit" ] = Some true)
+          (trace_entries (ask trace_req))
+      in
+      Alcotest.(check int) "a trace entry per hit" !hits (List.length hit_entries);
+      List.iter
+        (fun e ->
+          Alcotest.(check bool) "hit entry names its engine" true
+            (sstr e [ "engine" ] <> None);
+          Alcotest.(check int) "hit entry has the six phases" 6
+            (match sget e [ "phases" ] with
+            | Some (Sjson.Obj kvs) -> List.length kvs
+            | _ -> 0))
+        hit_entries)
+
+let test_memo_skips_undecided () =
+  (* the per-request-limits pair: an expired budget gives Undecided,
+     which is not memoized; the decided answer that follows is, and a
+     zero timeout then still gets it, since budgets are not in the key *)
+  with_server (fun _ c ->
+      let left, right = xor_texts () in
+      List.iter
+        (fun (id, timeout, verdict, hit) ->
+          let r =
+            Server.Client.request c (check_req ~id ~engine:"sat" ?timeout left right)
+          in
+          check_ok "ok" r;
+          Alcotest.(check (option string)) (Printf.sprintf "request %d verdict" id)
+            (Some verdict) (sstr r [ "verdict" ]);
+          Alcotest.(check (option int)) (Printf.sprintf "request %d memo hits" id)
+            (Some hit) (memo_hits r))
+        [
+          (1, Some 0.0, "undecided", 0);
+          (2, Some 0.0, "undecided", 0);
+          (3, None, "equivalent", 0);
+          (4, Some 0.0, "equivalent", 1);
+        ])
+
+let test_memo_per_server () =
+  (* the memo belongs to its server: a second server misses what the
+     first one memoized *)
+  let req = check_req (fifo_text `Sop) (fifo_text `Mux) in
+  with_server (fun _ c ->
+      ignore (Server.Client.request c req);
+      Alcotest.(check (option int)) "first server hits" (Some 1)
+        (memo_hits (Server.Client.request c req)));
+  with_server (fun _ c ->
+      Alcotest.(check (option int)) "second server misses" (Some 0)
+        (memo_hits (Server.Client.request c req)))
+
 let suite =
   [
     Alcotest.test_case "ping" `Quick test_ping;
@@ -658,4 +882,7 @@ let suite =
     Alcotest.test_case "trace op lists admission order" `Quick
       test_trace_admission_order;
     Alcotest.test_case "trace ring disabled" `Quick test_trace_disabled;
+    Alcotest.test_case "memo answers repeats" `Quick test_memo_repeats;
+    Alcotest.test_case "memo skips undecided" `Quick test_memo_skips_undecided;
+    Alcotest.test_case "memo per server" `Quick test_memo_per_server;
   ]
