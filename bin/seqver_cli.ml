@@ -311,23 +311,24 @@ let synth_cmd =
 let retime_cmd =
   let run path out period min_area exposed =
     let c = load path in
-    let exposed =
-      match Verify.exposed_pred c exposed with
-      | Ok pred -> pred
-      | Error d -> fail (Seqprob.diagnosis_to_string d)
-    in
+    let diagnose = function Ok x -> x | Error d -> fail (Seqprob.diagnosis_to_string d) in
+    diagnose (Flow.regular_latches_only c);
+    let exposed = diagnose (Verify.exposed_pred c exposed) in
+    (* Retime's other preconditions (a latch total or W/D path keys that
+       overflow an int) are diagnoses too *)
     let o, report =
-      match (period, min_area) with
-      | Some p, _ -> (
-          match Retime.constrained_min_area ~exposed ~period:p c with
-          | Ok r -> r
-          | Error Retime.Infeasible_period ->
-              fail
-                (Seqprob.diagnosis_to_string
-                   (Seqprob.Infeasible_period
-                      { circuit = Circuit.name c; period = p })))
-      | None, true -> Retime.min_area ~exposed c
-      | None, false -> Retime.min_period ~exposed c
+      try
+        match (period, min_area) with
+        | Some p, _ -> (
+            match Retime.constrained_min_area ~exposed ~period:p c with
+            | Ok r -> r
+            | Error Retime.Infeasible_period ->
+                fail
+                  (Seqprob.diagnosis_to_string
+                     (Seqprob.Infeasible_period { circuit = Circuit.name c; period = p })))
+        | None, true -> Retime.min_area ~exposed c
+        | None, false -> Retime.min_period ~exposed c
+      with Invalid_argument msg -> fail msg
     in
     Format.printf "period %d -> %d, latches %d -> %d@." report.Retime.period_before
       report.Retime.period_after report.Retime.latches_before report.Retime.latches_after;

@@ -65,6 +65,10 @@ val run :
     {!Verify.check}, and {!Classes.min_period_single_class} instead.  Any
     diagnosis from the embedded {!Verify.check} propagates unchanged. *)
 
+val regular_latches_only : Circuit.t -> (unit, Seqprob.diagnosis) result
+(** [Error (Hidden_enabled_latch _)] naming the first load-enabled latch:
+    retiming covers regular latches only. *)
+
 val circuits : Circuit.t -> (Circuit.t * Circuit.t, Seqprob.diagnosis) result
 (** Just [B] and [C] (exposed + optimized), for callers that want to verify
     or inspect them separately. *)

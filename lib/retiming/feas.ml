@@ -371,31 +371,6 @@ let bounds g ~period =
       let neg = Option.get (least (reverse c) ~src:Rgraph.host_sink ~period) in
       Some { lb; ub = Array.map (fun x -> -x) neg }
 
-(* Clamped into [lb, ub], a legal start stays legal (legal labelings
-   form a lattice too) and lies below the greatest solution, so FEAS
-   ends at the least solution above it.  A start that already lay below
-   some solution lay below ub, and every solution above it lies above lb
-   too, so the clamp leaves its answer unchanged. *)
-let feasible ?init g ~period =
-  Option.bind (bounds g ~period) @@ fun { lb; ub } ->
-  let c = csr g in
-  let st = make_state c in
-  let init =
-    match init with
-    | Some r ->
-        let r = Rgraph.normalize g ~r in
-        assert (Rgraph.is_legal g ~r);
-        r
-    | None -> Array.make c.n 0
-  in
-  for v = 0 to c.n - 1 do
-    st.r.(v) <- max lb.(v) (min init.(v) ub.(v))
-  done;
-  full_arrival st;
-  match run st ~period with
-  | Feasible -> Some st.r
-  | Illegal | Exhausted -> failwith "Feas.feasible: internal error: the clamped start failed"
-
 (* Bisection over the delay profile (max gate delay up to the unretimed
    period).  Solutions at p' < p are solutions at p, so the least
    solution rises as the period falls, and each probe can start from

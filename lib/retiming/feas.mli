@@ -11,8 +11,7 @@
     labelings rise as the period falls, so the binary search seeds each
     probe from the one of the best period found so far.  Run forward and
     on the reversed graph, the same engine gives every label's exact range
-    at a period ({!bounds}), which {!Minarea} uses to bound its LP and
-    {!feasible} to clamp its start. *)
+    at a period ({!bounds}), which {!Minarea} uses to bound its LP. *)
 
 val arrival : Rgraph.t -> r:int array -> int array
 (** Combinational arrival time Δ(v) of every vertex under retiming labels
@@ -21,16 +20,6 @@ val arrival : Rgraph.t -> r:int array -> int array
 
 val period_of : Rgraph.t -> r:int array -> int
 (** Clock period of the retimed graph: max arrival time. *)
-
-val feasible : ?init:int array -> Rgraph.t -> period:int -> int array option
-(** [feasible g ~period] is [Some r] (normalized, legal, meeting the
-    period) exactly when a retiming achieving the period exists, and
-    [None] exactly when the period is infeasible.  FEAS runs from [init]
-    (default all-zero; legal once both host labels are shifted to 0)
-    clamped into the period's {!bounds}, and ends at the least labeling
-    above that start.  Where some labeling meeting the period lies above
-    [init], the result is the least one above [init] itself.
-    @raise Invalid_argument as {!bounds} does. *)
 
 val min_period : Rgraph.t -> int * int array
 (** The minimum feasible clock period, exact, and the least labeling

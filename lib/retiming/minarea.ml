@@ -1,9 +1,19 @@
 open Vgraph
 (* Constraints have the form r(u) - r(v) <= b.  The LP
      min Σ_v a(v)·r(v)   s.t.   r(u) − r(v) ≤ b(u,v)
-   with a(v) = indeg(v) − outdeg(v) is the dual of a min-cost flow problem:
-   one arc per constraint (u -> v, cost b, infinite capacity), node net
-   outflow −a(v); the optimal node potentials π give r = −π. *)
+   is the dual of a min-cost flow problem: one arc per constraint
+   (u -> v, cost b, infinite capacity), node net outflow −a(v); the
+   optimal node potentials π give r = −π.
+
+   The objective counts the latches {!Rgraph.apply} keeps: a fanout
+   group, the edges u -> v_i of weights w_i that start at one source
+   signal, keeps max_i (w_i + r(v_i)) − r(u) latches in one shared chain
+   (Leiserson & Saxe's fanout sharing).  A group of one edge adds
+   r(v) − r(u) to the objective.  A larger group gets a mirror vertex m
+   with r(v_i) − r(m) ≤ w_max − w_i and adds r(m) − r(u); at the optimum
+   r(m) = max_i (w_i + r(v_i)) − w_max.  So the objective and the kept
+   count differ by a constant: each group's w_max plus the exposed
+   latches.  Mirrors are numbered after the vertices. *)
 
 let edge_constraints g =
   (* the two host vertices must retime identically *)
@@ -11,18 +21,41 @@ let edge_constraints g =
   Digraph.iter_edges (fun _ e -> acc := (e.src, e.dst, e.weight) :: !acc) g.Rgraph.graph;
   !acc
 
-let objective g =
-  let n = Digraph.node_count g.Rgraph.graph in
-  let a = Array.make n 0 in
-  Digraph.iter_edges
-    (fun _ e ->
-      a.(e.dst) <- a.(e.dst) + 1;
-      a.(e.src) <- a.(e.src) - 1)
-    g.Rgraph.graph;
-  a
+(* The objective a over the vertices and mirrors, and the mirrors'
+   constraints. *)
+let objective (g : Rgraph.t) =
+  let n = Rgraph.vertex_count g in
+  let groups = Array.map (Array.map (Digraph.edge g.graph)) g.groups in
+  let shared = List.filter (fun es -> Array.length es > 1) (Array.to_list groups) in
+  let a = Array.make (n + List.length shared) 0 in
+  Array.iter
+    (fun (es : Digraph.edge array) ->
+      a.(es.(0).src) <- a.(es.(0).src) - 1;
+      if Array.length es = 1 then a.(es.(0).dst) <- a.(es.(0).dst) + 1)
+    groups;
+  let mirror m es =
+    a.(m) <- 1;
+    let wmax = Array.fold_left (fun w (e : Digraph.edge) -> max w e.weight) 0 es in
+    Array.to_list (Array.map (fun (e : Digraph.edge) -> (e.dst, m, wmax - e.weight)) es)
+  in
+  (a, List.concat (List.mapi (fun k es -> mirror (n + k) es) shared))
 
-let check_constraints r constraints =
-  List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints
+(* [bound] (the vertices' lb or ub) extended to the mirrors: at the
+   optimum a mirror sits at max_i (r(v_i) − (w_max − w_i)), which ranges
+   from that maximum over lb to that maximum over ub, since lb and ub are
+   themselves solutions.  A missing bound stays missing: a fanout without
+   one adds nothing to the least maximum and lifts the greatest out of
+   range.  The heaviest edge's constraint has b = 0, so every mirror
+   takes a value at least [-Feas.unbounded]. *)
+let mirror_bound bound ~nodes mirror_constraints =
+  let n = Array.length bound in
+  let b = Array.append bound (Array.make (nodes - n) (-Feas.unbounded)) in
+  List.iter
+    (fun (v, m, c) ->
+      let x = if abs bound.(v) >= Feas.unbounded then bound.(v) else bound.(v) - c in
+      if x > b.(m) then b.(m) <- x)
+    mirror_constraints;
+  b
 
 (* ------------------------------------------------------------------ *)
 (* W/D-matrix period constraints.                                      *)
@@ -202,6 +235,8 @@ let period_constraints ?pool g ~period ~lb ~ub ~free =
 (* LP via min-cost flow                                                *)
 (* ------------------------------------------------------------------ *)
 
+let internal msg = failwith ("Minarea.solve: internal error: " ^ msg)
+
 let lp_solve ~nvertices ~constraints ~a =
   (* Feasibility first: the difference-constraint graph (edge v -> u with
      weight b per constraint r(u) - r(v) <= b) must have no negative cycle;
@@ -215,25 +250,18 @@ let lp_solve ~nvertices ~constraints ~a =
     List.iter (fun (u, v, b) -> ignore (Digraph.add_edge cg ~weight:b v u)) constraints;
     Bellman_ford.feasible_potentials cg
   in
-  match bf with
-  | None -> None
-  | Some dist ->
-      let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
-      let arcs =
-        List.map
-          (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
-          constraints
-      in
-      let supply = Array.map (fun x -> -x) a in
-      let init_potentials = Array.map (fun p -> -p) dist in
-      match Mincost_flow.solve ~init_potentials ~nodes:nvertices ~arcs supply with
-      | None -> None
-      | Some { potentials; _ } -> Some (Array.map (fun p -> -p) potentials)
-
-(* Largest graph that gets the exact (quadratic) W/D constraints. *)
-let max_exact_vertices = 4000
-
-let internal msg = failwith ("Minarea.solve: internal error: " ^ msg)
+  let dist = match bf with Some d -> d | None -> internal "infeasible constraint system" in
+  let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
+  let arcs =
+    List.map
+      (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
+      constraints
+  in
+  let supply = Array.map (fun x -> -x) a in
+  let init_potentials = Array.map (fun p -> -p) dist in
+  match Mincost_flow.solve ~init_potentials ~nodes:nvertices ~arcs supply with
+  | Some { potentials; _ } -> Array.map (fun p -> -p) potentials
+  | None -> internal "infeasible flow"
 
 (* The vertices whose bound needs an arc to the host.  [carry c] is
    [Some (x, y)] when the kept constraint [c] carries x's bound to y:
@@ -273,99 +301,89 @@ let uncarried ~n ~bounded carry constraints =
   let roots = List.fold_left (fun r v -> if entered.(v) then r else pick r v) [] vs in
   List.rev (List.fold_left pick roots vs)
 
-(* The LP over the free vertices and the host: the W/D pairs and the
-   edges the bounds do not imply, plus the host arcs of the bounds no
-   kept constraint carries; a fixed vertex takes its one label.  Returns
-   the full labeling and the constraints it must satisfy, or [None] when
-   the system is infeasible. *)
-let solve_bounded ?pool g ~n ~pairs_at ~lb ~ub =
+(* The LP over the free vertices and mirrors and the host: the W/D pairs
+   and the edge and mirror constraints the bounds do not imply, plus the
+   host arcs of the bounds no kept constraint carries; a fixed vertex or
+   mirror takes its one label.  Returns the labeling of the vertices and
+   mirrors and the constraints it must satisfy. *)
+let solve_bounded ?pool ?period g ~lb ~ub =
+  let n = Rgraph.vertex_count g in
+  let a, mirror_constraints = objective g in
+  let nodes = Array.length a in
+  let lb = mirror_bound lb ~nodes mirror_constraints in
+  let ub = mirror_bound ub ~nodes mirror_constraints in
   let free v = lb.(v) < ub.(v) in
-  Obs.count "minarea.fixed_vertices" (n - List.length (List.filter free (List.init n Fun.id)));
+  let count lo hi = List.length (List.filter free (List.init (hi - lo) (( + ) lo))) in
+  Obs.count "minarea.fixed_vertices" (n - count 0 n);
+  Obs.count "minarea.mirrors" (count n nodes);
   let pairs =
-    match pairs_at with
+    match period with
     | Some c -> period_constraints ?pool g ~period:c ~lb ~ub ~free
     | None -> []
   in
   let edges =
     List.filter
       (fun (u, v, b) -> free u && free v && ub.(u) - lb.(v) > b)
-      (edge_constraints g)
+      (edge_constraints g @ mirror_constraints)
   in
   let kept = pairs @ edges in
   let bounded b v = free v && abs b.(v) < Feas.unbounded in
   let host_arcs =
     List.map
       (fun v -> (Rgraph.host, v, -lb.(v)))
-      (uncarried ~n ~bounded:(bounded lb)
+      (uncarried ~n:nodes ~bounded:(bounded lb)
          (fun (u, v, b) -> if lb.(u) - b = lb.(v) then Some (u, v) else None)
          kept)
     @ List.map
         (fun v -> (v, Rgraph.host, ub.(v)))
-        (uncarried ~n ~bounded:(bounded ub)
+        (uncarried ~n:nodes ~bounded:(bounded ub)
            (fun (u, v, b) -> if ub.(v) + b = ub.(u) then Some (v, u) else None)
            kept)
   in
   let constraints = kept @ host_arcs in
-  (* flow node 0 is the host, the free vertices follow in order *)
-  let node = Array.make n 0 in
+  (* flow node 0 is the host, the free vertices and mirrors follow in
+     order *)
+  let node = Array.make nodes 0 in
   let k = ref 1 in
-  for v = 0 to n - 1 do
+  for v = 0 to nodes - 1 do
     if v <> Rgraph.host && free v then begin
       node.(v) <- !k;
       incr k
     end
   done;
-  let a = objective g in
   let fa = Array.make !k 0 in
-  for v = 0 to n - 1 do
+  for v = 0 to nodes - 1 do
     if v <> Rgraph.host && free v then begin
       fa.(node.(v)) <- a.(v);
       fa.(0) <- fa.(0) - a.(v)
     end
   done;
   let mapped = List.map (fun (u, v, b) -> (node.(u), node.(v), b)) constraints in
-  match lp_solve ~nvertices:!k ~constraints:mapped ~a:fa with
-  | None -> None
-  | Some p ->
-      Some (Array.init n (fun v -> if free v then p.(node.(v)) - p.(0) else lb.(v)), constraints)
+  let p = lp_solve ~nvertices:!k ~constraints:mapped ~a:fa in
+  (Array.init nodes (fun v -> if free v then p.(node.(v)) - p.(0) else lb.(v)), constraints)
 
 let solve ?period ?pool g =
   Obs.span ~name:"minarea.solve" @@ fun () ->
-  let n = Digraph.node_count g.Rgraph.graph in
-  let exact =
+  let n = Rgraph.vertex_count g in
+  if period <> None && not (keys_pack g) then
+    invalid_arg "Minarea.solve: the W/D path keys overflow an int";
+  (* the period's bounds decide infeasibility before any constraint is
+     built; without a period every vertex is free and nothing is
+     implied *)
+  let bounds =
     match period with
-    | Some _ -> n <= max_exact_vertices && keys_pack g
-    | None -> false
+    | Some c -> Feas.bounds g ~period:c
+    | None -> Some { Feas.lb = Array.make n (-Feas.unbounded); ub = Array.make n Feas.unbounded }
   in
-  let pairs_at = if exact then period else None in
-  (* the period's bounds decide infeasibility in both modes, before any
-     flow; only the exact mode builds its LP over them.  Without W/D
-     pairs every vertex is free and nothing is implied. *)
-  let bounds = Option.map (fun c -> Feas.bounds g ~period:c) period in
-  if bounds = Some None then None
-  else
-    let { Feas.lb; ub } =
-      match bounds with
-      | Some (Some b) when exact -> b
-      | _ -> { Feas.lb = Array.make n (-Feas.unbounded); ub = Array.make n Feas.unbounded }
-    in
-    (* the bounds prove the period feasible, and the edge constraints
-       alone are met by r = 0 *)
-    match solve_bounded ?pool g ~n ~pairs_at ~lb ~ub with
-    | None -> internal "infeasible constraint system"
-    | Some (r, constraints) -> (
-        if not (check_constraints r constraints && Rgraph.is_legal g ~r) then
-          internal "labels break their constraints";
-        match period with
-        | None -> Some r
-        | Some c ->
-            if Feas.period_of g ~r <= c then Some r
-            else if exact then internal "exact labels miss the period"
-            else
-              (* the FEAS-repair mode: FEAS from the min-area labels,
-                 clamped into the bounds that proved the period feasible
-                 (area-suboptimal but correct).  [Feas.feasible] computes
-                 those bounds again; they cost 0.009 s on s15850's
-                 8,555-vertex F graph, against over a second for its
-                 flow, so they are not passed through. *)
-              Feas.feasible ~init:r g ~period:c)
+  match bounds with
+  | None -> None
+  | Some { Feas.lb; ub } ->
+      let labels, constraints = solve_bounded ?pool ?period g ~lb ~ub in
+      let r = Array.sub labels 0 n in
+      let satisfied (u, v, b) = labels.(u) - labels.(v) <= b in
+      if not (List.for_all satisfied constraints && Rgraph.is_legal g ~r) then
+        internal "labels break their constraints";
+      (match period with
+      | Some c when Feas.period_of g ~r > c -> internal "labels miss the period"
+      | Some _ | None -> ());
+      Some r

@@ -8,6 +8,7 @@ type t = {
   fanin_origin : origin array array;
   po_origin : origin array;
   exposed_origin : (Circuit.signal * origin) array;
+  groups : int array array;
   circuit : Circuit.t;
 }
 
@@ -137,6 +138,11 @@ let build ?(exposed = fun _ -> false) c =
         else memo.(s) <- Some { vertex = host; weight = 0; src = s };
         (match memo.(s) with Some o -> o | None -> assert false)
   in
+  (* the edges of each source signal, which [apply] drives from one chain *)
+  let members = Array.make n [] in
+  let connect (o : origin) v =
+    members.(o.src) <- Digraph.add_edge graph ~weight:o.weight o.vertex v :: members.(o.src)
+  in
   let fanin_origin = Array.make nv [||] in
   List.iter
     (fun s ->
@@ -147,7 +153,7 @@ let build ?(exposed = fun _ -> false) c =
             Array.map
               (fun f ->
                 let o = origin f in
-                ignore (Digraph.add_edge graph ~weight:o.weight o.vertex v);
+                connect o v;
                 o)
               fs
       | Undriven | Input | Latch _ -> assert false)
@@ -157,7 +163,7 @@ let build ?(exposed = fun _ -> false) c =
       (List.map
          (fun p ->
            let o = origin p in
-           ignore (Digraph.add_edge graph ~weight:o.weight o.vertex host_sink);
+           connect o host_sink;
            o)
          (Circuit.outputs c))
   in
@@ -169,13 +175,17 @@ let build ?(exposed = fun _ -> false) c =
            if is_exposed l then begin
              let data, _ = Circuit.latch_info c l in
              let o = origin data in
-             ignore (Digraph.add_edge graph ~weight:o.weight o.vertex host_sink);
+             connect o host_sink;
              Some (l, o)
            end
            else None)
          (Circuit.latches c))
   in
-  { graph; delay; signal_of_vertex; fanin_origin; po_origin; exposed_origin; circuit = c }
+  let groups =
+    List.filter_map (function [] -> None | es -> Some (Array.of_list es)) (Array.to_list members)
+  in
+  { graph; delay; signal_of_vertex; fanin_origin; po_origin; exposed_origin;
+    groups = Array.of_list groups; circuit = c }
 
 let normalize g ~r =
   ignore g;
@@ -192,11 +202,6 @@ let is_legal g ~r =
     (fun _ e -> if e.weight + r.(e.dst) - r.(e.src) < 0 then ok := false)
     g.graph;
   !ok
-
-let total_latches_after g ~r =
-  let total = ref 0 in
-  Digraph.iter_edges (fun _ e -> total := !total + e.weight + r.(e.dst) - r.(e.src)) g.graph;
-  !total
 
 let apply g ~r =
   let r = normalize g ~r in

@@ -15,8 +15,10 @@ open Vgraph
     period and attract pointless registers, and {!apply} rebuilds only what
     the graph covers (sweep semantics).
 
-    @raise Invalid_argument on load-enabled latches or on latch-only cycles
-    (a feedback loop with no gate must be exposed first). *)
+    A latch-only cycle (a feedback loop with no gate) is exposed
+    automatically.
+
+    @raise Invalid_argument on load-enabled latches. *)
 
 type origin = { vertex : int; weight : int; src : Circuit.signal }
 (** Where a connection comes from: the driving vertex, the number of latches
@@ -36,6 +38,11 @@ type t = {
   po_origin : origin array;  (** per primary output, in order *)
   exposed_origin : (Circuit.signal * origin) array;
       (** per exposed latch: (latch signal, origin of its data) *)
+  groups : int array array;
+      (** the fanout groups: the ids of the edges whose connections start
+          at one source signal (an {!origin}'s [src]); {!apply} drives
+          each group from one shared latch chain.  Every edge lies in
+          exactly one group, and the edges of a group leave one vertex. *)
   circuit : Circuit.t;
 }
 
@@ -73,12 +80,9 @@ val normalize : t -> r:int array -> int array
 (** Shifts labels so that [r.(host) = 0].
     @raise Invalid_argument if the two host labels differ. *)
 
-val total_latches_after : t -> r:int array -> int
-(** Per-edge latch total after retiming (an upper bound on the real latch
-    count; {!apply} shares fanout chains). *)
-
 val apply : t -> r:int array -> Circuit.t
-(** Rebuilds the netlist with latches moved according to [r] (fanout latch
-    chains shared per driver).  Exposed latches are reinstated unmoved.
+(** Rebuilds the netlist with latches moved according to [r], one latch
+    chain per fanout group, so the result keeps the heaviest retimed edge
+    of every group plus the exposed latches, which are reinstated unmoved.
     Primary input/output names are preserved.
     @raise Invalid_argument if [r] is not legal. *)

@@ -4,8 +4,8 @@
    per source), the list-adjacency successive-shortest-paths flow, and
    the exact minimum period and label bounds of the full constraint
    system by Bellman–Ford.  The shipped engines must reach the same
-   periods, the same least labelings and the same optimal latch
-   totals. *)
+   periods, the same least labelings and the same optimal kept latch
+   counts. *)
 
 open Vgraph
 
@@ -370,30 +370,65 @@ let bounds ?wd (g : Rgraph.t) ~period =
 
 (* The latch-minimal retiming at [period], from the parts above: every
    violating W/D pair plus the edge constraints, a Bellman–Ford
-   feasibility pass, and the reference flow on the dual.  Unlike
-   {!Minarea.solve} it has no vertex cap and no FEAS-repair mode. *)
+   feasibility pass, and the reference flow on the dual.  The objective
+   is the latch count {!Rgraph.apply} keeps, built from the origins, not
+   from [g.groups]: the connections that start at one source signal
+   share one latch chain, so a source with several connections gets a
+   mirror vertex m, with r(v) − r(m) ≤ w_max − w for each connection
+   into v of weight w, and adds r(m) − r(u) where a lone connection adds
+   r(v) − r(u).  Unlike {!Minarea.solve} it bounds no label. *)
 let minarea ?wd (g : Rgraph.t) ~period =
   let n = Digraph.node_count g.graph in
-  let constraints = period_constraints ?wd g ~period @ edge_constraints g in
-  if not (satisfiable n constraints) then None
+  let connections =
+    List.concat
+      [
+        List.concat
+          (List.mapi
+             (fun v os -> List.map (fun o -> (o, v)) (Array.to_list os))
+             (Array.to_list g.fanin_origin));
+        List.map (fun o -> (o, Rgraph.host_sink)) (Array.to_list g.po_origin);
+        List.map (fun (_, o) -> (o, Rgraph.host_sink)) (Array.to_list g.exposed_origin);
+      ]
+  in
+  let by_src = Hashtbl.create 64 in
+  List.iter
+    (fun ((o : Rgraph.origin), v) ->
+      Hashtbl.replace by_src o.src
+        ((o, v) :: Option.value ~default:[] (Hashtbl.find_opt by_src o.src)))
+    connections;
+  let sources = Hashtbl.fold (fun _ cs acc -> cs :: acc) by_src [] in
+  let nodes = n + List.length (List.filter (fun cs -> List.length cs > 1) sources) in
+  let a = Array.make nodes 0 in
+  let mirrors = ref [] and next = ref n in
+  List.iter
+    (fun cs ->
+      let u = (fst (List.hd cs)).Rgraph.vertex in
+      a.(u) <- a.(u) - 1;
+      match cs with
+      | [ (_, v) ] -> a.(v) <- a.(v) + 1
+      | _ ->
+          let m = !next in
+          incr next;
+          a.(m) <- 1;
+          let wmax = List.fold_left (fun w ((o : Rgraph.origin), _) -> max w o.weight) 0 cs in
+          List.iter
+            (fun ((o : Rgraph.origin), v) -> mirrors := (v, m, wmax - o.weight) :: !mirrors)
+            cs)
+    sources;
+  let constraints = period_constraints ?wd g ~period @ edge_constraints g @ !mirrors in
+  if not (satisfiable nodes constraints) then None
   else begin
-    (* objective a(v) = indeg(v) − outdeg(v); node v supplies −a(v) *)
-    let a = Array.make n 0 in
-    Digraph.iter_edges
-      (fun _ e ->
-        a.(e.dst) <- a.(e.dst) + 1;
-        a.(e.src) <- a.(e.src) - 1)
-      g.graph;
     let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
     let arcs =
       List.map
         (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
         constraints
     in
-    match flow_reference ~nodes:n ~arcs (Array.map (fun x -> -x) a) with
+    match flow_reference ~nodes ~arcs (Array.map (fun x -> -x) a) with
     | None -> None
     | Some { potentials; _ } ->
         let r = Rgraph.normalize g ~r:(Array.map (fun p -> -p) potentials) in
-        if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then Some r
+        if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then
+          Some (Array.sub r 0 n)
         else None
   end
