@@ -314,8 +314,8 @@ let retime_cmd =
     let diagnose = function Ok x -> x | Error d -> fail (Seqprob.diagnosis_to_string d) in
     diagnose (Flow.regular_latches_only c);
     let exposed = diagnose (Verify.exposed_pred c exposed) in
-    (* Retime's other preconditions (a latch total or W/D path keys that
-       overflow an int) are diagnoses too *)
+    (* Retime's other precondition (a latch total that overflows an int)
+       is a diagnosis too *)
     let o, report =
       try
         match (period, min_area) with

@@ -50,23 +50,23 @@ let synth_for_retime ~exposed_names b =
   let* exposed = Verify.exposed_pred sy exposed_names in
   Ok (sy, exposed)
 
-let min_period_on ?pool (sy, exposed) = fst (Retime.min_period ~exposed ?pool sy)
+let min_period_on (sy, exposed) = fst (Retime.min_period ~exposed sy)
 
-let min_area_on ?pool ~period ~fallback (sy, exposed) =
-  match Retime.constrained_min_area ~exposed ?pool ~period sy with
+let min_area_on ~period ~fallback (sy, exposed) =
+  match Retime.constrained_min_area ~exposed ~period sy with
   | Ok (rt, _) -> Ok rt
   | Error Retime.Infeasible_period ->
       if fallback then
         (* the default target (D's delay) can sit below B's minimum: degrade
            to the best achievable period *)
-        Ok (fst (Retime.min_period ~exposed ?pool sy))
+        Ok (fst (Retime.min_period ~exposed sy))
       else
         Error
           (Seqprob.Infeasible_period { circuit = Circuit.name sy; period })
 
-let optimize_c ?pool ~exposed_names b =
+let optimize_c ~exposed_names b =
   let* sy = synth_for_retime ~exposed_names b in
-  Ok (min_period_on ?pool sy)
+  Ok (min_period_on sy)
 
 let regular_latches_only a =
   match
@@ -94,8 +94,8 @@ let run ?jobs ?limits ?cache ?period a =
   @@ fun () ->
   Circuit.check a;
   let* () = regular_latches_only a in
-  (* one domain pool for the whole flow: the retime stages and the H-vs-J
-     check share it ([None], or jobs <= 1, keeps them sequential) *)
+  (* one domain pool for the H-vs-J check ([None], or jobs <= 1, keeps it
+     sequential) *)
   let pool =
     match jobs with
     | Some j when j > 1 -> Some (Par.Pool.create ~jobs:j)
@@ -127,18 +127,18 @@ let run ?jobs ?limits ?cache ?period a =
   let* c, syb =
     stage "C" (fun () ->
         let* sy = synth_for_retime ~exposed_names b in
-        Ok (min_period_on ?pool sy, sy))
+        Ok (min_period_on sy, sy))
   in
-  let* e = stage "E" (fun () -> min_area_on ?pool ~period:target ~fallback syb) in
+  let* e = stage "E" (fun () -> min_area_on ~period:target ~fallback syb) in
   let* f, sya =
     stage "F" (fun () ->
         let* sy =
           synth_for_retime ~exposed_names:[]
             (Circuit.copy ~name:(Circuit.name a ^ "_F") a)
         in
-        Ok (min_period_on ?pool sy, sy))
+        Ok (min_period_on sy, sy))
   in
-  let* g = stage "G" (fun () -> min_area_on ?pool ~period:target ~fallback sya) in
+  let* g = stage "G" (fun () -> min_area_on ~period:target ~fallback sya) in
   let nl = Circuit.latch_count a in
   let* outcome =
     stage "verify" (fun () ->

@@ -48,8 +48,9 @@ val run :
   Circuit.t ->
   (row, Seqprob.diagnosis) result
 (** Runs the full pipeline on a regular-latch circuit.  With [jobs > 1]
-    one domain pool of that size serves the retiming stages and the
-    H-vs-J combinational check, and is shut down before [run] returns.
+    one domain pool of that size serves the H-vs-J combinational check,
+    and is shut down before [run] returns; the retiming stages are
+    sequential.
     [jobs], [limits] and [cache] are passed to that check (see
     {!Verify.check}; a [Cec.Cache.create ~store] cache persists its
     verdicts); a blown budget surfaces as a [Verify.Undecided _] verdict

@@ -298,17 +298,18 @@ let unbounded = max_int / 4
 let reverse c =
   { c with pof = c.sof; psrc = c.sdst; pw = c.sw; sof = c.pof; sdst = c.psrc; sw = c.pw }
 
-(* W(src, v) over the successor half of [c], max_int where [src] cannot
-   reach [v]: Dijkstra with entries [W lsl bits lor v]. *)
-let min_weights c ~latches src =
+(* Least distances over the successor half of [c] from the initial
+   distances [init] (non-negative, max_int for none), max_int where none
+   reaches: Dijkstra with entries [d lsl bits lor v]. *)
+let min_weights c ~latches init =
   let bits = ref 1 in
   while 1 lsl !bits < c.n do incr bits done;
   let bits = !bits in
-  if latches > max_int asr (bits + 1) then invalid_arg "Feas: latch total overflows";
-  let w = Array.make c.n max_int in
+  let top = Array.fold_left (fun m d -> if d = max_int then m else max m d) 0 init in
+  if latches > (max_int asr (bits + 1)) - top then invalid_arg "Feas: latch total overflows";
+  let w = Array.copy init in
   let heap = Vgraph.Iheap.create () in
-  w.(src) <- 0;
-  Vgraph.Iheap.add heap src;
+  Array.iteri (fun v d -> if d < max_int then Vgraph.Iheap.add heap ((d lsl bits) lor v)) init;
   while not (Vgraph.Iheap.is_empty heap) do
     let e = Vgraph.Iheap.pop_min heap in
     let v = e land ((1 lsl bits) - 1) in
@@ -330,7 +331,7 @@ let min_weights c ~latches src =
 let start_least st ~src =
   let c = st.c in
   let latches = Array.fold_left ( + ) 0 c.pw in
-  let w = min_weights c ~latches src in
+  let w = min_weights c ~latches (Array.init c.n (fun v -> if v = src then 0 else max_int)) in
   for v = 2 to c.n - 1 do
     st.r.(v) <- (if w.(v) = max_int then -(latches + c.n + 2) else -w.(v))
   done;
@@ -370,6 +371,76 @@ let bounds g ~period =
       (* the forward pass found a solution, so the reversed one does too *)
       let neg = Option.get (least (reverse c) ~src:Rgraph.host_sink ~period) in
       Some { lb; ub = Array.map (fun x -> -x) neg }
+
+(* The least legal labeling above [start] is [top − d], with [d] the
+   least distances from the initial ones [top − start]; FEAS from there
+   makes only forced increments. *)
+let least_above g ~period start =
+  let c = csr g in
+  let st = make_state c in
+  let latches = Array.fold_left ( + ) 0 c.pw in
+  let top = Array.fold_left max 0 start in
+  let d = min_weights c ~latches (Array.map (fun x -> top - x) start) in
+  Array.iteri (fun v dv -> st.r.(v) <- top - dv) d;
+  if st.r.(Rgraph.host) <> 0 || st.r.(Rgraph.host_sink) <> 0 then None
+  else begin
+    full_arrival st;
+    match run st ~period with
+    | Feasible -> Some (Array.sub st.r 0 c.n)
+    | Illegal | Exhausted -> None
+  end
+
+(* Arrival times forward, and departure times as the arrivals of the
+   reversed graph under the negated labels. *)
+type timing = { fwd : state; bwd : state }
+
+let timing g =
+  let c = csr g in
+  { fwd = make_state c; bwd = make_state (reverse c) }
+
+(* From [v], back along the critical predecessors of [st]'s arrivals:
+   with [cut], to where the delay from [v] first exceeds [period],
+   otherwise to the chain start.  Returns the vertex reached and the
+   latches the path crosses in the graph. *)
+let walk st ~period ~cut v =
+  let c = st.c and r = st.r in
+  let rec go y delay w =
+    if cut && delay > period then (y, w)
+    else
+      let target = st.delta.(y) - c.delay.(y) in
+      let rec pred k =
+        if k = c.pof.(y + 1) then (y, w)
+        else
+          let p = c.psrc.(k) in
+          if c.pw.(k) + r.(y) - r.(p) = 0 && st.delta.(p) = target then
+            go p (delay + c.delay.(p)) (w + c.pw.(k))
+          else pred (k + 1)
+      in
+      pred c.pof.(y)
+  in
+  go v c.delay.(v) 0
+
+let long_paths tm ~r ~period =
+  let f = tm.fwd and b = tm.bwd in
+  let c = f.c in
+  Array.blit r 0 f.r 0 c.n;
+  full_arrival f;
+  for v = 0 to c.n - 1 do
+    b.r.(v) <- -r.(v)
+  done;
+  full_arrival b;
+  let acc = ref [] in
+  for v = c.n - 1 downto 0 do
+    if f.delta.(v) > period && f.delta.(v) - c.delay.(v) <= period then begin
+      let s, w = walk f ~period ~cut:false v in
+      acc := (s, v, w) :: !acc
+    end;
+    if f.delta.(v) = c.delay.(v) && b.delta.(v) > period then begin
+      let t, w = walk b ~period ~cut:true v in
+      acc := (v, t, w) :: !acc
+    end
+  done;
+  !acc
 
 (* Bisection over the delay profile (max gate delay up to the unretimed
    period).  Solutions at p' < p are solutions at p, so the least

@@ -54,3 +54,26 @@ val bounds : Rgraph.t -> period:int -> bounds option
     negative.
     @raise Invalid_argument if the latch total does not fit an int
     shifted past the vertex-index bits. *)
+
+val least_above : Rgraph.t -> period:int -> int array -> int array option
+(** [least_above g ~period start]: the least legal labeling that meets
+    [period], with both hosts at 0, among those at or above [start]
+    (whose host labels are 0), or [None] if there is none.  A Dijkstra
+    pass lifts [start] to the least legal labeling above it, and one FEAS
+    pass from there makes only forced increments.
+    @raise Invalid_argument as {!bounds} does. *)
+
+type timing
+(** Reusable arrival and departure scratch over one retiming graph. *)
+
+val timing : Rgraph.t -> timing
+
+val long_paths : timing -> r:int array -> period:int -> (int * int * int) list
+(** For a legal [r], register-free paths of delay past [period], as
+    [(first vertex, last vertex, latches the path crosses in the
+    unretimed graph)]: the critical chain of every frontier vertex (one
+    past the period with no register-free predecessor that is), and the
+    departure path of every chain start (a vertex whose arrival is its
+    own delay) cut where its delay first exceeds the period.  Empty
+    exactly when [r] meets [period].  One arrival pass and one departure
+    pass. *)

@@ -19,20 +19,20 @@ let finish g c r =
   in
   (nc, report)
 
-let min_period ?exposed ?pool c =
+let min_period ?exposed ?pool:_ c =
   Obs.span ~name:"retime.min_period" @@ fun () ->
   let g = Rgraph.build ?exposed c in
   let period, _ = Feas.min_period g in
   (* among the min-period retimings, take a latch-minimal one; the period
      is feasible by construction, so solve cannot return None *)
-  match Minarea.solve ~period ?pool g with
+  match Minarea.solve ~period g with
   | Some r -> finish g c r
   | None -> assert false
 
-let constrained_min_area ?exposed ?pool ~period c =
+let constrained_min_area ?exposed ?pool:_ ~period c =
   Obs.span ~name:"retime.constrained_min_area" @@ fun () ->
   let g = Rgraph.build ?exposed c in
-  match Minarea.solve ~period ?pool g with
+  match Minarea.solve ~period g with
   | Some r -> Ok (finish g c r)
   | None -> Error Infeasible_period
 

@@ -18,9 +18,8 @@ val min_period :
   Circuit.t * report
 (** Retimes for the minimum feasible clock period, then minimizes latch
     count under that period.  [exposed] latches stay in place (pseudo-I/O).
-    The circuit must contain only regular latches.  [pool] parallelizes
-    only the W/D constraint generation; the period search is one
-    sequential bisection. *)
+    The circuit must contain only regular latches.  [pool] is accepted
+    and unused: both retimings are sequential. *)
 
 val constrained_min_area :
   ?exposed:(Circuit.signal -> bool) ->
@@ -29,8 +28,10 @@ val constrained_min_area :
   Circuit.t ->
   (Circuit.t * report, error) result
 (** Minimizes latch count subject to a clock-period bound.
-    [Error Infeasible_period] if the period is infeasible. *)
+    [Error Infeasible_period] if the period is infeasible.  [pool] is
+    accepted and unused. *)
 
 val min_area :
   ?exposed:(Circuit.signal -> bool) -> Circuit.t -> Circuit.t * report
-(** Minimizes latch count with no period constraint. *)
+(** Minimizes latch count with no period constraint: {!Minarea.solve}
+    at the total delay, which no path exceeds. *)

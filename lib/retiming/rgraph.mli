@@ -58,8 +58,7 @@ val build : ?exposed:(Circuit.signal -> bool) -> Circuit.t -> t
 val vertex_count : t -> int
 
 (** Read-only CSR image of the graph: both adjacency directions as flat
-    offset-indexed arrays, shared by the incremental FEAS states and the
-    W/D-matrix Dijkstras (which run on many domains against one image). *)
+    offset-indexed arrays, shared by the incremental FEAS states. *)
 type csr = {
   nv : int;
   pred_off : int array;  (** length [nv + 1] *)

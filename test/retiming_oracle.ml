@@ -1,5 +1,5 @@
 (* Reference retiming engines, kept as test oracles for {!Feas},
-   {!Minarea} and {!Vgraph.Mincost_flow}: the original cold-start FEAS,
+   {!Minarea} and {!Mincost_flow}: the original cold-start FEAS,
    the unpruned W/D-matrix constraints (one boxed lexicographic Dijkstra
    per source), the list-adjacency successive-shortest-paths flow, and
    the exact minimum period and label bounds of the full constraint
@@ -368,16 +368,17 @@ let bounds ?wd (g : Rgraph.t) ~period =
 
 (* ---- min-area retiming ---- *)
 
-(* The latch-minimal retiming at [period], from the parts above: every
-   violating W/D pair plus the edge constraints, a Bellman–Ford
-   feasibility pass, and the reference flow on the dual.  The objective
+(* The min-area LP at [period], from the parts above: every violating
+   W/D pair plus the edge constraints, and the objective.  The objective
    is the latch count {!Rgraph.apply} keeps, built from the origins, not
    from [g.groups]: the connections that start at one source signal
    share one latch chain, so a source with several connections gets a
    mirror vertex m, with r(v) − r(m) ≤ w_max − w for each connection
    into v of weight w, and adds r(m) − r(u) where a lone connection adds
-   r(v) − r(u).  Unlike {!Minarea.solve} it bounds no label. *)
-let minarea ?wd (g : Rgraph.t) ~period =
+   r(v) − r(u).  Unlike {!Minarea.solve} it bounds no label.  Returns the
+   node count, the constraints and the dual flow's arcs and supplies
+   (one arc per constraint, of cost b and capacity past any flow). *)
+let minarea_lp ?wd (g : Rgraph.t) ~period =
   let n = Digraph.node_count g.graph in
   let connections =
     List.concat
@@ -416,19 +417,24 @@ let minarea ?wd (g : Rgraph.t) ~period =
             cs)
     sources;
   let constraints = period_constraints ?wd g ~period @ edge_constraints g @ !mirrors in
+  let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
+  let arcs =
+    List.map
+      (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
+      constraints
+  in
+  (nodes, constraints, arcs, Array.map (fun x -> -x) a)
+
+(* The latch-minimal retiming at [period]: a Bellman–Ford feasibility
+   pass over the LP, and the reference flow on its dual. *)
+let minarea ?wd (g : Rgraph.t) ~period =
+  let nodes, constraints, arcs, supply = minarea_lp ?wd g ~period in
   if not (satisfiable nodes constraints) then None
-  else begin
-    let cap = 1 + Array.fold_left (fun acc x -> acc + abs x) 0 a in
-    let arcs =
-      List.map
-        (fun (u, v, b) -> { Mincost_flow.src = u; dst = v; capacity = cap; cost = b })
-        constraints
-    in
-    match flow_reference ~nodes ~arcs (Array.map (fun x -> -x) a) with
+  else
+    match flow_reference ~nodes ~arcs supply with
     | None -> None
     | Some { potentials; _ } ->
         let r = Rgraph.normalize g ~r:(Array.map (fun p -> -p) potentials) in
         if List.for_all (fun (u, v, b) -> r.(u) - r.(v) <= b) constraints then
-          Some (Array.sub r 0 n)
+          Some (Array.sub r 0 (Digraph.node_count g.graph))
         else None
-  end

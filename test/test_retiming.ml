@@ -415,13 +415,12 @@ let test_feas_bounds_vs_oracle () =
    at it and the reference's latch count; above that only the fast one
    runs, and its retiming must be legal and meet the period. *)
 let test_retime_suite_fast_vs_reference () =
-  Par.Pool.with_pool ~jobs:2 @@ fun pool ->
   List.iter
     (fun (name, c) ->
       let g = Rgraph.build c in
       let ((period, _) as found) = Feas.min_period g in
       let r =
-        match Minarea.solve ~period ~pool g with
+        match Minarea.solve ~period g with
         | Some r -> r
         | None -> Alcotest.fail (name ^ ": min period infeasible")
       in
@@ -443,9 +442,7 @@ let test_retime_suite_fast_vs_reference () =
 (* On both graphs of all 23 Table-1 circuits, the heaviest retimed edge
    of every fanout group plus the exposed latches is the number of
    latches Rgraph.apply keeps: at the least min-period labels, at r = 0,
-   and up to 3,000 vertices at the unconstrained min-area labels (on a
-   2-vCPU host the unbounded flow takes 6 s on s15850's graphs and 42 s
-   on s38417's). *)
+   and at the unconstrained min-area labels. *)
 let test_groups_count_kept_latches () =
   let small = Workloads.table1_suite_small () in
   let rest =
@@ -467,45 +464,48 @@ let test_groups_count_kept_latches () =
       List.iter
         (fun (labels, r) ->
           Alcotest.(check int) (name ^ ": " ^ labels) (kept g ~r) (heaviest r))
-        (("min-period labels", snd (Feas.min_period g))
-        :: ("r = 0", Array.make (Rgraph.vertex_count g) 0)
-        ::
-        (if Rgraph.vertex_count g <= 3000 then
-           [ ("unconstrained labels", Option.get (Minarea.solve g)) ]
-         else [])))
+        [
+          ("min-period labels", snd (Feas.min_period g));
+          ("r = 0", Array.make (Rgraph.vertex_count g) 0);
+          ("unconstrained labels", Option.get (Minarea.solve g));
+        ])
     (Lazy.force table1_graphs @ flow_graphs rest)
 
 let ran span events =
   List.exists (function Obs.Begin { name; _ } -> name = span | _ -> false) events
 
-(* One exact mode at every size: on a 4,282-vertex deep datapath and on
-   s15850's 8,555-vertex F graph the W/D constraints are built, the
-   minimum period is met, and the period below it is rejected before the
-   flow runs.  A graph whose packed W/D Dijkstra keys overflow an int
-   (one edge weight just past the bound) is rejected outright. *)
+(* One exact engine at every size: on a 4,282-vertex deep datapath and on
+   s15850's 8,555-vertex F graph the descent runs and meets the minimum
+   period (s15850's graph keeps 444 latches at period 20), and the bounds
+   reject the period below it before any descent step.  A graph with one
+   edge weight past what packed W/D path keys could hold solves legally
+   at its minimum period. *)
 let test_minarea_exact_every_size () =
   let deep =
     Rgraph.build (Workloads.deep_datapath ~name:"deep" ~width:8 ~stages:330 ~seed:1)
   in
   let s15850 = Rgraph.build (Synth_script.delay_script (Workloads.by_name "s15850")) in
+  let solves name g ~period =
+    match Minarea.solve ~period g with
+    | Some r ->
+        Alcotest.(check bool) (name ^ ": legal") true (Rgraph.is_legal g ~r);
+        Alcotest.(check bool) (name ^ ": meets the period") true
+          (Feas.period_of g ~r <= period);
+        r
+    | None -> Alcotest.fail (name ^ ": minimum period rejected")
+  in
   List.iter
-    (fun (name, g, vertices, period) ->
+    (fun (name, g, vertices, period, latches) ->
       Alcotest.(check int) (name ^ ": vertices") vertices (Rgraph.vertex_count g);
       Alcotest.(check int) (name ^ ": minimum period") period (fst (Feas.min_period g));
-      let r, events = Obs.capture (fun () -> Minarea.solve ~period g) in
-      Alcotest.(check bool) (name ^ ": W/D constraints built") true
-        (ran "minarea.period_constraints" events);
-      (match r with
-      | Some r ->
-          Alcotest.(check bool) (name ^ ": legal") true (Rgraph.is_legal g ~r);
-          Alcotest.(check bool) (name ^ ": meets the period") true
-            (Feas.period_of g ~r <= period)
-      | None -> Alcotest.fail (name ^ ": minimum period rejected"));
+      let r, events = Obs.capture (fun () -> solves name g ~period) in
+      Alcotest.(check bool) (name ^ ": descent ran") true (ran "minarea.step" events);
+      Option.iter (fun k -> Alcotest.(check int) (name ^ ": kept latches") k (kept g ~r)) latches;
       let below, events = Obs.capture (fun () -> Minarea.solve ~period:(period - 1) g) in
       Alcotest.(check bool) (name ^ ": period below rejected") true (below = None);
-      Alcotest.(check bool) (name ^ ": rejected before the flow") false
-        (ran "flow.solve" events))
-    [ ("deep_w8x330", deep, 4282, 2); ("s15850 F", s15850, 8555, 20) ];
+      Alcotest.(check bool) (name ^ ": rejected before the descent") false
+        (ran "minarea.step" events))
+    [ ("deep_w8x330", deep, 4282, 2, None); ("s15850 F", s15850, 8555, 20, Some 444) ];
   let heavy =
     let g =
       Rgraph.build
@@ -525,9 +525,42 @@ let test_minarea_exact_every_size () =
     { g with graph }
   in
   let period, _ = Feas.min_period heavy in
-  Alcotest.check_raises "heavy edge: keys overflow"
-    (Invalid_argument "Minarea.solve: the W/D path keys overflow an int") (fun () ->
-      ignore (Minarea.solve ~period heavy))
+  Alcotest.(check int) "heavy edge: minimum period" 3 period;
+  ignore (solves "heavy edge" heavy ~period)
+
+(* Eight register-free chains of equal length, from eight gates that read
+   one latched input, meet at one AND gate.  At period 4 the least
+   labeling keeps a latch in front of the AND on every chain; moving the
+   eight chains up together would share one latch at the input instead,
+   but makes every chain longer than the period.  The departure paths of
+   the chain starts give all eight pairs in the round that finds the
+   violation; the AND's critical chain alone gives one pair a round. *)
+let test_minarea_fanin_pairs_in_one_round () =
+  let c = Circuit.create "fanin" in
+  let a = Circuit.add_input c "a" in
+  let la = Circuit.add_latch c ~data:a () in
+  let ends =
+    List.init 8 (fun _ ->
+        let s = ref (Circuit.add_gate c Not [ la ]) in
+        for _ = 1 to 3 do
+          s := Circuit.add_gate c Not [ !s ]
+        done;
+        !s)
+  in
+  let t = Circuit.add_gate c And ends in
+  Circuit.mark_output c (Circuit.add_latch c ~data:t ());
+  Circuit.check c;
+  let g = Rgraph.build c in
+  let r, events = Obs.capture (fun () -> Minarea.solve ~period:4 g) in
+  let r = Option.get r in
+  Alcotest.(check int) "kept latches" 9 (kept g ~r);
+  Alcotest.(check bool) "meets the period" true (Feas.period_of g ~r <= 4);
+  let added =
+    List.filter_map
+      (function Obs.Count { name = "minarea.period_pairs"; n; _ } -> Some n | _ -> None)
+      events
+  in
+  Alcotest.(check (list int)) "all eight pairs in one round" [ 8 ] added
 
 let test_classes_grouping () =
   let c = Circuit.create "cls" in
@@ -609,6 +642,8 @@ let suite =
     Alcotest.test_case "fanout groups count kept latches" `Quick
       test_groups_count_kept_latches;
     Alcotest.test_case "min-area exact at every size" `Quick test_minarea_exact_every_size;
+    Alcotest.test_case "min-area fan-in pairs in one round" `Quick
+      test_minarea_fanin_pairs_in_one_round;
     Alcotest.test_case "latch class grouping" `Quick test_classes_grouping;
     Alcotest.test_case "forward move legality" `Quick test_forward_move_legality;
     Alcotest.test_case "forward move preserves" `Quick test_forward_move_preserves;

@@ -165,7 +165,7 @@ let test_bf_feasible_difference_constraints () =
       let w = x.(v) - x.(u) + Random.State.int st 3 in
       ignore (Vgraph.Digraph.add_edge g ~weight:w u v)
     done;
-    match Vgraph.Bellman_ford.feasible_potentials g with
+    match Bellman_ford.feasible_potentials g with
     | None -> Alcotest.fail "feasible system declared infeasible"
     | Some p ->
         Vgraph.Digraph.iter_edges
@@ -180,12 +180,12 @@ let test_bf_negative_cycle () =
   ignore (Vgraph.Digraph.add_edge g ~weight:1 0 1);
   ignore (Vgraph.Digraph.add_edge g ~weight:(-2) 1 2);
   ignore (Vgraph.Digraph.add_edge g ~weight:0 2 0);
-  (match Vgraph.Bellman_ford.solve g with
-  | Vgraph.Bellman_ford.Distances _ -> Alcotest.fail "missed negative cycle"
-  | Vgraph.Bellman_ford.Negative_cycle cyc ->
+  (match Bellman_ford.solve g with
+  | Bellman_ford.Distances _ -> Alcotest.fail "missed negative cycle"
+  | Bellman_ford.Negative_cycle cyc ->
       Alcotest.(check bool) "cycle nonempty" true (cyc <> []));
   Alcotest.(check bool) "feasible none" true
-    (Vgraph.Bellman_ford.feasible_potentials g = None)
+    (Bellman_ford.feasible_potentials g = None)
 
 (* ---- lexicographic Dijkstra (the W/D oracle) ---- *)
 
@@ -209,21 +209,21 @@ let test_flow_simple_transport () =
   (* source 0 (supply 4), sink 2 (-4); two routes with different costs *)
   let arcs =
     [
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 3; cost = 1 };
-      { Vgraph.Mincost_flow.src = 1; dst = 2; capacity = 3; cost = 1 };
-      { Vgraph.Mincost_flow.src = 0; dst = 2; capacity = 10; cost = 5 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 3; cost = 1 };
+      { Mincost_flow.src = 1; dst = 2; capacity = 3; cost = 1 };
+      { Mincost_flow.src = 0; dst = 2; capacity = 10; cost = 5 };
     ]
   in
-  match Vgraph.Mincost_flow.solve ~nodes:3 ~arcs [| 4; 0; -4 |] with
+  match Mincost_flow.solve ~nodes:3 ~arcs [| 4; 0; -4 |] with
   | None -> Alcotest.fail "feasible flow declared infeasible"
   | Some r ->
       (* 3 units via cheap route (cost 2 each), 1 via expensive (5) *)
-      Alcotest.(check int) "total cost" ((3 * 2) + 5) r.Vgraph.Mincost_flow.total_cost
+      Alcotest.(check int) "total cost" ((3 * 2) + 5) r.Mincost_flow.total_cost
 
 let test_flow_infeasible () =
-  let arcs = [ { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 1; cost = 0 } ] in
+  let arcs = [ { Mincost_flow.src = 0; dst = 1; capacity = 1; cost = 0 } ] in
   Alcotest.(check bool) "infeasible" true
-    (Vgraph.Mincost_flow.solve ~nodes:2 ~arcs [| 3; -3 |] = None)
+    (Mincost_flow.solve ~nodes:2 ~arcs [| 3; -3 |] = None)
 
 let test_flow_potentials_optimality () =
   (* after solving, reduced costs on arcs with residual capacity >= 0 *)
@@ -232,7 +232,7 @@ let test_flow_potentials_optimality () =
     let arcs =
       List.init 12 (fun _ ->
           {
-            Vgraph.Mincost_flow.src = Random.State.int st n;
+            Mincost_flow.src = Random.State.int st n;
             dst = Random.State.int st n;
             capacity = 1 + Random.State.int st 5;
             cost = Random.State.int st 8;
@@ -242,20 +242,20 @@ let test_flow_potentials_optimality () =
        direct high-capacity arc to guarantee feasibility *)
     let s = Random.State.int st n in
     let t = (s + 1 + Random.State.int st (n - 1)) mod n in
-    let arcs = { Vgraph.Mincost_flow.src = s; dst = t; capacity = 10; cost = 20 } :: arcs in
+    let arcs = { Mincost_flow.src = s; dst = t; capacity = 10; cost = 20 } :: arcs in
     let supply = Array.make n 0 in
     supply.(s) <- 2;
     supply.(t) <- -2;
-    match Vgraph.Mincost_flow.solve ~nodes:n ~arcs supply with
+    match Mincost_flow.solve ~nodes:n ~arcs supply with
     | None -> Alcotest.fail "unexpected infeasible"
     | Some r ->
         List.iteri
-          (fun i (a : Vgraph.Mincost_flow.arc) ->
-            let pi = r.Vgraph.Mincost_flow.potentials in
-            if r.Vgraph.Mincost_flow.flow.(i) < a.capacity then
+          (fun i (a : Mincost_flow.arc) ->
+            let pi = r.Mincost_flow.potentials in
+            if r.Mincost_flow.flow.(i) < a.capacity then
               Alcotest.(check bool) "reduced cost >= 0" true
                 (a.cost + pi.(a.src) - pi.(a.dst) >= 0);
-            if r.Vgraph.Mincost_flow.flow.(i) > 0 then
+            if r.Mincost_flow.flow.(i) > 0 then
               Alcotest.(check bool) "reverse reduced cost >= 0" true
                 (-a.cost + pi.(a.dst) - pi.(a.src) >= 0))
           arcs
@@ -265,64 +265,64 @@ let test_flow_zero_capacity_arcs () =
   (* a zero-capacity arc carries nothing: the expensive route must win ... *)
   let arcs =
     [
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 0; cost = 0 };
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 2; cost = 7 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 0; cost = 0 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 2; cost = 7 };
     ]
   in
-  (match Vgraph.Mincost_flow.solve ~nodes:2 ~arcs [| 2; -2 |] with
+  (match Mincost_flow.solve ~nodes:2 ~arcs [| 2; -2 |] with
   | None -> Alcotest.fail "zero-capacity arc made a feasible problem infeasible"
   | Some r ->
-      Alcotest.(check int) "cost via priced route" 14 r.Vgraph.Mincost_flow.total_cost;
-      Alcotest.(check int) "zero-cap arc unused" 0 r.Vgraph.Mincost_flow.flow.(0));
+      Alcotest.(check int) "cost via priced route" 14 r.Mincost_flow.total_cost;
+      Alcotest.(check int) "zero-cap arc unused" 0 r.Mincost_flow.flow.(0));
   (* ... and with only the zero-capacity route the problem is infeasible *)
-  let only = [ { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 0; cost = 0 } ] in
+  let only = [ { Mincost_flow.src = 0; dst = 1; capacity = 0; cost = 0 } ] in
   Alcotest.(check bool) "zero-capacity-only route infeasible" true
-    (Vgraph.Mincost_flow.solve ~nodes:2 ~arcs:only [| 1; -1 |] = None)
+    (Mincost_flow.solve ~nodes:2 ~arcs:only [| 1; -1 |] = None)
 
 let test_flow_negative_cost_arc () =
   (* acyclic negative-cost arcs are legal and preferred *)
   let arcs =
     [
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 5; cost = -2 };
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 5; cost = 3 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 5; cost = -2 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 5; cost = 3 };
     ]
   in
-  match Vgraph.Mincost_flow.solve ~nodes:2 ~arcs [| 4; -4 |] with
+  match Mincost_flow.solve ~nodes:2 ~arcs [| 4; -4 |] with
   | None -> Alcotest.fail "negative-cost arc made a feasible problem infeasible"
-  | Some r -> Alcotest.(check int) "all flow on the cheap arc" (-8) r.Vgraph.Mincost_flow.total_cost
+  | Some r -> Alcotest.(check int) "all flow on the cheap arc" (-8) r.Mincost_flow.total_cost
 
 let test_flow_negative_cycle_rejected () =
   (* a residual negative-cost cycle is a caller bug, not an infeasibility *)
   let arcs =
     [
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 5; cost = -3 };
-      { Vgraph.Mincost_flow.src = 1; dst = 0; capacity = 5; cost = 1 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 5; cost = -3 };
+      { Mincost_flow.src = 1; dst = 0; capacity = 5; cost = 1 };
     ]
   in
   Alcotest.check_raises "negative cycle rejected"
     (Invalid_argument "Mincost_flow.solve: negative-cost cycle") (fun () ->
-      ignore (Vgraph.Mincost_flow.solve ~nodes:2 ~arcs [| 0; 0 |]))
+      ignore (Mincost_flow.solve ~nodes:2 ~arcs [| 0; 0 |]))
 
 let test_flow_init_potentials () =
   let arcs =
     [
-      { Vgraph.Mincost_flow.src = 0; dst = 1; capacity = 3; cost = 1 };
-      { Vgraph.Mincost_flow.src = 1; dst = 2; capacity = 3; cost = 1 };
-      { Vgraph.Mincost_flow.src = 0; dst = 2; capacity = 10; cost = 5 };
+      { Mincost_flow.src = 0; dst = 1; capacity = 3; cost = 1 };
+      { Mincost_flow.src = 1; dst = 2; capacity = 3; cost = 1 };
+      { Mincost_flow.src = 0; dst = 2; capacity = 10; cost = 5 };
     ]
   in
   (* all-zero potentials are reduced-cost feasible on non-negative costs *)
   (match
-     Vgraph.Mincost_flow.solve ~init_potentials:(Array.make 3 0) ~nodes:3 ~arcs
+     Mincost_flow.solve ~init_potentials:(Array.make 3 0) ~nodes:3 ~arcs
        [| 4; 0; -4 |]
    with
   | None -> Alcotest.fail "warm-started solve infeasible"
-  | Some r -> Alcotest.(check int) "warm-started cost" 11 r.Vgraph.Mincost_flow.total_cost);
+  | Some r -> Alcotest.(check int) "warm-started cost" 11 r.Mincost_flow.total_cost);
   (* infeasible potentials must be rejected, not silently accepted *)
   let bad = [| 0; 5; 0 |] in
   Alcotest.check_raises "bad potentials rejected"
     (Invalid_argument "Mincost_flow.solve: init_potentials not reduced-cost feasible")
-    (fun () -> ignore (Vgraph.Mincost_flow.solve ~init_potentials:bad ~nodes:3 ~arcs [| 4; 0; -4 |]))
+    (fun () -> ignore (Mincost_flow.solve ~init_potentials:bad ~nodes:3 ~arcs [| 4; 0; -4 |]))
 
 let test_flow_fast_vs_reference_random () =
   (* the scaling core and the reference oracle must agree on feasibility
@@ -334,7 +334,7 @@ let test_flow_fast_vs_reference_random () =
         (4 + Random.State.int st 14)
         (fun _ ->
           {
-            Vgraph.Mincost_flow.src = Random.State.int st n;
+            Mincost_flow.src = Random.State.int st n;
             dst = Random.State.int st n;
             capacity = Random.State.int st 6;
             cost = Random.State.int st 9;
@@ -349,15 +349,77 @@ let test_flow_fast_vs_reference_random () =
       supply.(t) <- supply.(t) - 1
     done;
     match
-      ( Vgraph.Mincost_flow.solve ~nodes:n ~arcs supply,
+      ( Mincost_flow.solve ~nodes:n ~arcs supply,
         Retiming_oracle.flow_reference ~nodes:n ~arcs supply )
     with
     | Some f, Some r ->
-        Alcotest.(check int) "optimal costs agree" r.Vgraph.Mincost_flow.total_cost
-          f.Vgraph.Mincost_flow.total_cost
+        Alcotest.(check int) "optimal costs agree" r.Mincost_flow.total_cost
+          f.Mincost_flow.total_cost
     | None, None -> ()
     | Some _, None -> Alcotest.fail "fast feasible, reference infeasible"
     | None, Some _ -> Alcotest.fail "fast infeasible, reference feasible"
+  done;
+  (* and on the min-area LP of every Table-1 graph up to 1,000 vertices,
+     at its minimum period *)
+  List.iter
+    (fun (name, g, _) ->
+      let period, _ = Feas.min_period g in
+      let nodes, _, arcs, supply = Retiming_oracle.minarea_lp g ~period in
+      match
+        ( Mincost_flow.solve ~nodes ~arcs supply,
+          Retiming_oracle.flow_reference ~nodes ~arcs supply )
+      with
+      | Some f, Some r ->
+          Alcotest.(check int) (name ^ ": optimal costs agree") r.Mincost_flow.total_cost
+            f.Mincost_flow.total_cost
+      | _ -> Alcotest.fail (name ^ ": min-area LP infeasible"))
+    (List.filter Test_retiming.up_to_1000 (Lazy.force Test_retiming.table1_graphs))
+
+(* ---- minimum-weight closure ---- *)
+
+(* On random networks of up to 10 nodes, against every subset: the
+   closure that [Closure.solve] returns is closed, avoids the blocked
+   nodes, has the least weight of all such subsets, and lies inside every
+   subset of that weight.  Arcs added after a solve resume from its flow,
+   and one network serves every instance through [clear]. *)
+let test_closure_vs_enumeration () =
+  let st = Random.State.make [| 0xC105E |] in
+  let t = Vgraph.Closure.create 10 in
+  for _ = 1 to 300 do
+    let n = 1 + Random.State.int st 10 in
+    let weight = Array.init n (fun _ -> Random.State.int st 9 - 4) in
+    let blocked = Array.init n (fun _ -> Random.State.int st 6 = 0) in
+    let arcs k = List.init k (fun _ -> (Random.State.int st n, Random.State.int st n)) in
+    let first = arcs (Random.State.int st (2 * n)) in
+    let later = arcs (Random.State.int st n) in
+    Vgraph.Closure.clear t;
+    Array.iteri (fun v w -> Vgraph.Closure.set_weight t v w) weight;
+    Array.iteri (fun v b -> if b then Vgraph.Closure.block t v) blocked;
+    let check arcs got =
+      let mem mask v = mask land (1 lsl v) <> 0 in
+      let closed mask =
+        List.for_all (fun v -> not (mem mask v && blocked.(v))) (List.init n Fun.id)
+        && List.for_all (fun (u, v) -> (not (mem mask u)) || mem mask v) arcs
+      in
+      let weigh mask =
+        List.fold_left (fun acc v -> if mem mask v then acc + weight.(v) else acc) 0
+          (List.init n Fun.id)
+      in
+      let closures = List.filter closed (List.init (1 lsl n) Fun.id) in
+      let best = List.fold_left (fun b mask -> min b (weigh mask)) 0 closures in
+      let got = List.fold_left (fun mask v -> mask lor (1 lsl v)) 0 got in
+      Alcotest.(check bool) "closed" true (closed got);
+      Alcotest.(check int) "least weight" best (weigh got);
+      List.iter
+        (fun mask ->
+          if weigh mask = best then
+            Alcotest.(check bool) "inside every minimizer" true (got land mask = got))
+        closures
+    in
+    List.iter (fun (u, v) -> Vgraph.Closure.add_arc t u v) first;
+    check first (Vgraph.Closure.solve t);
+    List.iter (fun (u, v) -> Vgraph.Closure.add_arc t u v) later;
+    check (first @ later) (Vgraph.Closure.solve t)
   done
 
 (* ---- MFVS ---- *)
@@ -426,6 +488,7 @@ let suite =
     Alcotest.test_case "flow negative cycle rejected" `Quick test_flow_negative_cycle_rejected;
     Alcotest.test_case "flow warm-start potentials" `Quick test_flow_init_potentials;
     Alcotest.test_case "flow fast = reference" `Quick test_flow_fast_vs_reference_random;
+    Alcotest.test_case "closure = enumeration" `Quick test_closure_vs_enumeration;
     Alcotest.test_case "mfvs breaks all cycles" `Quick test_mfvs_breaks_all_cycles;
     Alcotest.test_case "mfvs inclusion-minimal" `Quick test_mfvs_minimal_under_inclusion;
     Alcotest.test_case "mfvs self-loops forced" `Quick test_mfvs_self_loops_forced;
