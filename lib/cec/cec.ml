@@ -383,6 +383,36 @@ let check_sat st b ?factor (p : Seqprob.t) =
    counterexample then adds one more word. *)
 let sim_rounds = 4
 
+(* Measured on this repository's workloads (see DESIGN.md §11): up to 12
+   inputs the exhaustive words beat the sweep's SAT merges on every pair
+   measured, while at 15 inputs (s1196's H-vs-J check) they took 2.7 ms
+   where SAT took 0.27 ms. *)
+let exhaustive_inputs = 12
+
+(* Lane masks of the first six inputs: lane [j] of the word holds bit [i]
+   of [j] for input [i]. *)
+let lane_masks =
+  [|
+    0xAAAA_AAAA_AAAA_AAAAL;
+    0xCCCC_CCCC_CCCC_CCCCL;
+    0xF0F0_F0F0_F0F0_F0F0L;
+    0xFF00_FF00_FF00_FF00L;
+    0xFFFF_0000_FFFF_0000L;
+    0xFFFF_FFFF_0000_0000L;
+  |]
+
+(* Words of the exhaustive enumeration of [n_in] inputs, 64 patterns each. *)
+let exhaustive_words n_in = if n_in <= 6 then 1 else 1 lsl (n_in - 6)
+
+(* Word [w] of the exhaustive enumeration of [n_in] inputs: lane [j] is
+   input pattern [64w + j], so input [i >= 6] is bit [i - 6] of [w] in
+   every lane, and pattern 0 (every input false) is bit 0 of word 0. *)
+let exhaustive_word n_in w =
+  Array.init n_in (fun i ->
+      if i < 6 then lane_masks.(i)
+      else if (w lsr (i - 6)) land 1 = 1 then -1L
+      else 0L)
+
 type proof = Proved | Disproved | Gave_up
 
 (* FRAIG sweep (Mishchenko et al., "FRAIGs", 2005).  Nodes that no
@@ -392,18 +422,37 @@ type proof = Proved | Disproved | Gave_up
    AIG is rebuilt into [g2] in topological order; each node is proven
    against its class head, and a disproof's SAT model becomes one more
    simulation word that splits the classes, after which the node retries
-   against its new head. *)
+   against its new head.
+
+   A problem with at most [exhaustive_inputs] inputs is simulated
+   on all of its input patterns instead of on random words.  Its classes
+   are then the exact equivalence classes, so every member merges into
+   its head without a SAT call, and only a final miter that still differs
+   (an inequivalence) calls the solver, for its counterexample.
+   Cancellation and the deadline are polled before each word; a deadline
+   that passes mid-enumeration leaves the miter to a SAT call that gives
+   up at once. *)
 let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
   let g = p.graph in
   let rng = Random.State.make [| seed |] in
   let n_in = Aig.num_inputs g in
   let n_nodes = Aig.node_count g in
-  (* all-ones where bit 0 of the node's first random word is set *)
+  let exhaustive = n_in <= exhaustive_inputs in
+  if exhaustive then Obs.count "cec.exhaustive" 1;
+  Obs.attr (fun () -> [ ("exhaustive", Obs.Bool exhaustive) ]);
+  (* all-ones where bit 0 of the node's first word is set *)
   let phase = Array.make n_nodes 0L in
-  (* head of the node's class; -1 once no other node shares its values *)
-  let head = Array.make n_nodes 1 in
-  head.(0) <- -1;
-  let classes = ref (if n_nodes > 1 then [ Array.init (n_nodes - 1) succ ] else []) in
+  (* Exact classes also hold the constant node 0, so a constant function
+     merges into it; random classes leave it out.  [head] is the node's
+     class head; -1 once no other node shares its values. *)
+  let lowest = if exhaustive then 0 else 1 in
+  let head = Array.make n_nodes lowest in
+  if lowest > 0 then head.(0) <- -1;
+  let classes =
+    ref
+      (if n_nodes - lowest > 1 then [ Array.init (n_nodes - lowest) (( + ) lowest) ]
+       else [])
+  in
   (* split every class by the phase-canonical value of one simulated word;
      each part stays ascending, and a lone member leaves the classes *)
   let refine vals =
@@ -436,16 +485,35 @@ let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
     st.sim_rounds <- st.sim_rounds + 1;
     Aig.simulate g words
   in
-  for round = 1 to sim_rounds do
-    (* bits64 gives full-width words; int64 below max_int never sets bit 63,
-       which would make pattern lane 63 simulate the all-zeros input *)
-    let vals = simulate (Array.init n_in (fun _ -> Random.State.bits64 rng)) in
-    if round = 1 then
-      Array.iteri
-        (fun n w -> if Int64.logand w 1L = 1L then phase.(n) <- -1L)
-        vals;
+  let first_word vals =
+    Array.iteri (fun n w -> if Int64.logand w 1L = 1L then phase.(n) <- -1L) vals;
     refine vals
-  done;
+  in
+  let interrupted () = cancelled b || expired b in
+  (* whether the classes are exact: every input pattern was simulated.
+     An interrupted enumeration leaves candidate classes, whose merges
+     take the proof path (and so stop at the interruption, too). *)
+  let exact =
+    if exhaustive then begin
+      let words = exhaustive_words n_in in
+      let w = ref 0 in
+      while !w < words && not (interrupted ()) do
+        let vals = simulate (exhaustive_word n_in !w) in
+        if !w = 0 then first_word vals else refine vals;
+        incr w
+      done;
+      !w = words
+    end
+    else begin
+      for round = 1 to sim_rounds do
+        (* bits64 gives full-width words; int64 below max_int never sets bit
+           63, which would make pattern lane 63 simulate the all-zeros input *)
+        let vals = simulate (Array.init n_in (fun _ -> Random.State.bits64 rng)) in
+        if round = 1 then first_word vals else refine vals
+      done;
+      false
+    end
+  in
   (* rebuild into g2 merging proven-equivalent nodes *)
   let g2 = Aig.create () in
   let enc = Encoder.create g2 in
@@ -486,14 +554,16 @@ let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
     in
     refine (simulate (Array.init n_in word))
   in
-  (* once the deadline passes or a sibling cancels, stop attempting merges
-     — the rebuild itself must finish so the final miter (which will then
-     give up quickly too) stays well-defined *)
+  (* exact classes merge without a proof; otherwise, once the deadline
+     passes or a sibling cancels, stop attempting merges — the rebuild
+     itself must finish so the final miter (which will then give up
+     quickly too) stays well-defined *)
   let rec merge n l =
     let h = head.(n) in
-    if h >= 0 && h <> n && not (cancelled b || expired b) then begin
+    if h >= 0 && h <> n then begin
       let rlit = if Int64.equal phase.(n) phase.(h) then map.(h) else Aig.neg map.(h) in
-      if Aig.node_of rlit <> Aig.node_of l then
+      if exact then map.(n) <- rlit
+      else if (not (interrupted ())) && Aig.node_of rlit <> Aig.node_of l then
         match prove_equal l rlit with
         | Proved -> map.(n) <- rlit
         | Gave_up -> ()
@@ -877,6 +947,23 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
     end
   end
 
+(* The sweep decides a problem with at most [exhaustive_inputs] inputs by
+   simulating every input pattern, with no SAT call.  Up to
+   [whole_exhaustive_work] simulated word-nodes (words x graph nodes) that
+   costs less than laying the problem out and checking its clusters on
+   the pool, so such a problem is checked in one piece at every jobs
+   level; past it, the clusters (enumerated too) win on two domains.
+   Measured at jobs 2 on lane ALUs past the layout threshold (DESIGN.md
+   §11): one piece won up to 0.9M word-nodes and tied or lost from 1.4M.
+   The SAT and BDD engines still gain from partitioning. *)
+let whole_exhaustive_work = 1 lsl 20
+
+let whole_exhaustive engine (p : Seqprob.t) =
+  let n_in = Aig.num_inputs p.graph in
+  engine = Sweep_engine
+  && n_in <= exhaustive_inputs
+  && exhaustive_words n_in * Aig.node_count p.graph <= whole_exhaustive_work
+
 let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
     ?(limits = no_limits) ?cache (p : Seqprob.t) =
   if List.length p.outs1 <> List.length p.outs2 then
@@ -907,7 +994,7 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
                [~partition:true] contract tests rely on *)
             check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:true p
         | Some false -> check_monolithic ~engine ~limits ~cache p
-        | None when jobs > 1 ->
+        | None when jobs > 1 && not (whole_exhaustive engine p) ->
             (* adaptive: the layout's cost model decides — monolithic
                below the threshold, cost-packed bins above *)
             check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:false p

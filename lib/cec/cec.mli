@@ -32,7 +32,20 @@ type engine =
   | Sweep_engine
       (** FRAIG sweep: candidate classes from random simulation, refined
           by every SAT counterexample; each node is merged into its class
-          head by incremental SAT, then a miter check on the swept AIG *)
+          head by incremental SAT, then a miter check on the swept AIG.
+          A (sub)problem with at most {!exhaustive_inputs} inputs
+          is simulated on every input pattern instead, so its classes are
+          exact and merge without SAT: an equivalent one makes no SAT
+          call, an inequivalent one a single call for its
+          counterexample *)
+
+val exhaustive_inputs : int
+(** 12: the sweep simulates a (sub)problem with at most this many inputs
+    on all of its input patterns, and then needs no SAT call to prove a
+    merge.  Set from measurement (DESIGN.md §11): up
+    to 12 inputs the enumeration beat the SAT merges on every pair
+    measured, while at 15 inputs it took ten times as long as SAT on
+    s1196's H-vs-J check. *)
 
 val engines : (string * engine) list
 (** Every engine under its CLI/wire spelling: ["sweep"], ["sat"], ["bdd"]
@@ -70,7 +83,8 @@ type stats = {
   mutable sat_calls : int;  (** SAT solver invocations *)
   mutable sim_rounds : int;
       (** 64-pattern simulation words (sweep): 4 random ones per sweep,
-          plus one per SAT counterexample that refined its classes *)
+          plus one per SAT counterexample that refined its classes; an
+          exhaustive sweep of [n] inputs simulates max(1, 2{^ n-6}) *)
   mutable partitions : int;
       (** output-cone clusters checked — the {!Layout}'s verdict units
           (1 = monolithic) *)
@@ -206,6 +220,11 @@ val check_problem_with_stats :
     never on cache state — so verdicts and cache keys are identical at
     every parallelism level.  [~partition:true] forces the clustered path
     regardless of cost; [~partition:false] forces the monolithic check.
+    Unforced, the sweep engine checks a problem with at most
+    {!exhaustive_inputs} inputs in one piece whatever its cost, without
+    computing a layout, when its enumeration simulates at most 2{^ 20}
+    word-nodes (64-pattern words times graph nodes): below that, one
+    exhaustive sweep costs less than laying the problem out.
     Clusters are carved out of the problem graph with {!Aig.extract} — no
     netlist round-trip — and bins run on a lazily spawned {!Par.Pool} of
     at most [min jobs bins] domains.

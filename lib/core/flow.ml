@@ -44,7 +44,7 @@ let make_b a exposed_names =
 
 (* The min-period and min-area stages of each pair (C/E, F/G) run on the
    same synthesized netlist, so the synthesis (and its exposure predicate)
-   is computed once per pair and shared. *)
+   is computed once per pair and shared; F/G's is D's. *)
 let synth_for_retime ~exposed_names b =
   let sy = Synth_script.delay_script b in
   let* exposed = Verify.exposed_pred sy exposed_names in
@@ -122,23 +122,18 @@ let run ?jobs ?limits ?cache ?period a =
   let target, fallback =
     match period with Some p -> (p, false) | None -> (period_d, true)
   in
-  (* C synthesizes [b] and E reuses that netlist (same for F/G on the bare
-     copy of [a]); each stage's clock still covers the work it performs *)
+  (* C synthesizes [b] and E reuses that netlist; F and G retime D, which
+     is [a] synthesized with nothing exposed.  Each stage's clock covers
+     the work it performs, so F's is its retiming alone *)
   let* c, syb =
     stage "C" (fun () ->
         let* sy = synth_for_retime ~exposed_names b in
         Ok (min_period_on sy, sy))
   in
   let* e = stage "E" (fun () -> min_area_on ~period:target ~fallback syb) in
-  let* f, sya =
-    stage "F" (fun () ->
-        let* sy =
-          synth_for_retime ~exposed_names:[]
-            (Circuit.copy ~name:(Circuit.name a ^ "_F") a)
-        in
-        Ok (min_period_on sy, sy))
-  in
-  let* g = stage "G" (fun () -> min_area_on ~period:target ~fallback sya) in
+  let syd = (d, fun _ -> false) in
+  let f = stage "F" (fun () -> min_period_on syd) in
+  let* g = stage "G" (fun () -> min_area_on ~period:target ~fallback syd) in
   let nl = Circuit.latch_count a in
   let* outcome =
     stage "verify" (fun () ->

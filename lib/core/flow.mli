@@ -9,8 +9,9 @@
     - [E]: [B] after synthesis and minimum-area retiming constrained to
       [D]'s delay;
     - [F]: like [C] but from the unmodified [A] (measures the optimization
-      penalty of exposure);
-    - [G]: like [E] but from the unmodified [A];
+      penalty of exposure): [D] retimed for the minimum period;
+    - [G]: like [E] but from the unmodified [A]: [D] retimed for minimum
+      area;
     - [H]/[J]: CBF unrollings of [B] and [C], checked by combinational
       equivalence (Table 1's "H vs J" time). *)
 
@@ -35,7 +36,8 @@ type row = {
       (** wall clock per pipeline stage, in execution order: ["B"]; ["D"];
           ["C"]; ["E"]; ["F"]; ["G"]; ["verify"].  Derived from the {!Obs}
           stage spans (monotonic clock), measured whether or not tracing
-          is enabled. *)
+          is enabled.  F and G retime D's netlist, so ["F"] covers only
+          F's retiming (D's entry holds the synthesis they share). *)
 }
 
 val metrics_of : Circuit.t -> metrics

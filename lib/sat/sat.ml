@@ -161,9 +161,10 @@ let add_clause_internal s lits ~learned =
   end;
   ci
 
-exception Conflict of int
-
-(* Unit propagation; returns conflicting clause index or -1. *)
+(* Unit propagation; returns conflicting clause index or -1.  Each
+   propagated literal's watch list is compacted in place: [j] trails [i]
+   over the watches that stay, in their order, while dead clauses and
+   watches moved to another literal drop out. *)
 let propagate s =
   let confl = ref (-1) in
   while !confl = -1 && s.qhead < Vgraph.Vec.length s.trail do
@@ -173,52 +174,51 @@ let propagate s =
     let false_lit = neg p in
     let ws = s.watches.(false_lit) in
     let n = Vgraph.Vec.length ws in
-    let keep = ref [] in
-    (try
-       let i = ref 0 in
-       while !i < n do
-         let ci = Vgraph.Vec.get ws !i in
-         incr i;
-         let c = Vgraph.Vec.get s.clauses ci in
-         if c.dead then () (* drop *)
-         else begin
-           let lits = c.lits in
-           (* ensure false_lit is lits.(1) *)
-           if lits.(0) = false_lit then begin
-             lits.(0) <- lits.(1);
-             lits.(1) <- false_lit
-           end;
-           if lit_value s lits.(0) = 1 then keep := ci :: !keep
-           else begin
-             (* search replacement watch *)
-             let len = Array.length lits in
-             let k = ref 2 in
-             while !k < len && lit_value s lits.(!k) = 0 do
-               incr k
-             done;
-             if !k < len then begin
-               lits.(1) <- lits.(!k);
-               lits.(!k) <- false_lit;
-               watch s lits.(1) ci
-             end
-             else begin
-               keep := ci :: !keep;
-               if lit_value s lits.(0) = 0 then begin
-                 (* conflict: retain remaining watches *)
-                 while !i < n do
-                   keep := Vgraph.Vec.get ws !i :: !keep;
-                   incr i
-                 done;
-                 raise (Conflict ci)
-               end
-               else enqueue s lits.(0) ci
-             end
-           end
-         end
-       done
-     with Conflict ci -> confl := ci);
-    Vgraph.Vec.clear ws;
-    List.iter (fun ci -> ignore (Vgraph.Vec.push ws ci)) (List.rev !keep)
+    let i = ref 0 and j = ref 0 in
+    let keep ci =
+      Vgraph.Vec.set ws !j ci;
+      incr j
+    in
+    while !i < n do
+      let ci = Vgraph.Vec.get ws !i in
+      incr i;
+      let c = Vgraph.Vec.get s.clauses ci in
+      if not c.dead then begin
+        let lits = c.lits in
+        (* ensure false_lit is lits.(1) *)
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
+        end;
+        if lit_value s lits.(0) = 1 then keep ci
+        else begin
+          (* search replacement watch *)
+          let len = Array.length lits in
+          let k = ref 2 in
+          while !k < len && lit_value s lits.(!k) = 0 do
+            incr k
+          done;
+          if !k < len then begin
+            lits.(1) <- lits.(!k);
+            lits.(!k) <- false_lit;
+            watch s lits.(1) ci
+          end
+          else begin
+            keep ci;
+            if lit_value s lits.(0) = 0 then begin
+              (* conflict: retain remaining watches *)
+              confl := ci;
+              while !i < n do
+                keep (Vgraph.Vec.get ws !i);
+                incr i
+              done
+            end
+            else enqueue s lits.(0) ci
+          end
+        end
+      end
+    done;
+    Vgraph.Vec.shrink ws !j
   done;
   !confl
 

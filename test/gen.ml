@@ -168,9 +168,10 @@ let rename_inputs ?(prefix = "r_") c =
   Circuit.check nc;
   nc
 
-(* Copy with a single output negated (a seeded bug). *)
-let negate_one_output c =
-  let nc = Circuit.create (Circuit.name c ^ "_bug") in
+(* Copy of [c] whose output [i] is [f nc i o] instead, for [o] its copy in
+   the new circuit [nc]. *)
+let map_outputs ~suffix c f =
+  let nc = Circuit.create (Circuit.name c ^ suffix) in
   let map = Hashtbl.create 64 in
   let get s = Hashtbl.find map s in
   List.iter
@@ -191,13 +192,13 @@ let negate_one_output c =
       let data, enable = Circuit.latch_info c l in
       Circuit.set_latch nc (get l) ?enable:(Option.map get enable) ~data:(get data) ())
     (Circuit.latches c);
-  (match Circuit.outputs c with
-  | [] -> ()
-  | o :: rest ->
-      Circuit.mark_output nc (Circuit.add_gate nc Not [ get o ]);
-      List.iter (fun o -> Circuit.mark_output nc (get o)) rest);
+  List.iteri (fun i o -> Circuit.mark_output nc (f nc i (get o))) (Circuit.outputs c);
   Circuit.check nc;
   nc
+
+(* Copy with a single output negated (a seeded bug). *)
+let negate_one_output c =
+  map_outputs ~suffix:"_bug" c (fun nc i o -> if i = 0 then Circuit.add_gate nc Not [ o ] else o)
 
 let random_inputs st c ~cycles =
   let ni = List.length (Circuit.inputs c) in

@@ -5,18 +5,65 @@ let st = Random.State.make [| 0xCEC |]
 
 let engines = [ ("bdd", Cec.Bdd_engine); ("sat", Cec.Sat_engine); ("sweep", Cec.Sweep_engine) ]
 
+(* The randomized tests end with a few pairs wider than the sweep's
+   exhaustive cutoff, where it takes its random-simulation path (SAT
+   merges, refinement by each counterexample), so both of its paths meet
+   the other engines.  Their bugs flip one output on a single pattern,
+   which random simulation misses.  Those pairs come from their own
+   state: the narrower pairs before them stay as they were. *)
+let wide_st = Random.State.make [| 0xCEC; 0x5EED |]
+
+let wide_inputs () = Cec.exhaustive_inputs + 1 + Random.State.int wide_st 4
+
+(* [c] with every output XORed with the parity of all of its inputs.
+   Each output cone then spans every input, so the clusters of a wide
+   pair are wider than the cutoff too; the cones of the random circuits
+   here reach 12 inputs at most. *)
+let widen c =
+  Gen.map_outputs ~suffix:"_wide" c (fun nc _ o ->
+      List.fold_left (fun a i -> Circuit.add_gate nc Xor [ a; i ]) o (Circuit.inputs nc))
+
+(* [c] with its first output flipped on the one input assignment [bits]
+   (by input position): the pair differs on that pattern alone, so a
+   sweep that skips it proves a false merge *)
+let flip_on_pattern c bits =
+  Gen.map_outputs ~suffix:"_flip" c (fun nc out o ->
+      if out > 0 then o
+      else begin
+        let lits =
+          List.mapi
+            (fun i s -> if bits.(i) then s else Circuit.add_gate nc Not [ s ])
+            (Circuit.inputs nc)
+        in
+        let minterm =
+          List.fold_left (fun a l -> Circuit.add_gate nc And [ a; l ]) (List.hd lits) (List.tl lits)
+        in
+        Circuit.add_gate nc Xor [ o; minterm ]
+      end)
+
+(* [c] flipped on one random pattern of a wide pair's inputs: the 256
+   random patterns the sweep simulates first most likely miss it, so its
+   SAT merges must disprove candidates and refine the classes *)
+let flip_somewhere c =
+  flip_on_pattern c
+    (Array.init (List.length (Circuit.inputs c)) (fun _ -> Random.State.bool wide_st))
+
 (* the checker's one entry point, on a pair of combinational circuits *)
 let check ?engine ?jobs ?partition ?limits ?cache c1 c2 =
   Cec.check_problem_with_stats ?engine ?jobs ?partition ?limits ?cache
     (Cec.of_circuits c1 c2)
 
 let test_equivalent_rewrites () =
-  for i = 1 to 40 do
+  for i = 1 to 50 do
+    let wide = i > 40 in
+    let st = if wide then wide_st else st in
     let c1 =
-      Gen.comb st ~name:(Printf.sprintf "eq%d" i) ~inputs:(2 + Random.State.int st 5)
+      Gen.comb st ~name:(Printf.sprintf "eq%d" i)
+        ~inputs:(if wide then wide_inputs () else 2 + Random.State.int st 5)
         ~gates:(5 + Random.State.int st 50)
         ~outputs:(1 + Random.State.int st 3)
     in
+    let c1 = if wide then flip_somewhere c1 else c1 in
     let c2 = Gen.demorganize c1 in
     List.iter
       (fun (nm, e) ->
@@ -28,13 +75,19 @@ let test_equivalent_rewrites () =
   done
 
 let test_seeded_bugs_found () =
-  for i = 1 to 40 do
+  for i = 1 to 50 do
+    let wide = i > 40 in
+    let st = if wide then wide_st else st in
     let c1 =
-      Gen.comb st ~name:(Printf.sprintf "bug%d" i) ~inputs:(2 + Random.State.int st 4)
+      Gen.comb st ~name:(Printf.sprintf "bug%d" i)
+        ~inputs:(if wide then wide_inputs () else 2 + Random.State.int st 4)
         ~gates:(5 + Random.State.int st 40)
         ~outputs:(1 + Random.State.int st 3)
     in
-    let c2 = Gen.negate_one_output (Gen.demorganize c1) in
+    let c2 =
+      if wide then flip_somewhere (Gen.demorganize c1)
+      else Gen.negate_one_output (Gen.demorganize c1)
+    in
     List.iter
       (fun (nm, e) ->
         match fst (check ~engine:e c1 c2) with
@@ -48,8 +101,10 @@ let test_seeded_bugs_found () =
 
 let test_engines_agree () =
   (* random pairs (often inequivalent): all engines agree on the verdict *)
-  for i = 1 to 30 do
-    let n_in = 2 + Random.State.int st 3 in
+  for i = 1 to 38 do
+    let wide = i > 30 in
+    let st = if wide then wide_st else st in
+    let n_in = if wide then wide_inputs () else 2 + Random.State.int st 3 in
     let c1 = Gen.comb st ~name:(Printf.sprintf "p%da" i) ~inputs:n_in ~gates:15 ~outputs:2 in
     let c2 = Gen.comb st ~name:(Printf.sprintf "p%db" i) ~inputs:n_in ~gates:15 ~outputs:2 in
     let verdicts =
@@ -66,8 +121,11 @@ let test_engines_agree () =
   done
 
 let test_vs_brute_force () =
-  for i = 1 to 30 do
-    let n_in = 2 + Random.State.int st 3 in
+  for i = 1 to 36 do
+    (* wide pairs stay at K+1 inputs: 2^(K+1) patterns each *)
+    let wide = i > 30 in
+    let st = if wide then wide_st else st in
+    let n_in = if wide then Cec.exhaustive_inputs + 1 else 2 + Random.State.int st 3 in
     let c1 = Gen.comb st ~name:(Printf.sprintf "b%da" i) ~inputs:n_in ~gates:12 ~outputs:1 in
     let c2 = Gen.comb st ~name:(Printf.sprintf "b%db" i) ~inputs:n_in ~gates:12 ~outputs:1 in
     (* brute force over the union input space; inputs matched by name *)
@@ -181,12 +239,16 @@ let test_sweep_on_identical_structures () =
 let job_counts = [ 1; 2; 4 ]
 
 let test_parallel_agrees_on_equivalent () =
-  for i = 1 to 12 do
+  for i = 1 to 16 do
+    let wide = i > 12 in
+    let st = if wide then wide_st else st in
     let c1 =
-      Gen.comb st ~name:(Printf.sprintf "peq%d" i) ~inputs:(2 + Random.State.int st 5)
+      Gen.comb st ~name:(Printf.sprintf "peq%d" i)
+        ~inputs:(if wide then wide_inputs () else 2 + Random.State.int st 5)
         ~gates:(10 + Random.State.int st 50)
         ~outputs:(2 + Random.State.int st 4)
     in
+    let c1 = if wide then widen c1 else c1 in
     let c2 = Gen.demorganize c1 in
     let parts_seen =
       List.map
@@ -210,13 +272,20 @@ let test_parallel_agrees_on_equivalent () =
   done
 
 let test_parallel_agrees_on_bugs () =
-  for i = 1 to 12 do
+  for i = 1 to 16 do
+    let wide = i > 12 in
+    let st = if wide then wide_st else st in
     let c1 =
-      Gen.comb st ~name:(Printf.sprintf "pbug%d" i) ~inputs:(2 + Random.State.int st 4)
+      Gen.comb st ~name:(Printf.sprintf "pbug%d" i)
+        ~inputs:(if wide then wide_inputs () else 2 + Random.State.int st 4)
         ~gates:(10 + Random.State.int st 40)
         ~outputs:(2 + Random.State.int st 3)
     in
-    let c2 = Gen.negate_one_output (Gen.demorganize c1) in
+    let c1 = if wide then widen c1 else c1 in
+    let c2 =
+      if wide then flip_somewhere (Gen.demorganize c1)
+      else Gen.negate_one_output (Gen.demorganize c1)
+    in
     List.iter
       (fun jobs ->
         match fst (check ~jobs ~partition:true c1 c2) with
@@ -234,10 +303,13 @@ let test_parallel_agrees_on_bugs () =
 let test_parallel_matches_sequential_verdict () =
   (* random (usually inequivalent) pairs: partitioned/parallel and
      monolithic verdicts coincide for every engine *)
-  for i = 1 to 15 do
-    let n_in = 2 + Random.State.int st 3 in
+  for i = 1 to 19 do
+    let wide = i > 15 in
+    let st = if wide then wide_st else st in
+    let n_in = if wide then wide_inputs () else 2 + Random.State.int st 3 in
     let c1 = Gen.comb st ~name:(Printf.sprintf "pm%da" i) ~inputs:n_in ~gates:15 ~outputs:3 in
     let c2 = Gen.comb st ~name:(Printf.sprintf "pm%db" i) ~inputs:n_in ~gates:15 ~outputs:3 in
+    let c1, c2 = if wide then (widen c1, widen c2) else (c1, c2) in
     List.iter
       (fun (nm, e) ->
         let mono =
@@ -663,8 +735,12 @@ let test_small_problem_goes_monolithic () =
 let test_below_threshold_no_pool () =
   (* an adaptive jobs=4 check of a small problem must spin up no worker
      domain at all: the monolithic fast path never creates a pool (spans
-     are the observable — every spawned worker opens a pool.worker span) *)
-  let c1 = Gen.comb st ~name:"lay_nopool" ~inputs:5 ~gates:60 ~outputs:5 in
+     are the observable — every spawned worker opens a pool.worker span).
+     The problem is wider than the exhaustive cutoff, so the cost
+     threshold, not the input count, keeps it whole. *)
+  let c1 =
+    Gen.comb st ~name:"lay_nopool" ~inputs:(Cec.exhaustive_inputs + 1) ~gates:60 ~outputs:5
+  in
   let c2 = Gen.demorganize c1 in
   Obs.reset ();
   Obs.enable ();
@@ -942,10 +1018,12 @@ let test_checks_leave_problem_graph_alone () =
 let test_sat_time_charged_to_sat () =
   (* regression: every SAT call's time lands in sat_seconds — the sweep
      engine's merge queries used to be charged to sweep_seconds, leaving
-     sat_calls > 0 with phase_sat_cpu_seconds = 0 in the bench output *)
-  let c1 = xor_chain ~name:"sta" 12 and c2 = xor_tree ~name:"stb" 12 in
+     sat_calls > 0 with phase_sat_cpu_seconds = 0 in the bench output.
+     The sweep's pair is wider than the exhaustive cutoff, below which
+     the sweep decides an equivalent pair without SAT. *)
   List.iter
-    (fun (nm, e) ->
+    (fun (nm, e, n) ->
+      let c1 = xor_chain ~name:"sta" n and c2 = xor_tree ~name:"stb" n in
       let v, s = check ~engine:e c1 c2 in
       (match v with
       | Cec.Equivalent -> ()
@@ -954,7 +1032,157 @@ let test_sat_time_charged_to_sat () =
       Alcotest.(check bool)
         (nm ^ ": SAT time charged to the sat bucket")
         true (s.Cec.sat_seconds > 0.))
-    [ ("sat", Cec.Sat_engine); ("sweep", Cec.Sweep_engine) ]
+    [
+      ("sat", Cec.Sat_engine, 12);
+      ("sweep", Cec.Sweep_engine, Cec.exhaustive_inputs + 2);
+    ]
+
+(* ---- exhaustive simulation (at most Cec.exhaustive_inputs inputs) ---- *)
+
+(* Whether the sweep of a check on the calling domain simulated every
+   input pattern: the [exhaustive] attribute of its cec.engine.sweep
+   span. *)
+let sweep_exhaustive events =
+  match
+    List.find_map
+      (function
+        | Obs.End { name = "cec.engine.sweep"; attrs; _ } ->
+            List.assoc_opt "exhaustive" attrs
+        | _ -> None)
+      events
+  with
+  | Some (Obs.Bool b) -> b
+  | _ -> Alcotest.fail "no cec.engine.sweep span with an exhaustive attribute"
+
+let k = Cec.exhaustive_inputs
+
+(* On random pairs of 1..K inputs, equivalent and not, the exhaustive
+   sweep gives the SAT and BDD engines' verdict; it proves every
+   equivalent pair without a SAT call, and every counterexample replays
+   on the problem.  Three of the pairs differ on one pattern only: the
+   first (every input false), the last (every input true) and a random
+   one. *)
+let test_exhaustive_sweep_agrees () =
+  let st = Random.State.make [| 0xE4A5 |] in
+  for n = 1 to k do
+    let c1 =
+      Gen.comb st ~name:(Printf.sprintf "ex%d" n) ~inputs:n ~gates:(10 + (4 * n))
+        ~outputs:3
+    in
+    let rewritten = Gen.demorganize c1 in
+    let flipped bits = flip_on_pattern rewritten bits in
+    List.iter
+      (fun (what, c2) ->
+        let what = Printf.sprintf "%d inputs, %s" n what in
+        let p = Cec.of_circuits c1 c2 in
+        Alcotest.(check int) (what ^ ": problem inputs") n (Aig.num_inputs p.graph);
+        let (v, s), events = Obs.capture (fun () -> Cec.check_problem_with_stats p) in
+        Alcotest.(check bool) (what ^ ": exhaustive") true (sweep_exhaustive events);
+        let others =
+          List.map
+            (fun engine -> fst (Cec.check_problem_with_stats ~engine p))
+            [ Cec.Sat_engine; Cec.Bdd_engine ]
+        in
+        match v with
+        | Cec.Equivalent ->
+            Alcotest.(check int) (what ^ ": SAT calls") 0 s.Cec.sat_calls;
+            if List.exists (fun o -> o <> Cec.Equivalent) others then
+              Alcotest.failf "%s: sweep says equivalent, SAT or BDD does not" what
+        | Cec.Inequivalent cex ->
+            Alcotest.(check bool) (what ^ ": cex replays") true (Seqprob.cex_is_valid p cex);
+            if List.exists (function Cec.Inequivalent _ -> false | _ -> true) others
+            then Alcotest.failf "%s: sweep says inequivalent, SAT or BDD does not" what
+        | Cec.Undecided r -> Alcotest.failf "%s: undecided: %s" what r)
+      [
+        ("rewritten", rewritten);
+        ("one output negated", Gen.negate_one_output rewritten);
+        ("flipped on the first pattern", flipped (Array.make n false));
+        ("flipped on the last pattern", flipped (Array.make n true));
+        ("flipped on a random pattern", flipped (Array.init n (fun _ -> Random.State.bool st)));
+        ( "unrelated",
+          Gen.comb st ~name:(Printf.sprintf "ex%db" n) ~inputs:n ~gates:(10 + (4 * n))
+            ~outputs:3 );
+      ]
+  done
+
+(* A parity pair at K inputs is simulated on its 2^K patterns (2^(K-6)
+   words) and proven without SAT; at K+1 inputs the sweep takes the
+   random path, whose merges need SAT. *)
+let test_exhaustive_boundary () =
+  List.iter
+    (fun (n, exhaustive) ->
+      let (v, s), events =
+        Obs.capture (fun () -> check (xor_chain ~name:"bda" n) (xor_tree ~name:"bdb" n))
+      in
+      let what = Printf.sprintf "%d inputs" n in
+      Alcotest.(check bool) (what ^ ": equivalent") true (v = Cec.Equivalent);
+      Alcotest.(check bool) (what ^ ": exhaustive") exhaustive (sweep_exhaustive events);
+      let counted =
+        List.exists (function Obs.Count { name = "cec.exhaustive"; _ } -> true | _ -> false) events
+      in
+      Alcotest.(check bool) (what ^ ": cec.exhaustive counted") exhaustive counted;
+      if exhaustive then begin
+        Alcotest.(check int) (what ^ ": SAT calls") 0 s.Cec.sat_calls;
+        Alcotest.(check int) (what ^ ": one word per 64 patterns") (1 lsl (n - 6))
+          s.Cec.sim_rounds
+      end
+      else Alcotest.(check bool) (what ^ ": SAT calls") true (s.Cec.sat_calls > 0))
+    [ (k, true); (k + 1, false) ]
+
+(* lane_alu 8x8x4 has 8 inputs, but its clusters clear the cost model's
+   threshold and floor: the sweep checks it in one piece at every jobs
+   level all the same (4 words of 4.7k nodes), and only a forced layout
+   partitions it.  The SAT engine, which does not enumerate, still
+   partitions it.  lane_alu 32x12x4 would enumerate 64 words of 27k
+   nodes, past the 2^20 word-nodes that one piece is worth: the cost
+   model partitions it, and each cluster is enumerated without SAT. *)
+let test_small_support_stays_monolithic () =
+  let alu ~lanes ~width style = Workloads.lane_alu ~lanes ~width ~stages:4 ~style () in
+  let p = problem_of (alu ~lanes:8 ~width:8 `Ripple) (alu ~lanes:8 ~width:8 `Select) in
+  Alcotest.(check bool) "at most K inputs" true (Aig.num_inputs p.graph <= k);
+  let layout = Cec.Layout.compute p in
+  Alcotest.(check bool) "the cost model partitions" false layout.monolithic;
+  let clusters = layout.clusters in
+  List.iter
+    (fun jobs ->
+      let v, s = Cec.check_problem_with_stats ~jobs p in
+      let what = Printf.sprintf "jobs=%d" jobs in
+      Alcotest.(check bool) (what ^ ": equivalent") true (v = Cec.Equivalent);
+      Alcotest.(check int) (what ^ ": partitions") 1 s.Cec.partitions;
+      Alcotest.(check int) (what ^ ": SAT calls") 0 s.Cec.sat_calls)
+    job_counts;
+  let v, s = Cec.check_problem_with_stats ~jobs:2 ~partition:true p in
+  Alcotest.(check bool) "forced: equivalent" true (v = Cec.Equivalent);
+  Alcotest.(check bool) "forced: partitions" true (s.Cec.partitions > 1);
+  let v, s = Cec.check_problem_with_stats ~engine:Cec.Sat_engine ~jobs:2 p in
+  Alcotest.(check bool) "SAT engine: equivalent" true (v = Cec.Equivalent);
+  Alcotest.(check int) "SAT engine: the cost model's partitions"
+    (List.length clusters) s.Cec.partitions;
+  let big = problem_of (alu ~lanes:32 ~width:12 `Ripple) (alu ~lanes:32 ~width:12 `Select) in
+  Alcotest.(check int) "32x12x4: K inputs" k (Aig.num_inputs big.graph);
+  Alcotest.(check bool) "32x12x4: past 2^20 word-nodes" true
+    ((1 lsl (k - 6)) * Aig.node_count big.graph > 1 lsl 20);
+  let v, s = Cec.check_problem_with_stats ~jobs:2 big in
+  Alcotest.(check bool) "32x12x4: equivalent" true (v = Cec.Equivalent);
+  Alcotest.(check int) "32x12x4: the cost model's partitions"
+    (List.length (Cec.Layout.compute big).clusters) s.Cec.partitions;
+  Alcotest.(check int) "32x12x4: SAT calls" 0 s.Cec.sat_calls
+
+(* an expired deadline stops the enumeration before its first word: the
+   classes are not exact, nothing merges, and the final miter's SAT call
+   gives up, so the sweep answers Undecided *)
+let test_exhaustive_deadline () =
+  let limits = { Cec.no_limits with Cec.seconds = Some 0.0 } in
+  let (v, s), events =
+    Obs.capture (fun () ->
+        check ~limits (xor_chain ~name:"dea" k) (xor_tree ~name:"deb" k))
+  in
+  Alcotest.(check bool) "exhaustive" true (sweep_exhaustive events);
+  (match v with
+  | Cec.Undecided _ -> ()
+  | Cec.Equivalent | Cec.Inequivalent _ -> Alcotest.fail "expired deadline still answered");
+  Alcotest.(check bool) "deadline hit recorded" true (s.Cec.deadline_hits > 0);
+  Alcotest.(check int) "no word simulated" 0 s.Cec.sim_rounds
 
 let suite =
   [
@@ -1013,4 +1241,12 @@ let suite =
       test_sweep_sat_calls_on_colliding_classes;
     Alcotest.test_case "checks leave the problem graph unchanged" `Quick
       test_checks_leave_problem_graph_alone;
+    Alcotest.test_case "exhaustive sweep agrees with SAT and BDD" `Quick
+      test_exhaustive_sweep_agrees;
+    Alcotest.test_case "exhaustive sweep: K inputs, not K+1" `Quick
+      test_exhaustive_boundary;
+    Alcotest.test_case "small support stays monolithic" `Quick
+      test_small_support_stays_monolithic;
+    Alcotest.test_case "exhaustive sweep: deadline gives Undecided" `Quick
+      test_exhaustive_deadline;
   ]

@@ -339,7 +339,7 @@ let test_minarea_fast_vs_reference () =
   done;
   List.iter
     (fun (name, g, target) ->
-      let wd = Retiming_oracle.wd g in
+      let wd = Retiming_oracle.shared_wd g in
       let p_min, _ = Feas.min_period g in
       Alcotest.(check bool) (name ^ ": minimum period feasible") true
         (check_minarea ~wd name g ~period:p_min);
@@ -367,8 +367,8 @@ let check_bounds ?wd name g ~period =
 let test_feas_bounds_vs_oracle () =
   let st = rng 12 in
   (* how many vertices of [g] have no lower bound, summed over the periods *)
-  let sweep name g =
-    let wd = Retiming_oracle.wd g in
+  let sweep ~wd name g =
+    let wd = wd g in
     let p_min, _ = Feas.min_period g in
     List.fold_left
       (fun k period ->
@@ -377,14 +377,14 @@ let test_feas_bounds_vs_oracle () =
       [ p_min - 1; p_min; p_min + 2 ]
   in
   for i = 1 to 20 do
-    ignore (sweep "random" (random_rgraph st (800 + i)))
+    ignore (sweep ~wd:Retiming_oracle.wd "random" (random_rgraph st (800 + i)))
   done;
   (* the F graphs of s1196, s641 and (at 1,008 vertices) prolog have 2-3
      vertices the host cannot reach, which must come out unbounded below *)
   let unreachable = [ "s1196 A"; "s641 A"; "prolog A" ] in
   List.iter
     (fun (name, g, _) ->
-      let k = sweep name g in
+      let k = sweep ~wd:Retiming_oracle.shared_wd name g in
       if List.mem name unreachable then
         Alcotest.(check bool) (name ^ ": unbounded below") true (k > 0))
     (List.filter

@@ -364,7 +364,9 @@ let test_flow_fast_vs_reference_random () =
   List.iter
     (fun (name, g, _) ->
       let period, _ = Feas.min_period g in
-      let nodes, _, arcs, supply = Retiming_oracle.minarea_lp g ~period in
+      let nodes, _, arcs, supply =
+        Retiming_oracle.minarea_lp ~wd:(Retiming_oracle.shared_wd g) g ~period
+      in
       match
         ( Mincost_flow.solve ~nodes ~arcs supply,
           Retiming_oracle.flow_reference ~nodes ~arcs supply )
