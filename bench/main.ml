@@ -22,7 +22,7 @@
      dune exec bench/main.exe -- --micro-obs [--smoke]
                                               # disabled-site cost gate
    --jobs accepts an integer or "auto" (Domain.recommended_domain_count,
-   further capped per check by the layout's bin count; default 1). *)
+   further capped per check by its cluster count; default 1). *)
 
 let pf = Format.printf
 
@@ -247,17 +247,16 @@ let fig18 () =
       let plan = Feedback.plan_structural c in
       let names = List.map (Circuit.signal_name c) plan.Feedback.exposed in
       let exposed s = List.mem (Circuit.signal_name c s) names in
-      let u, info = Cbf.unroll_netlist ~exposed c in
-      (* and the shared-AIG size the engines actually see *)
       let b = Seqprob.builder () in
-      let aig_nodes =
-        match Cbf.unroll ~exposed b c with
-        | Ok _ -> Aig.and_count (Seqprob.graph b)
-        | Error _ -> -1
-      in
-      pf "         %-9s gates %5d -> unrolled %6d netlist / %6d AIG nodes (depth %d, %d variables)@."
-        name (Circuit.area c) (Circuit.area u) aig_nodes info.Cbf.depth
-        info.Cbf.variables)
+      match Cbf.unroll ~exposed b c with
+      | Ok (_, info) ->
+          (* the gates replicated as a flat netlist would hold them, and
+             the shared-AIG size the engines actually see *)
+          pf "         %-9s gates %5d -> unrolled %6d netlist / %6d AIG nodes (depth %d, %d variables)@."
+            name (Circuit.area c) info.Cbf.replication
+            (Aig.and_count (Seqprob.graph b))
+            info.Cbf.depth info.Cbf.variables
+      | Error d -> pf "         %-9s %s@." name (Seqprob.diagnosis_to_string d))
     [ "s953"; "s1269"; "s3384"; "minmax10"; "minmax32" ]
 
 let fig16 () =
@@ -600,8 +599,8 @@ let () =
   let full = has "--full" in
   let smoke = has "--smoke" in
   let jobs =
-    (* "auto" asks the runtime for the machine's domain count; the layout
-       caps each check's pool at its bin count anyway *)
+    (* "auto" asks the runtime for the machine's domain count; each
+       check's pool is capped at its cluster count anyway *)
     match opt_str "--jobs" args with
     | Some "auto" -> Par.cpu_count ()
     | Some s -> (

@@ -56,8 +56,8 @@ let exposed_arg =
         ~doc:"Comma-separated latch names to expose (pseudo primary I/O).")
 
 let jobs_arg =
-  (* plain N, or "auto" = Domain.recommended_domain_count () — the layout
-     caps the pool at its bin count per check, so "auto" never oversubscribes
+  (* plain N, or "auto" = Domain.recommended_domain_count () — a check's
+     pool never exceeds its cluster count, so "auto" never oversubscribes
      a small problem *)
   let jobs_conv =
     let parse = function
@@ -75,12 +75,12 @@ let jobs_arg =
     & opt jobs_conv 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker-domain cap for the combinational check, or $(b,auto) for \
-           the machine's recommended domain count.  With N > 1 a problem \
+          "Worker-domain cap for the combinational check (at most 64), or \
+           $(b,auto) for the machine's recommended domain count.  A problem \
            whose estimated cost clears the layout threshold is partitioned \
-           into cost-balanced bins and checked in parallel (never more \
-           domains than bins); small problems and $(b,--jobs 1) keep the \
-           monolithic single-domain check.")
+           into output-cone clusters at every N; N only sets how many \
+           domains check them (never more domains than clusters).  Small \
+           problems are checked in one piece.")
 
 let timeout_arg =
   Arg.(
@@ -747,7 +747,7 @@ let serve_cmd =
         slow_ms = (if slow_ms < 0. then infinity else slow_ms);
       }
     in
-    let t = Server.create cfg in
+    let t = try Server.create cfg with Invalid_argument msg -> fail msg in
     (* graceful drain: finish everything admitted, flush the store, exit 0 *)
     let on_signal _ = Server.request_stop t in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
@@ -766,7 +766,7 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "executors" ] ~docv:"N"
-          ~doc:"Concurrent checks (worker domains draining the queue).")
+          ~doc:"Concurrent checks (worker domains draining the queue), 1 to 64.")
   in
   let max_pending =
     Arg.(
@@ -947,7 +947,9 @@ let client_cmd =
         value
         & opt (some int) None
         & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:"Narrow this request's pool parallelism.")
+            ~doc:
+              "The request's $(b,jobs) field: 1 checks its clusters on the \
+               executor domain instead of the shared pool.")
     in
     Cmd.v
       (Cmd.info "check"

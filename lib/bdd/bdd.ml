@@ -107,6 +107,19 @@ let implies m f g = ite m f g 1
 let and_list m = List.fold_left (and_ m) 1
 let or_list m = List.fold_left (or_ m) 0
 
+let apply_fn m (fn : Circuit.gate_fn) ins =
+  match fn with
+  | Const b -> if b then 1 else 0
+  | Buf -> ins.(0)
+  | Not -> not_ m ins.(0)
+  | And -> Array.fold_left (and_ m) 1 ins
+  | Nand -> not_ m (Array.fold_left (and_ m) 1 ins)
+  | Or -> Array.fold_left (or_ m) 0 ins
+  | Nor -> not_ m (Array.fold_left (or_ m) 0 ins)
+  | Xor -> Array.fold_left (xor_ m) 0 ins
+  | Xnor -> not_ m (Array.fold_left (xor_ m) 0 ins)
+  | Mux -> ite m ins.(0) ins.(1) ins.(2)
+
 let rec cofactor m f ~var b =
   if f <= 1 then f
   else

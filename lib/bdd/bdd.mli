@@ -50,6 +50,11 @@ val ite : man -> t -> t -> t -> t
 val and_list : man -> t list -> t
 val or_list : man -> t list -> t
 
+val apply_fn : man -> Circuit.gate_fn -> t array -> t
+(** The function of one gate over its fanins' functions (the BDD
+    counterpart of [Aig.apply_fn]).  Arity must match the function
+    (checked upstream by [Circuit.add_gate]). *)
+
 val cofactor : man -> t -> var:int -> bool -> t
 (** [cofactor m f ~var b] is f with [var] fixed to [b]. *)
 

@@ -771,10 +771,9 @@ let check_pair st b ~engine ~cache p =
                       cex));
               v))
 
-(* Partition layout — overlap clustering, the cone cost model and cost-
-   driven bin packing — lives in {!Layout} (re-exported from this module's
-   interface).  Clusters are the verdict and cache-key units; bins only
-   group clusters into pool tasks. *)
+(* Partition layout — overlap clustering and the cone cost model — lives
+   in {!Layout} (re-exported from this module's interface).  Clusters are
+   the verdict, cache-key and pool-task units. *)
 module Layout = Layout
 module Lru = Lru
 
@@ -823,7 +822,6 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
           Obs.attr (fun () ->
               [
                 ("clusters", Obs.Int (List.length l.Layout.clusters));
-                ("bins", Obs.Int (List.length l.Layout.bins));
                 ("monolithic", Obs.Bool l.Layout.monolithic);
                 ("cost", Obs.Float l.Layout.total_cost);
               ]);
@@ -853,7 +851,7 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
       in
       (* Set by find_first the moment any cluster reports a counterexample;
          every in-flight sibling's SAT loop / BDD build polls it and stops
-         mid-solve, and bins abandon their not-yet-started clusters. *)
+         mid-solve, and a cluster not yet started is skipped. *)
       let cancel = Atomic.make false in
       let undecided = Array.make n None in
       let clusters = Array.of_list layout.Layout.clusters in
@@ -900,31 +898,25 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
         res
       in
       let found =
-        (* one pool task per scheduling bin; a task checks its clusters in
-           ascending index order.  Never spawn more workers than bins.
-           With a caller-supplied pool (the shared server pool) the batch
-           runs on it as-is — the pool's lazy demand-driven worker sizing
-           already never spawns more domains than there are outstanding
-           tasks — and the pool is left running for the next batch. *)
-        let bins = layout.Layout.bins in
+        (* one pool task per cluster, heaviest first (ties by index), so
+           the critical work starts early.  At jobs 1 they run in that
+           order on the calling domain, even when the caller passes a
+           shared pool.  With a caller-supplied pool (the shared server
+           pool) the batch runs on it as-is, and the pool is left running
+           for the next batch. *)
+        let order =
+          List.init n Fun.id
+          |> List.stable_sort (fun a b ->
+                 Float.compare clusters.(b).Layout.cost clusters.(a).Layout.cost)
+        in
         let search pool =
           Par.Pool.find_first ~found:cancel pool
-            (fun bin ->
-              let rec go = function
-                | [] -> None
-                | k :: rest ->
-                    if Atomic.get cancel then None
-                    else (
-                      match check_cluster k with
-                      | None -> go rest
-                      | Some cex -> Some cex)
-              in
-              go bin)
-            bins
+            (fun k -> if Atomic.get cancel then None else check_cluster k)
+            order
         in
         match pool with
-        | Some pool -> search pool
-        | None -> Par.Pool.with_pool ~jobs:(min jobs (List.length bins)) search
+        | Some pool when jobs > 1 -> search pool
+        | _ -> Par.Pool.with_pool ~jobs:(min jobs n) search
       in
       let stats = Array.fold_left add (fresh_stats ()) cluster_stats in
       stats.partition_seconds <- layout_seconds;
@@ -952,10 +944,13 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
    [whole_exhaustive_work] simulated word-nodes (words x graph nodes) that
    costs less than laying the problem out and checking its clusters on
    the pool, so such a problem is checked in one piece at every jobs
-   level; past it, the clusters (enumerated too) win on two domains.
-   Measured at jobs 2 on lane ALUs past the layout threshold (DESIGN.md
-   §11): one piece won up to 0.9M word-nodes and tied or lost from 1.4M.
-   The SAT and BDD engines still gain from partitioning. *)
+   level; past it, the layout decides, as for any problem, and the
+   clusters (enumerated too) win on two domains.  Measured at jobs 2 on
+   lane ALUs past the layout threshold (DESIGN.md §11): one piece won up
+   to 0.9M word-nodes and tied or lost from 1.4M.  On one domain the
+   clusters past the bound cost 0.9-1.4x the one piece; the bound stays
+   the same at every jobs level, since jobs never enters the partition
+   decision.  The SAT and BDD engines still gain from partitioning. *)
 let whole_exhaustive_work = 1 lsl 20
 
 let whole_exhaustive engine (p : Seqprob.t) =
@@ -994,9 +989,9 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
                [~partition:true] contract tests rely on *)
             check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:true p
         | Some false -> check_monolithic ~engine ~limits ~cache p
-        | None when jobs > 1 && not (whole_exhaustive engine p) ->
-            (* adaptive: the layout's cost model decides — monolithic
-               below the threshold, cost-packed bins above *)
+        | None when not (whole_exhaustive engine p) ->
+            (* adaptive, at every jobs level: the layout's cost model
+               decides — monolithic below the threshold, clusters above *)
             check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced:false p
         | None -> check_monolithic ~engine ~limits ~cache p)
   in

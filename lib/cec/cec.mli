@@ -113,8 +113,9 @@ type stats = {
           partitioning and cache probing *)
   mutable partition_seconds : float;
       (** wall clock spent computing the partition layout (output
-          clustering, cost estimation, bin packing and sub-AIG
-          extraction); [0.] for an explicitly monolithic check *)
+          clustering, cost estimation and sub-AIG extraction); [0.] for a
+          check that computed none: [~partition:false], or a small-support
+          problem the sweep enumerates in one piece *)
   mutable bdd_seconds : float;
       (** CPU-seconds spent in each engine, summed across clusters.  The
           three buckets are {e disjoint}: time inside [Sat.solve] is
@@ -184,10 +185,9 @@ end
 
 module Layout = Layout
 (** Cost-model-driven partition layout: overlap clustering into
-    verdict-unit {e clusters}, a [nodes × depth] cone cost estimate, a
-    monolithic fast path below a total-cost threshold, and cost-balanced
-    packing of clusters into scheduling {e bins}.  See
-    {!Layout.compute}. *)
+    {e clusters} (the verdict, cache-key and pool-task units), a
+    [nodes × depth] cone cost estimate, and a monolithic fast path below a
+    total-cost threshold.  See {!Layout.compute}. *)
 
 module Lru = Lru
 (** The bounded table with batch least-recently-hit eviction under
@@ -206,19 +206,18 @@ val check_problem_with_stats :
     returns the per-check statistics with the verdict.  Default engine:
     [Sweep_engine]; default limits: {!no_limits}.
 
-    With [jobs > 1] the split is {e adaptive}, driven by the {!Layout}
-    cost model: below a total-cost threshold the whole miter is checked
-    in one piece (no layout, no {!Par.Pool} spin-up — parallelism costs
-    nothing on small problems), and above it the miter is split into
+    The split is {e adaptive} at every [jobs] level, driven by the
+    {!Layout} cost model: below a total-cost threshold the whole miter is
+    checked in one piece (no {!Par.Pool} spin-up — small problems never
+    pay for partitioning), and above it the miter is split into
     output-cone {e clusters} — each an independent check by soundness of
     output splitting.  Output pairs whose fanin cones (in the shared AIG)
     overlap by at least half of the smaller cone are clustered together
     (so shared logic is swept once); each cluster is checked — and cached
-    — on its own, and clusters are packed by estimated cost into
-    cost-proportional scheduling {e bins}, the unit of pool work.  Cluster
-    and bin boundaries depend only on the problem — never on [jobs],
-    never on cache state — so verdicts and cache keys are identical at
-    every parallelism level.  [~partition:true] forces the clustered path
+    — on its own, as one pool task.  The layout depends only on the
+    problem — never on [jobs], never on cache state — so verdicts and
+    cache keys are identical at every parallelism level; [jobs] only
+    sizes the pool.  [~partition:true] forces the clustered path
     regardless of cost; [~partition:false] forces the monolithic check.
     Unforced, the sweep engine checks a problem with at most
     {!exhaustive_inputs} inputs in one piece whatever its cost, without
@@ -226,18 +225,21 @@ val check_problem_with_stats :
     word-nodes (64-pattern words times graph nodes): below that, one
     exhaustive sweep costs less than laying the problem out.
     Clusters are carved out of the problem graph with {!Aig.extract} — no
-    netlist round-trip — and bins run on a lazily spawned {!Par.Pool} of
-    at most [min jobs bins] domains.
+    netlist round-trip — and run heaviest first (ties by cluster index)
+    on a lazily spawned {!Par.Pool} of at most [min jobs clusters]
+    domains; at [jobs = 1] they run in that order on the calling
+    domain.
 
     {b Shared pools.}  [pool] runs the partitioned search on a
     caller-owned pool instead of a per-check one: the pool is {e not}
     shut down afterwards, and — because {!Par.Pool} is safe under
     concurrent submitters — many simultaneous checks (the verification
     server's concurrent requests) may share one pool, whose lazy
-    demand-driven sizing never spawns more domains than outstanding bins
-    warrant.  When [pool] is given and [jobs] is not, the parallelism
-    level defaults to the pool's [jobs]; an explicit [jobs] below that
-    narrows this one check (and [~jobs:1] keeps it monolithic).
+    demand-driven sizing never spawns more domains than outstanding
+    clusters warrant.  When [pool] is given and [jobs] is not, the
+    parallelism level defaults to the pool's [jobs]; an explicit
+    [~jobs:1] runs this one check's clusters on the calling domain, not
+    on the pool, and any other [jobs] runs them on the whole pool.
 
     {b Budgets.}  With [limits] set, each cluster checks under its own
     wall-clock deadline and each SAT call / BDD build under its resource
@@ -250,10 +252,12 @@ val check_problem_with_stats :
     is reported as [Undecided], never as [Equivalent].
 
     {b Cancellation.}  The moment any partition finds a counterexample a
-    shared flag is set and every in-flight sibling solver stops mid-solve.
-    The {e verdict} is still deterministic, but under parallel cancellation
-    the reported counterexample may come from any failing partition (at
-    [jobs = 1] partitions run in order, so it is the lowest-index one).
+    shared flag is set, every in-flight sibling solver stops mid-solve,
+    and no cluster starts after it.  The {e verdict} is still
+    deterministic, but under parallel cancellation the reported
+    counterexample may come from any failing partition (at [jobs = 1]
+    clusters run in task order, so it is the first failing one in that
+    order).
 
     {b Caching.}  A fresh {!Cache} is used per check unless [cache]
     supplies a shared one; a persistent verdict store is attached through

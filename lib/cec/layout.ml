@@ -1,19 +1,12 @@
 (* Cost-model-driven partition layout for the partitioned CEC.
 
-   Two layers, with different invariants:
-
-   - [clusters] — the verdict units.  Output pairs whose fanin cones
-     overlap by at least half of the smaller cone are greedily merged, so
-     shared logic is swept once.  Clustering depends only on the problem
-     (never on [jobs], never on cache state), so cluster boundaries — and
-     hence verdicts and cache keys — are identical at every parallelism
-     level and across warm/cold runs.
-
-   - [bins] — the scheduling units.  Clusters are packed largest-first
-     into a number of bins proportional to the total *estimated cost*
-     (again never to [jobs]); a pool never spawns more domains than there
-     are bins.  Bins only group work: each cluster is still checked (and
-     cached) on its own.
+   Output pairs whose fanin cones overlap by at least half of the smaller
+   cone are greedily merged into [clusters], so shared logic is swept
+   once.  A cluster is the one unit of partitioned work: it is checked,
+   cached and handed to the domain pool on its own.  Clustering depends
+   only on the problem (never on [jobs], never on cache state), so
+   cluster boundaries (and hence verdicts and cache keys) are identical
+   at every parallelism level and across warm/cold runs.
 
    The cost estimate for a cluster is [nodes * depth]: the cone's node
    count in the shared unrolled AIG times its time-frame depth (1 + the
@@ -24,9 +17,9 @@
 
    Below [default_threshold] total cost the whole layout collapses to a
    monolithic check: partitioning overhead (per-cluster extraction,
-   solver warm-up, pool spin-up) dwarfs the work on small problems —
-   partitioned jobs=2 checks historically measured as a net slowdown on
-   every table-1 row for exactly this reason. *)
+   solver warm-up) dwarfs the work on small problems.  Partitioned
+   checks measured as a net slowdown on every table-1 row, on one domain
+   as on two. *)
 
 type cluster = {
   members : int list; (* output-pair indices, ascending *)
@@ -41,9 +34,6 @@ type t = {
          piece, no pool *)
   total_cost : float;
   clusters : cluster list;
-  bins : int list list;
-      (* scheduling groups of cluster indices, heaviest bin first; empty
-         when [monolithic] *)
 }
 
 (* Calibrated on this repository's workloads (see DESIGN.md §11): every
@@ -61,18 +51,6 @@ let default_threshold = 15_000.
    is under this floor is pure overhead and runs monolithically no matter
    the total. *)
 let min_mean_cluster_cost = 150.
-
-(* Target work per scheduling bin.  A quarter of the threshold: the
-   smallest partitioned problem still yields ~4 bins, enough to keep a
-   small pool busy, and big problems get cost-proportionally more (up to
-   [max_bins]). *)
-let bin_cost_target = 5_000.
-
-let max_bins = 64
-
-(* Two underfull bins are merged while their combined cost stays within
-   this factor of the per-bin target: fewer tasks, bounded imbalance. *)
-let bin_slack = 1.5
 
 let estimate ~nodes ~depth = float_of_int nodes *. float_of_int (max 1 depth)
 
@@ -162,45 +140,6 @@ let clusters (p : Seqprob.t) =
         cost = estimate ~nodes:size.(g) ~depth;
       })
 
-(* Largest-first (LPT) packing into [bins] bins; deterministic — ties keep
-   cluster order (stable sort) and go to the lowest-index bin. *)
-let pack ~bins cls =
-  let bins = max 1 bins in
-  let order =
-    List.stable_sort (fun (_, a) (_, b) -> Float.compare b.cost a.cost) cls
-  in
-  let bin_members = Array.make bins [] in
-  let bin_cost = Array.make bins 0. in
-  List.iter
-    (fun (idx, c) ->
-      let lightest = ref 0 in
-      for i = 1 to bins - 1 do
-        if bin_cost.(i) < bin_cost.(!lightest) then lightest := i
-      done;
-      bin_members.(!lightest) <- idx :: bin_members.(!lightest);
-      bin_cost.(!lightest) <- bin_cost.(!lightest) +. c.cost)
-    order;
-  let nonempty = ref [] in
-  for i = bins - 1 downto 0 do
-    if bin_members.(i) <> [] then
-      nonempty := (List.sort compare bin_members.(i), bin_cost.(i)) :: !nonempty
-  done;
-  !nonempty
-
-(* Merge underfull bins: repeatedly combine the two lightest while their
-   sum stays within [bin_slack * bin_cost_target].  Deterministic, and
-   bounded (each merge reduces the bin count). *)
-let merge_slack packed =
-  let by_cost = List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) in
-  let rec go l =
-    match by_cost l with
-    | (m1, c1) :: (m2, c2) :: rest
-      when c1 +. c2 <= bin_slack *. bin_cost_target ->
-        go ((List.sort compare (m1 @ m2), c1 +. c2) :: rest)
-    | l -> l
-  in
-  go packed
-
 let single_cone_cost (p : Seqprob.t) =
   let maxd =
     Array.fold_left (fun a v -> max a (Seqprob.Var.delay v)) 0 p.vars
@@ -217,38 +156,19 @@ let quick_bound p = 2. *. single_cone_cost p
 
 let of_clusters ?(forced = false) cls =
   let total = List.fold_left (fun a c -> a +. c.cost) 0. cls in
-  let ncl = List.length cls in
-  if
+  let monolithic =
     (not forced)
     && (total < default_threshold
-       || total < min_mean_cluster_cost *. float_of_int (max 1 ncl))
-  then { monolithic = true; total_cost = total; clusters = cls; bins = [] }
-  else begin
-    let bins =
-      min (min max_bins ncl)
-        (max 1 (int_of_float (Float.ceil (total /. bin_cost_target))))
-    in
-    let packed =
-      merge_slack (pack ~bins (List.mapi (fun i c -> (i, c)) cls))
-    in
-    (* heaviest bin first, so the pool starts the critical work early *)
-    let packed =
-      List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) packed
-    in
-    {
-      monolithic = false;
-      total_cost = total;
-      clusters = cls;
-      bins = List.map fst packed;
-    }
-  end
+       || total < min_mean_cluster_cost *. float_of_int (max 1 (List.length cls)))
+  in
+  { monolithic; total_cost = total; clusters = cls }
 
 let compute ?(forced = false) (p : Seqprob.t) =
   let bound = quick_bound p in
   if (not forced) && bound < default_threshold then
     (* problem too small to possibly clear the threshold: monolithic
        without even paying the clustering pass ([clusters] left empty) *)
-    { monolithic = true; total_cost = bound; clusters = []; bins = [] }
+    { monolithic = true; total_cost = bound; clusters = [] }
   else
     of_clusters ~forced
       (Obs.span ~name:"cec.layout.cluster" (fun () -> clusters p))

@@ -1,13 +1,11 @@
 (** Cost-model-driven partition layout for the partitioned CEC.
 
-    Splits a {!Seqprob.t} into overlap-clustered output-cone {e clusters}
-    (the verdict and cache-key units — a pure function of the problem,
-    independent of [jobs] and of cache state) and packs the clusters by
-    estimated cost into scheduling {e bins} (what the domain pool actually
-    runs; also jobs-independent, and never an influence on a verdict or a
-    cache key).  Below a total-cost threshold the layout collapses to a
-    monolithic check so small problems never pay partitioning or pool
-    overhead.  Re-exported as [Cec.Layout]. *)
+    Splits a {!Seqprob.t} into overlap-clustered output-cone {e clusters}:
+    the verdict, cache-key and scheduling units, a pure function of the
+    problem, independent of [jobs] and of cache state.  Below a
+    total-cost threshold the layout collapses to a monolithic check so
+    small problems never pay partitioning overhead.  Re-exported as
+    [Cec.Layout]. *)
 
 type cluster = {
   members : int list;  (** output-pair indices, ascending *)
@@ -29,9 +27,6 @@ type t = {
   clusters : cluster list;
       (** empty for a quick-rejected monolithic layout (the problem was
           too small to even pay the clustering pass) *)
-  bins : int list list;
-      (** scheduling groups of indices into [clusters], heaviest first;
-          [[]] when [monolithic] *)
 }
 
 val default_threshold : float
@@ -45,12 +40,6 @@ val min_mean_cluster_cost : float
     fixed signature/solver/simulator setup for almost no work — still
     runs monolithically. *)
 
-val bin_cost_target : float
-(** Aimed-for work per scheduling bin (a quarter of the threshold), so
-    bin count grows with problem cost up to {!max_bins}. *)
-
-val max_bins : int
-
 val estimate : nodes:int -> depth:int -> float
 (** [nodes * max 1 depth] — monotone in both arguments. *)
 
@@ -60,7 +49,7 @@ val single_cone_cost : Seqprob.t -> float
     monolithic check costs in the cone-cost histogram. *)
 
 val compute : ?forced:bool -> Seqprob.t -> t
-(** Full layout: cluster, estimate, threshold-check, pack.  The layout is
+(** Full layout: cluster, estimate, threshold-check.  The layout is
     monolithic when the total estimate is under {!default_threshold}
     {e or} the mean cluster cost is under {!min_mean_cluster_cost}; when
     even twice {!single_cone_cost} is under the threshold it is monolithic
@@ -72,6 +61,6 @@ val compute : ?forced:bool -> Seqprob.t -> t
     traced as a [cec.layout.cluster] span. *)
 
 val of_clusters : ?forced:bool -> cluster list -> t
-(** The threshold check and bin packing of {!compute}, over the given
-    clusters: [compute ~forced p] is [of_clusters ~forced] of [p]'s
-    clusters whenever it clusters at all. *)
+(** The threshold check of {!compute}, over the given clusters:
+    [compute ~forced p] is [of_clusters ~forced] of [p]'s clusters
+    whenever it clusters at all. *)

@@ -108,69 +108,6 @@ let unroll ?exposed b c =
           | Error d -> [ ("error", Obs.String (Seqprob.diagnosis_to_string d)) ]);
       r)
 
-let unroll_netlist ?(exposed = fun _ -> false) c =
-  Circuit.check c;
-  let nc = Circuit.create (Circuit.name c ^ "_cbf") in
-  let memo : (Circuit.signal * int, Circuit.signal) Hashtbl.t = Hashtbl.create 256 in
-  let pins : (string, Circuit.signal) Hashtbl.t = Hashtbl.create 64 in
-  let depth = ref 0 in
-  let replication = ref 0 in
-  let visiting : (Circuit.signal, unit) Hashtbl.t = Hashtbl.create 64 in
-  let pin name d =
-    depth := max !depth d;
-    let n = var_name name d in
-    match Hashtbl.find_opt pins n with
-    | Some s -> s
-    | None ->
-        let s = Circuit.add_input nc n in
-        Hashtbl.replace pins n s;
-        s
-  in
-  let rec cbf s d =
-    match Hashtbl.find_opt memo (s, d) with
-    | Some r -> r
-    | None ->
-        if Hashtbl.mem visiting s then
-          invalid_arg "Cbf.unroll_netlist: sequential cycle with no exposed latch";
-        Hashtbl.replace visiting s ();
-        let r =
-          match Circuit.driver c s with
-          | Input -> pin (Circuit.signal_name c s) d
-          | Latch _ when exposed s -> pin (Circuit.signal_name c s) d
-          | Latch { data; enable = None } -> cbf data (d + 1)
-          | Latch { enable = Some _; _ } ->
-              invalid_arg
-                (Printf.sprintf
-                   "Cbf.unroll_netlist: non-exposed load-enabled latch %s"
-                   (Circuit.signal_name c s))
-          | Gate (fn, fs) ->
-              incr replication;
-              Circuit.add_gate nc fn (Array.to_list (Array.map (fun f -> cbf f d) fs))
-          | Undriven -> assert false
-        in
-        Hashtbl.remove visiting s;
-        Hashtbl.replace memo (s, d) r;
-        r
-  in
-  List.iter (fun o -> Circuit.mark_output nc (cbf o 0)) (Circuit.outputs c);
-  let exposed_latches =
-    List.filter exposed (Circuit.latches c)
-    |> List.sort (fun a b -> compare (Circuit.signal_name c a) (Circuit.signal_name c b))
-  in
-  List.iter
-    (fun l ->
-      let data, _ = Circuit.latch_info c l in
-      Circuit.mark_output nc (cbf data 0))
-    exposed_latches;
-  List.iter
-    (fun l ->
-      match Circuit.latch_info c l with
-      | _, Some e -> Circuit.mark_output nc (cbf e 0)
-      | _, None -> ())
-    exposed_latches;
-  Circuit.check nc;
-  (nc, { depth = !depth; variables = Hashtbl.length pins; replication = !replication })
-
 let sequential_depth ?(exposed = fun _ -> false) c =
   let memo = Hashtbl.create 256 in
   let rec go s =

@@ -42,14 +42,6 @@ val unroll :
     contains no exposed latch, [Hidden_enabled_latch] for a non-exposed
     load-enabled latch. *)
 
-val unroll_netlist :
-  ?exposed:(Circuit.signal -> bool) -> Circuit.t -> Circuit.t * info
-(** Reference implementation materializing the unrolling as a flat
-    [Circuit.t] netlist (input [(i, d)] becomes a primary input named
-    [var_name i d]), with no structural hashing.  Kept for netlist-level
-    experiments and as the baseline the AIG path is measured against.
-    @raise Invalid_argument on the conditions {!unroll} diagnoses. *)
-
 val sequential_depth : ?exposed:(Circuit.signal -> bool) -> Circuit.t -> int
 (** Topological latch depth (an upper bound on the functional sequential
     depth of Definition 4, which can be lower due to false

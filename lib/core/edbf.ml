@@ -32,19 +32,7 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
               Events.pred_var table ~source:(Circuit.signal_name c s) ~shift:d
           | Undriven -> assert false
           | Gate (fn, fs) ->
-              let ins = Array.map (fun f -> pred_bdd f d) fs in
-              let ins_l = Array.to_list ins in
-              (match fn with
-              | Const b -> if b then Bdd.one man else Bdd.zero man
-              | Buf -> ins.(0)
-              | Not -> Bdd.not_ man ins.(0)
-              | And -> Bdd.and_list man ins_l
-              | Nand -> Bdd.not_ man (Bdd.and_list man ins_l)
-              | Or -> Bdd.or_list man ins_l
-              | Nor -> Bdd.not_ man (Bdd.or_list man ins_l)
-              | Xor -> List.fold_left (Bdd.xor_ man) (Bdd.zero man) ins_l
-              | Xnor -> Bdd.not_ man (List.fold_left (Bdd.xor_ man) (Bdd.zero man) ins_l)
-              | Mux -> Bdd.ite man ins.(0) ins.(1) ins.(2))
+              Bdd.apply_fn man fn (Array.map (fun f -> pred_bdd f d) fs)
         in
         Hashtbl.replace pred_memo (s, d) f;
         f

@@ -94,21 +94,7 @@ let next_state_function ?(node_limit = max_int) c l =
           match Circuit.driver c s with
           | Input | Latch _ -> Hashtbl.find var_of_signal s
           | Undriven -> assert false
-          | Gate (fn, fs) -> (
-              let ins = Array.map bdd_of fs in
-              let ins_l = Array.to_list ins in
-              match fn with
-              | Const b -> if b then Bdd.one man else Bdd.zero man
-              | Buf -> ins.(0)
-              | Not -> Bdd.not_ man ins.(0)
-              | And -> Bdd.and_list man ins_l
-              | Nand -> Bdd.not_ man (Bdd.and_list man ins_l)
-              | Or -> Bdd.or_list man ins_l
-              | Nor -> Bdd.not_ man (Bdd.or_list man ins_l)
-              | Xor -> List.fold_left (Bdd.xor_ man) (Bdd.zero man) ins_l
-              | Xnor ->
-                  Bdd.not_ man (List.fold_left (Bdd.xor_ man) (Bdd.zero man) ins_l)
-              | Mux -> Bdd.ite man ins.(0) ins.(1) ins.(2))
+          | Gate (fn, fs) -> Bdd.apply_fn man fn (Array.map bdd_of fs)
         in
         Hashtbl.replace node s b;
         b

@@ -71,8 +71,10 @@ val check :
     [guard_events] (default false) additionally applies the
     event-consistency refinement of {!Edbf.unroll} — a sound strengthening
     beyond the published method that removes more EDBF false negatives.
-    [jobs] (default 1) runs the combinational check partitioned per output
-    cone on that many domains (see {!Cec.check_problem_with_stats});
+    [jobs] (default 1) is the number of domains that run the
+    combinational check's output-cone clusters; whether the check is
+    partitioned at all is the cost model's decision, the same at every
+    [jobs] (see {!Cec.check_problem_with_stats});
     [pool] runs it on a caller-owned (possibly shared) pool instead, which
     is left running afterwards — the verification server passes one pool
     to every concurrent request; [limits] (default {!Cec.no_limits})

@@ -40,8 +40,12 @@ module Pool = struct
       worker p
     end
 
+  (* OCaml 5 runs at most 128 domains at once; 63 workers leave the
+     rest to the submitters (the server's main domain and its executors) *)
+  let max_jobs = 64
+
   let create ~jobs =
-    let jobs = max 1 jobs in
+    let jobs = max 1 (min max_jobs jobs) in
     {
       jobs;
       domains = [];

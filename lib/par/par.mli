@@ -39,10 +39,11 @@ module Pool : sig
   type t
 
   val create : jobs:int -> t
-  (** A pool that runs up to [max 1 jobs] tasks in parallel (at most
-      [jobs - 1] worker domains plus the submitting domain).  No domain
-      is spawned here — workers appear on the first {!run} that can use
-      them. *)
+  (** A pool that runs up to [jobs] tasks in parallel, clamped to
+      [1 .. 64] (at most [jobs - 1] worker domains plus the submitting
+      domain: OCaml 5 runs at most 128 domains at once, and the clamp
+      leaves the rest to the submitters).  No domain is spawned here —
+      workers appear on the first {!run} that can use them. *)
 
   val jobs : t -> int
 

@@ -875,11 +875,17 @@ let rec metrics_loop t fd =
 
 (* ---------- lifecycle ---------- *)
 
+(* OCaml 5 runs at most 128 domains at once: the main domain, this many
+   executors and the shared pool's at most 63 workers fit *)
+let max_executors = 64
+
 let create cfg =
-  if
-    cfg.executors < 1 || cfg.pool_jobs < 1 || cfg.max_pending < 0
-    || cfg.trace_sample < 0
-  then invalid_arg "Server.create: bad config";
+  if cfg.executors < 1 || cfg.executors > max_executors then
+    invalid_arg
+      (Printf.sprintf "Server.create: %d executors (expected 1 to %d)"
+         cfg.executors max_executors);
+  if cfg.pool_jobs < 1 || cfg.max_pending < 0 || cfg.trace_sample < 0 then
+    invalid_arg "Server.create: bad config";
   (* a client hanging up mid-response must be an EPIPE error, not a
      process-killing signal *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

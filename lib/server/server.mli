@@ -94,7 +94,9 @@
     or ["auto"] (the default) for {!Feedback.plan_structural} on [left].
     [engine] is ["sweep"]/["sat"]/["bdd"]; [timeout] and [sat_conflicts]
     build the request's {!Cec.limits} (defaulting to the server's);
-    [jobs] narrows the pool parallelism for this one request.
+    [jobs] [1] runs the request's clusters on the executor domain
+    instead of the shared pool; any other value runs them on the whole
+    shared pool.  It never changes how the problem is partitioned.
     An [inequivalent] response carries ["cex":[[var,bool],...]] when the
     counterexample is certified (CBF) and ["certified":false] when it is
     the conservative EDBF rejection.  Failures (bad netlist, unknown
@@ -142,7 +144,10 @@
 
 type config = {
   socket_path : string;
-  executors : int;  (** worker domains draining the admission queue *)
+  executors : int;
+      (** worker domains draining the admission queue, 1 to 64 (with the
+          main domain and the pool's at most 63 workers, OCaml 5's limit
+          of 128 domains) *)
   pool_jobs : int;  (** parallelism of the one shared {!Par.Pool} *)
   max_pending : int;  (** admission bound: queued (unstarted) requests *)
   limits : Cec.limits;  (** default per-request budgets *)
@@ -176,8 +181,9 @@ val create : config -> t
     replaced) and on [metrics_addr] when set, opens the store when
     configured, enables live {!Obs} counters.  No thread is started yet.
     @raise Unix.Unix_error when a socket cannot be bound.
-    @raise Invalid_argument on a malformed [metrics_addr] or a negative
-    [trace_sample]. *)
+    @raise Invalid_argument on a malformed [metrics_addr], a negative
+    [trace_sample] or [max_pending], [executors] outside 1 to 64, or
+    [pool_jobs] below 1 (above 64, {!Par.Pool.create} clamps it). *)
 
 val run : t -> unit
 (** The accept loop; blocks until {!request_stop}, then drains (finishes

@@ -881,8 +881,9 @@ let registry () =
     retime_params;
   (* large-tier circuits go by their own Circuit.name (the pair name plus
      a style suffix, e.g. "fifo64x16s"), the mutant side by its _bug name;
-     every pair is sized past the adaptive layout's cost threshold, so a
-     jobs>1 check runs partitioned *)
+     every pair is sized past the adaptive layout's cost threshold, so an
+     unforced check of a fifo pair runs partitioned at every jobs level
+     (the ALU pairs have 8 inputs and are enumerated in one piece) *)
   List.iter
     (fun (entries, width) ->
       add

@@ -17,7 +17,7 @@ let test_fig2 () =
   let w = Circuit.add_latch c ~data:x () in
   Circuit.mark_output c w;
   Circuit.check c;
-  let u, info = Cbf.unroll_netlist c in
+  let u, info = Cbf_oracle.unroll_netlist c in
   Alcotest.(check int) "depth 1" 1 info.Cbf.depth;
   Alcotest.(check int) "two variables" 2 info.Cbf.variables;
   (* reference: w(t) = y(t-1) /\ z(t-1) *)
@@ -43,7 +43,7 @@ let test_fig3 () =
   let o = Circuit.add_gate c And [ cc; d ] in
   Circuit.mark_output c o;
   Circuit.check c;
-  let u, info = Cbf.unroll_netlist c in
+  let u, info = Cbf_oracle.unroll_netlist c in
   Alcotest.(check int) "depth 2" 2 info.Cbf.depth;
   Alcotest.(check int) "three variables" 3 info.Cbf.variables;
   let r = Circuit.create "ref3" in
@@ -63,7 +63,7 @@ let test_unroll_is_combinational () =
       Gen.acyclic st ~name:(Printf.sprintf "uc%d" i) ~inputs:3 ~gates:30 ~latches:5
         ~outputs:2 ~enables:false
     in
-    let u, info = Cbf.unroll_netlist c in
+    let u, info = Cbf_oracle.unroll_netlist c in
     Alcotest.(check int) "no latches" 0 (Circuit.latch_count u);
     Alcotest.(check int) "outputs preserved" (List.length (Circuit.outputs c))
       (List.length (Circuit.outputs u));
@@ -79,7 +79,7 @@ let test_unroll_rejects_feedback () =
   let g, _ = Feedback.latch_graph c in
   if not (Vgraph.Topo.is_acyclic g) then
     try
-      ignore (Cbf.unroll_netlist c);
+      ignore (Cbf_oracle.unroll_netlist c);
       Alcotest.fail "cycle accepted"
     with Invalid_argument _ -> ()
 
@@ -91,7 +91,7 @@ let test_unroll_rejects_hidden_enables () =
   Circuit.mark_output c q;
   Circuit.check c;
   try
-    ignore (Cbf.unroll_netlist c);
+    ignore (Cbf_oracle.unroll_netlist c);
     Alcotest.fail "enabled latch accepted"
   with Invalid_argument _ -> ()
 
@@ -103,7 +103,7 @@ let test_unroll_semantics () =
       Gen.acyclic st ~name:(Printf.sprintf "us%d" i) ~inputs:3 ~gates:25 ~latches:4
         ~outputs:2 ~enables:false
     in
-    let u, info = Cbf.unroll_netlist c in
+    let u, info = Cbf_oracle.unroll_netlist c in
     let d = info.Cbf.depth in
     let cycles = d + 6 in
     let seq = Gen.random_inputs st c ~cycles in
@@ -146,8 +146,16 @@ let test_theorem_5_1 () =
         Gen.acyclic st ~name:(Printf.sprintf "tB%d" i) ~inputs:2 ~gates:15
           ~latches:(1 + Random.State.int st 3) ~outputs:1 ~enables:false
     in
-    let u1, i1 = Cbf.unroll_netlist c1 in
-    let u2, i2 = Cbf.unroll_netlist c2 in
+    let u1, i1 = Cbf_oracle.unroll_netlist c1 in
+    let u2, i2 = Cbf_oracle.unroll_netlist c2 in
+    List.iter
+      (fun (c, (want : Cbf.info)) ->
+        let _, got = Result.get_ok (Cbf.unroll (Seqprob.builder ()) c) in
+        Alcotest.(check (triple int int int))
+          (Circuit.name c ^ ": Cbf.unroll info (depth, variables, replication)")
+          (want.depth, want.variables, want.replication)
+          (got.depth, got.variables, got.replication))
+      [ (c1, i1); (c2, i2) ];
     let cbf_equal = cec u1 u2 = Cec.Equivalent in
     (* exact 3-valued equivalence past the fill transient, sampled *)
     let depth = max i1.Cbf.depth i2.Cbf.depth in
@@ -185,8 +193,8 @@ let test_retime_synth_preserves_cbf () =
     in
     let o, _ = Retime.min_period (Synth_script.delay_script c) in
     let o2, _ = Retime.min_area (Synth_script.delay_script o) in
-    let u1, _ = Cbf.unroll_netlist c in
-    let u2, _ = Cbf.unroll_netlist o2 in
+    let u1, _ = Cbf_oracle.unroll_netlist c in
+    let u2, _ = Cbf_oracle.unroll_netlist o2 in
     match cec u1 u2 with
     | Cec.Equivalent -> ()
     | Cec.Inequivalent _ -> Alcotest.fail "retime+synth changed the CBF"
@@ -204,7 +212,7 @@ let test_exposed_latch_cbf () =
   Circuit.mark_output c nq;
   Circuit.check c;
   let exposed s = Circuit.signal_name c s = "q" in
-  let u, info = Cbf.unroll_netlist ~exposed c in
+  let u, info = Cbf_oracle.unroll_netlist ~exposed c in
   Alcotest.(check int) "no latches" 0 (Circuit.latch_count u);
   (* outputs: original PO + q's next-state function *)
   Alcotest.(check int) "outputs" 2 (List.length (Circuit.outputs u));
@@ -225,8 +233,8 @@ let test_depth_mismatch_detected () =
     c
   in
   let c1 = mk 1 "d1" and c2 = mk 2 "d2" in
-  let u1, _ = Cbf.unroll_netlist c1 in
-  let u2, _ = Cbf.unroll_netlist c2 in
+  let u1, _ = Cbf_oracle.unroll_netlist c1 in
+  let u2, _ = Cbf_oracle.unroll_netlist c2 in
   match cec u1 u2 with
   | Cec.Equivalent -> Alcotest.fail "depth mismatch missed"
   | Cec.Undecided r -> Alcotest.failf "unbudgeted check undecided: %s" r

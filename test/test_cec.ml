@@ -604,8 +604,8 @@ let test_cex_replays_across_time_frames () =
         | None -> false
       in
       Alcotest.(check bool) "frames disagree" true (v 0 <> v 1);
-      let u1, _ = Cbf.unroll_netlist c1 in
-      let u2, _ = Cbf.unroll_netlist c2 in
+      let u1, _ = Cbf_oracle.unroll_netlist c1 in
+      let u2, _ = Cbf_oracle.unroll_netlist c2 in
       Alcotest.(check bool) "replays on netlist unrollings" true
         (Cec.counterexample_is_valid u1 u2 cex)
   | { Verify.verdict = _; _ } -> Alcotest.fail "expected a certified counterexample"
@@ -727,10 +727,9 @@ let test_small_problem_goes_monolithic () =
   Alcotest.(check bool) "monolithic" true l.Cec.Layout.monolithic;
   Alcotest.(check bool) "under threshold" true
     (l.Cec.Layout.total_cost < Cec.Layout.default_threshold);
-  Alcotest.(check (list (list int))) "no bins" [] l.Cec.Layout.bins;
   let f = Cec.Layout.compute ~forced:true p in
   Alcotest.(check bool) "forced layout partitions" false f.Cec.Layout.monolithic;
-  Alcotest.(check bool) "forced layout has bins" true (f.Cec.Layout.bins <> [])
+  Alcotest.(check bool) "forced layout has clusters" true (f.Cec.Layout.clusters <> [])
 
 let test_below_threshold_no_pool () =
   (* an adaptive jobs=4 check of a small problem must spin up no worker
@@ -762,10 +761,10 @@ let test_below_threshold_no_pool () =
       Alcotest.(check int) "no worker domain spawned" 0 (List.length workers))
 
 (* A monolithic check lands in the cone-cost histogram at its own
-   single-cone estimate, nodes x (1 + deepest frame), on both monolithic
-   routes: jobs 1, and an adaptive jobs-2 check the quick bound rejects.
-   s1196 against a resynthesis of itself sits where the quick bound,
-   twice that estimate, is one decade higher. *)
+   single-cone estimate, nodes x (1 + deepest frame), when the quick
+   bound rejects the layout, at jobs 1 and 2 alike.  s1196 against a
+   resynthesis of itself sits where the quick bound, twice that
+   estimate, is one decade higher. *)
 let test_monolithic_cone_cost_decade () =
   let a = Workloads.by_name "s1196" in
   let p = problem_of a (Hier.resynthesize ~seed:1 a) in
@@ -798,8 +797,7 @@ let test_monolithic_cone_cost_decade () =
 
 let test_layout_deterministic_and_partitioning () =
   (* the layout is a pure function of the problem: recomputing gives
-     identical clusters and bins, and clusters partition the output
-     pairs *)
+     identical clusters, and clusters partition the output pairs *)
   let c1 = Workloads.fifo ~entries:16 ~width:4 ~style:`Sop () in
   let c2 = Workloads.fifo ~entries:16 ~width:4 ~style:`Mux () in
   let p = problem_of c1 c2 in
@@ -807,18 +805,13 @@ let test_layout_deterministic_and_partitioning () =
   let lb = Cec.Layout.compute ~forced:true p in
   Alcotest.(check bool) "clusters identical" true
     (la.Cec.Layout.clusters = lb.Cec.Layout.clusters);
-  Alcotest.(check bool) "bins identical" true (la.Cec.Layout.bins = lb.Cec.Layout.bins);
   let n = List.length p.Seqprob.outs1 in
   let members =
     List.concat_map (fun c -> c.Cec.Layout.members) la.Cec.Layout.clusters
   in
   Alcotest.(check (list int)) "clusters partition the output pairs"
     (List.init n Fun.id)
-    (List.sort compare members);
-  let binned = List.concat la.Cec.Layout.bins in
-  Alcotest.(check (list int)) "bins partition the clusters"
-    (List.init (List.length la.Cec.Layout.clusters) Fun.id)
-    (List.sort compare binned)
+    (List.sort compare members)
 
 let test_warm_recheck_hits_every_cluster () =
   (* a cluster's cache key is the structural signature of its extracted
@@ -905,6 +898,23 @@ let test_cancelled_siblings_not_undecided () =
 
 let fifo4 ?bug entries style = Workloads.fifo ?bug ~entries ~width:4 ~style ()
 
+(* [cold] and then [warm] check on caches backed by one fresh store
+   directory, reopened for each, so the warm check reads what the cold
+   one wrote from the log; the cold stats and the warm result *)
+let cold_then_warm ~cold ~warm =
+  let dir = Test_store.fresh_dir () in
+  let run check =
+    let store = Store.open_ dir in
+    Fun.protect
+      ~finally:(fun () -> Store.close store)
+      (fun () -> check (Cec.Cache.create ~store ()))
+  in
+  let _, cold = run cold in
+  let warm = run warm in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  (cold, warm)
+
 (* The FIFO pairs have more inputs than 256 random patterns can cover, so
    the sweep's candidate classes only come apart through SAT
    counterexamples.  Every engine must give the known verdict, every
@@ -962,19 +972,8 @@ let test_engines_agree_on_undersampled_pairs () =
       (* at jobs 1 clusters run in order, so the warm re-check reaches
          exactly the clusters the cold one decided (up to the first
          counterexample) *)
-      let dir = Test_store.fresh_dir () in
-      let run () =
-        let store = Store.open_ dir in
-        Fun.protect
-          ~finally:(fun () -> Store.close store)
-          (fun () ->
-            Cec.check_problem_with_stats ~partition:true ~jobs:1
-              ~cache:(Cec.Cache.create ~store ()) p)
-      in
-      let _, cold = run () in
-      let v, warm = run () in
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir;
+      let check cache = Cec.check_problem_with_stats ~partition:true ~jobs:1 ~cache p in
+      let cold, (v, warm) = cold_then_warm ~cold:check ~warm:check in
       let what = name ^ ", store-warm" in
       judge what v;
       Alcotest.(check int)
@@ -988,17 +987,48 @@ let test_engines_agree_on_undersampled_pairs () =
       Alcotest.(check int) (what ^ ": SAT calls") 0 warm.Cec.sat_calls)
     pairs
 
+let fifo64x16 =
+  lazy
+    (problem_of
+       (Workloads.fifo ~entries:64 ~width:16 ~style:`Sop ())
+       (Workloads.fifo ~entries:64 ~width:16 ~style:`Mux ()))
+
 let test_sweep_sat_calls_on_colliding_classes () =
-  (* monolithic fifo32x4: the random rounds leave many false candidates
-     in shared classes; refining with each counterexample keeps the SAT
-     calls near the number of true merges (the sweep is seeded, so the
-     count repeats exactly) *)
-  let p = problem_of (fifo4 32 `Sop) (fifo4 32 `Mux) in
-  let v, s = Cec.check_problem_with_stats ~partition:false p in
-  Alcotest.(check bool) "equivalent" true (v = Cec.Equivalent);
-  Alcotest.(check bool)
-    (Printf.sprintf "at most 150 SAT calls (made %d)" s.Cec.sat_calls)
-    true (s.Cec.sat_calls <= 150)
+  (* monolithic fifo32x4, and the large-tier fifo64x16 pair checked in one
+     piece: the random rounds leave many false candidates in shared
+     classes; refining with each counterexample keeps the SAT calls near
+     the number of true merges (the sweep is seeded, so the count repeats
+     exactly: 266 on fifo64x16) *)
+  List.iter
+    (fun (name, p, bound) ->
+      let v, s = Cec.check_problem_with_stats ~partition:false (Lazy.force p) in
+      Alcotest.(check bool) (name ^ ": equivalent") true (v = Cec.Equivalent);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at most %d SAT calls (made %d)" name bound s.Cec.sat_calls)
+        true (s.Cec.sat_calls <= bound))
+    [
+      ("fifo32x4", lazy (problem_of (fifo4 32 `Sop) (fifo4 32 `Mux)), 150);
+      ("fifo64x16", fifo64x16, 1000);
+    ]
+
+(* The layout does not depend on jobs, so neither do the store keys: a
+   store written by an unforced check of fifo64x16 at one jobs level
+   answers every cluster of an unforced re-check at the other. *)
+let test_store_keys_independent_of_jobs () =
+  let p = Lazy.force fifo64x16 in
+  List.iter
+    (fun (cold_jobs, warm_jobs) ->
+      let check jobs cache = Cec.check_problem_with_stats ~jobs ~cache p in
+      let _, (v, warm) = cold_then_warm ~cold:(check cold_jobs) ~warm:(check warm_jobs) in
+      let what = Printf.sprintf "jobs %d, then jobs %d" cold_jobs warm_jobs in
+      Alcotest.(check bool) (what ^ ": equivalent") true (v = Cec.Equivalent);
+      Alcotest.(check bool) (what ^ ": partitioned") true (warm.Cec.partitions > 1);
+      Alcotest.(check int)
+        (what ^ ": every cluster answered")
+        warm.Cec.partitions
+        (warm.Cec.store_hits + warm.Cec.cache_hits);
+      Alcotest.(check int) (what ^ ": SAT calls") 0 warm.Cec.sat_calls)
+    [ (1, 2); (2, 1) ]
 
 let test_checks_leave_problem_graph_alone () =
   (* engines build their miters outside the caller's AIG, so one problem
@@ -1249,4 +1279,6 @@ let suite =
       test_small_support_stays_monolithic;
     Alcotest.test_case "exhaustive sweep: deadline gives Undecided" `Quick
       test_exhaustive_deadline;
+    Alcotest.test_case "store keys independent of jobs" `Quick
+      test_store_keys_independent_of_jobs;
   ]

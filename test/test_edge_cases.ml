@@ -18,7 +18,7 @@ let test_cbf_exposed_enabled_latch () =
   Circuit.mark_output c q;
   Circuit.check c;
   let exposed s = Circuit.signal_name c s = "q" in
-  let u, _ = Cbf.unroll_netlist ~exposed c in
+  let u, _ = Cbf_oracle.unroll_netlist ~exposed c in
   (* outputs: PO q, data fn, enable fn *)
   Alcotest.(check int) "three outputs" 3 (List.length (Circuit.outputs u));
   Alcotest.(check int) "no latches" 0 (Circuit.latch_count u)
@@ -187,7 +187,7 @@ let test_empty_circuit () =
   Circuit.check c;
   Alcotest.(check int) "area" 0 (Circuit.area c);
   Alcotest.(check int) "delay" 0 (Circuit.delay c);
-  let u, info = Cbf.unroll_netlist c in
+  let u, info = Cbf_oracle.unroll_netlist c in
   Alcotest.(check int) "no outputs" 0 (List.length (Circuit.outputs u));
   Alcotest.(check int) "depth" 0 info.Cbf.depth
 

@@ -127,6 +127,15 @@ let test_lazy_spawn () =
       ignore (Par.Pool.map p Fun.id (List.init 16 Fun.id));
       Alcotest.(check int) "jobs=1 never spawns" 0 (Par.Pool.spawned p))
 
+(* OCaml 5 runs at most 128 domains: a pool asked for more than 64 jobs
+   is clamped to 64, without spawning anything *)
+let test_jobs_clamped () =
+  let p = Par.Pool.create ~jobs:1000 in
+  Alcotest.(check int) "jobs" 64 (Par.Pool.jobs p);
+  Alcotest.(check int) "nothing spawned" 0 (Par.Pool.spawned p);
+  Par.Pool.shutdown p;
+  Alcotest.(check int) "jobs 0 is 1" 1 (Par.Pool.jobs (Par.Pool.create ~jobs:0))
+
 let test_effects_visible_after_run () =
   Par.Pool.with_pool ~jobs:4 (fun p ->
       let arr = Array.make 1000 0 in
@@ -257,4 +266,5 @@ let suite =
       test_concurrent_exception_isolation;
     Alcotest.test_case "concurrent find_first" `Quick test_concurrent_find_first;
     Alcotest.test_case "shutdown races a batch" `Quick test_shutdown_races_batch;
+    Alcotest.test_case "jobs clamped to 64" `Quick test_jobs_clamped;
   ]

@@ -19,7 +19,7 @@ let test_aig_smaller_than_netlist () =
       (* the reference route: materialize the unrolled netlist, then wrap
          it as a problem (same AND-node currency).  The direct route must
          never be larger. *)
-      let u, _ = Cbf.unroll_netlist ~exposed c in
+      let u, _ = Cbf_oracle.unroll_netlist ~exposed c in
       let via_netlist = Result.get_ok (Seqprob.of_circuits u u) in
       Alcotest.(check bool)
         (Printf.sprintf "%s: direct %d <= via netlist %d" name

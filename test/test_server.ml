@@ -862,6 +862,19 @@ let test_memo_per_server () =
       Alcotest.(check (option int)) "second server misses" (Some 0)
         (memo_hits (Server.Client.request c req)))
 
+(* the main domain, 64 executors and a 64-job pool's 63 workers are
+   OCaml 5's 128 domains: a 65th executor is refused before anything is
+   bound or spawned *)
+let test_executor_cap () =
+  let socket_path = fresh_sock () in
+  let cfg =
+    { (Server.default_config ~socket_path) with Server.executors = 65; pool_jobs = 64 }
+  in
+  (match Server.create cfg with
+  | _ -> Alcotest.fail "65 executors accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "no socket bound" false (Sys.file_exists socket_path)
+
 let suite =
   [
     Alcotest.test_case "ping" `Quick test_ping;
@@ -885,4 +898,5 @@ let suite =
     Alcotest.test_case "memo answers repeats" `Quick test_memo_repeats;
     Alcotest.test_case "memo skips undecided" `Quick test_memo_skips_undecided;
     Alcotest.test_case "memo per server" `Quick test_memo_per_server;
+    Alcotest.test_case "at most 64 executors" `Quick test_executor_cap;
   ]
