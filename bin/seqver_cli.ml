@@ -183,7 +183,7 @@ let live_hook () =
   let interesting name =
     List.exists
       (fun p -> String.starts_with ~prefix:p name)
-      [ "flow."; "verify."; "unroll."; "cec.check"; "cec.partition" ]
+      [ "flow."; "verify."; "unroll"; "cec.check"; "cec.partition" ]
   in
   let m = Mutex.create () in
   (* per-(domain, name) begin-time stacks, so End events get a duration *)
@@ -892,8 +892,8 @@ let client_cmd =
          trees) as one JSON line."
   in
   let check_c =
-    let run socket retries p1 p2 exposed no_expose engine timeout sat_conflicts
-        jobs =
+    let run socket retries p1 p2 exposed no_expose engine timeout
+        sat_conflicts =
       (* load in argument order, so a bad first netlist is the one reported *)
       let left = wire_circuit p1 in
       let right = wire_circuit p2 in
@@ -916,10 +916,9 @@ let client_cmd =
         @ (match timeout with
           | Some s -> [ ("timeout", Sjson.Float s) ]
           | None -> [])
-        @ (match sat_conflicts with
+        @ match sat_conflicts with
           | Some n -> [ ("sat_conflicts", Sjson.Int n) ]
-          | None -> [])
-        @ match jobs with Some n -> [ ("jobs", Sjson.Int n) ] | None -> []
+          | None -> []
       in
       with_client socket retries @@ fun c ->
       let r = roundtrip c (Sjson.Obj fields) in
@@ -942,15 +941,6 @@ let client_cmd =
               "Send an empty exposure list instead of the server's \
                structural-plan default.")
     in
-    let req_jobs =
-      Arg.(
-        value
-        & opt (some int) None
-        & info [ "j"; "jobs" ] ~docv:"N"
-            ~doc:
-              "The request's $(b,jobs) field: 1 checks its clusters on the \
-               executor domain instead of the shared pool.")
-    in
     Cmd.v
       (Cmd.info "check"
          ~doc:
@@ -961,7 +951,7 @@ let client_cmd =
         $ circuit_arg ~pos:0 ~doc:"First netlist (or @suite-name)."
         $ circuit_arg ~pos:1 ~doc:"Second netlist (or @suite-name)."
         $ exposed_arg $ no_expose $ engine_arg $ timeout_arg
-        $ sat_conflicts_arg $ req_jobs)
+        $ sat_conflicts_arg)
   in
   Cmd.group
     (Cmd.info "client" ~doc:"Talk to a running seqver serve daemon.")

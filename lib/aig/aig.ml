@@ -80,7 +80,6 @@ let xor_ g a b =
 let mux g s t e = or_ g (and_ g s t) (and_ g (neg s) e)
 
 let and_list g = List.fold_left (and_ g) lit_true
-let or_list g = List.fold_left (or_ g) lit_false
 
 let and_count g =
   let c = ref 0 in

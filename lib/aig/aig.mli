@@ -40,7 +40,6 @@ val mux : t -> lit -> lit -> lit -> lit
 (** [mux g s t e] is [if s then t else e]. *)
 
 val and_list : t -> lit list -> lit
-val or_list : t -> lit list -> lit
 
 val node_count : t -> int
 (** Number of nodes including the constant and inputs. *)

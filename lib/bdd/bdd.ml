@@ -69,7 +69,6 @@ let var m i =
   if i >= m.nvars then m.nvars <- i + 1;
   mk m i 0 1
 
-let nvars m = m.nvars
 let node_count m = Vgraph.Vec.length m.var_of
 
 (* Shannon expansion of ITE with standard terminal cases. *)
@@ -102,7 +101,6 @@ let xor_ m f g = ite m f (not_ m g) g
 let nand_ m f g = not_ m (and_ m f g)
 let nor_ m f g = not_ m (or_ m f g)
 let xnor_ m f g = not_ m (xor_ m f g)
-let implies m f g = ite m f g 1
 
 let and_list m = List.fold_left (and_ m) 1
 let or_list m = List.fold_left (or_ m) 0

@@ -23,8 +23,6 @@ val var : man -> int -> t
 (** [var m i] is the function of the [i]-th variable, allocating fresh
     variables as needed so that all indices [0..i] exist. *)
 
-val nvars : man -> int
-
 val node_count : man -> int
 (** Total live nodes in the manager (diagnostic). *)
 
@@ -44,7 +42,6 @@ val xor_ : man -> t -> t -> t
 val nand_ : man -> t -> t -> t
 val nor_ : man -> t -> t -> t
 val xnor_ : man -> t -> t -> t
-val implies : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
 
 val and_list : man -> t list -> t

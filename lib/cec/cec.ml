@@ -964,7 +964,7 @@ let check_problem_with_stats ?(engine = Sweep_engine) ?jobs ?pool ?partition
   if List.length p.outs1 <> List.length p.outs2 then
     invalid_arg "Cec: output counts differ";
   (* a shared pool implies its own parallelism level unless the caller
-     narrows it (e.g. a per-request jobs cap below the server's pool) *)
+     passes [jobs] ([~jobs:1] keeps the check on the calling domain) *)
   let jobs =
     match (jobs, pool) with
     | Some j, _ -> max 1 j

@@ -170,9 +170,6 @@ val stats_pp : Format.formatter -> stats -> unit
 module Cache : sig
   type t
 
-  val default_capacity : int
-  (** 65536 entries. *)
-
   val create : ?capacity:int -> ?store:Store.t -> unit -> t
   (** [create ()] is unbacked at the default capacity; [~store] makes the
       cache write-through to (and fall back on) a persistent store. *)

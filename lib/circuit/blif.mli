@@ -22,5 +22,3 @@ val parse : string -> import
 (** @raise Invalid_argument on malformed input. *)
 
 val to_string : Circuit.t -> string
-
-val print : Format.formatter -> Circuit.t -> unit

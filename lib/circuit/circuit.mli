@@ -92,9 +92,6 @@ val latch_info : t -> signal -> signal * signal option
 val gates : t -> signal list
 (** Gate-driven signals in id order. *)
 
-val fanins : t -> signal -> signal list
-(** Immediate fanins: gate fanins, or latch data+enable; inputs have none. *)
-
 val fanout_counts : t -> int array
 (** [counts.(s)] = number of fanin references to [s] plus 1 if [s] is a
     primary output. *)
@@ -121,10 +118,6 @@ val seq_cone : t -> signal list -> bool array
 
 val fn_cost : gate_fn -> int
 (** Unit-delay/area cost of a gate: 0 for [Const] and [Buf], 1 otherwise. *)
-
-val depth_levels : t -> int array
-(** Unit-delay level of every signal: inputs and latch outputs at 0, a gate
-    at 1 + max fanin level ([Buf] and [Const] cost 0). *)
 
 val delay : t -> int
 (** Max level over primary outputs and latch data inputs (the clock-period

@@ -16,7 +16,5 @@
 
 val to_string : Circuit.t -> string
 
-val print : Format.formatter -> Circuit.t -> unit
-
 val parse : string -> Circuit.t
 (** @raise Invalid_argument on malformed input. *)

@@ -10,6 +10,11 @@
     comparison unrolled into the same builder — is hashed to a single
     node.
 
+    There is no second traversal here: the CBF is the EDBF that crosses no
+    enable (Fig. 7 is Fig. 8 with every event empty), so {!unroll} runs
+    {!Edbf.unroll} over a fresh {!Events.table}, whose samples at the empty
+    event are exactly the CBF's time-frame variables.
+
     Theorem 5.1: two such circuits are exact 3-valued equivalent iff their
     CBFs are equal — so equivalence of the unrolled cones (decided by
     {!Cec.check_problem_with_stats}) decides sequential equivalence.
@@ -37,10 +42,12 @@ val unroll :
 (** Unrolls into the builder's AIG and returns the output cones: the
     original primary outputs (in order) at delay 0, then for every exposed
     latch (in name order) its data CBF, then for every exposed
-    load-enabled latch its enable CBF.  Non-exposed latches must be
-    regular.  Diagnoses: [Non_exposed_cycle] for a sequential cycle that
-    contains no exposed latch, [Hidden_enabled_latch] for a non-exposed
-    load-enabled latch. *)
+    load-enabled latch its enable CBF.  Non-exposed latches in the cones
+    must be regular.  Diagnoses: [Non_exposed_cycle] for a sequential
+    cycle that contains no exposed latch, [Hidden_enabled_latch] for the
+    first non-exposed load-enabled latch the traversal reaches (one
+    outside every output cone is never reached, and is no error).  On an
+    error the builder may hold part of the unrolling. *)
 
 val sequential_depth : ?exposed:(Circuit.signal -> bool) -> Circuit.t -> int
 (** Topological latch depth (an upper bound on the functional sequential

@@ -1,8 +1,13 @@
-type info = { depth : int; variables : int; events : int; replication : int }
+type info = {
+  depth : int;
+  variables : int;
+  events : int;
+  replication : int;
+  hidden_enabled : string option;
+}
 
 let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
   Circuit.check c;
-  let man = Events.man table in
   let g = Seqprob.graph b in
   let memo : (Circuit.signal * int * Events.event, Aig.lit) Hashtbl.t =
     Hashtbl.create 256
@@ -12,10 +17,14 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
   let used_events : (Events.event, unit) Hashtbl.t = Hashtbl.create 16 in
   let depth = ref 0 in
   let replication = ref 0 in
-  let visiting = Hashtbl.create 64 in
+  let hidden_enabled = ref None in
+  (* keyed by signal alone: a signal repeated on the current DFS path is a
+     dependency cycle whatever the context, and an un-exposed cycle would
+     otherwise unroll forever (each lap shifts the delay) *)
+  let visiting : (Circuit.signal, unit) Hashtbl.t = Hashtbl.create 64 in
   let pin name d e =
     depth := max !depth d;
-    Hashtbl.replace used_events e ();
+    if guard then Hashtbl.replace used_events e ();
     let v = Seqprob.Var.at name ~shift:d ~event:e in
     Hashtbl.replace used_vars v ();
     Seqprob.var_lit b v
@@ -32,12 +41,15 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
               Events.pred_var table ~source:(Circuit.signal_name c s) ~shift:d
           | Undriven -> assert false
           | Gate (fn, fs) ->
-              Bdd.apply_fn man fn (Array.map (fun f -> pred_bdd f d) fs)
+              Bdd.apply_fn (Events.man table) fn
+                (Array.map (fun f -> pred_bdd f d) fs)
         in
         Hashtbl.replace pred_memo (s, d) f;
         f
   in
-  (* Compute_EDBF_Recursively (Fig. 8), with delays for regular latches *)
+  (* Compute_EDBF_Recursively (Fig. 8), with delays for regular latches;
+     along a path that crosses no enable it is Compute_CBF_Recursively
+     (Fig. 7), and [pin] names its samples as CBF time frames *)
   let rec edbf s d e =
     match Hashtbl.find_opt memo (s, d, e) with
     | Some r -> r
@@ -57,6 +69,8 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
           | Latch _ when exposed s -> pin (Circuit.signal_name c s) d e
           | Latch { data; enable = None } -> edbf data (d + 1) e
           | Latch { data; enable = Some en } ->
+              if !hidden_enabled = None then
+                hidden_enabled := Some (Circuit.signal_name c s);
               let p = pred_bdd en d in
               let e' = Events.push table ~pred:p e in
               edbf data 0 e'
@@ -69,23 +83,28 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
         Hashtbl.replace memo (s, d, e) r;
         r
   in
-  let outs = ref (List.map (fun o -> edbf o 0 Events.empty) (Circuit.outputs c)) in
+  let outs = List.map (fun o -> edbf o 0 Events.empty) (Circuit.outputs c) in
+  (* exposed latches: data (and enable) functions become outputs, ordered by
+     latch name so both sides of a comparison line up *)
   let exposed_latches =
     List.filter exposed (Circuit.latches c)
     |> List.sort (fun a b ->
            compare (Circuit.signal_name c a) (Circuit.signal_name c b))
   in
-  List.iter
-    (fun l ->
-      let data, _ = Circuit.latch_info c l in
-      outs := !outs @ [ edbf data 0 Events.empty ])
-    exposed_latches;
-  List.iter
-    (fun l ->
-      match Circuit.latch_info c l with
-      | _, Some en -> outs := !outs @ [ edbf en 0 Events.empty ]
-      | _, None -> ())
-    exposed_latches;
+  let data_outs =
+    List.map
+      (fun l -> edbf (fst (Circuit.latch_info c l)) 0 Events.empty)
+      exposed_latches
+  in
+  let enable_outs =
+    List.filter_map
+      (fun l ->
+        Option.map
+          (fun en -> edbf en 0 Events.empty)
+          (snd (Circuit.latch_info c l)))
+      exposed_latches
+  in
+  let outs = ref (outs @ data_outs @ enable_outs) in
   (* Event-consistency guard (the paper's future-work refinement): the
      predicate at the head of every event was, by definition of η, true at
      the instant the event denotes.  Guarding each output with the
@@ -117,7 +136,9 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
               let source, shift = Events.var_source table v in
               pin source shift e
             in
-            constraints := Bdd_gates.to_aig g man pred ~lit_of :: !constraints)
+            constraints :=
+              Bdd_gates.to_aig g (Events.man table) pred ~lit_of
+              :: !constraints)
       (List.sort compare events);
     match !constraints with
     | [] -> ()
@@ -131,10 +152,11 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
       variables = Hashtbl.length used_vars;
       events = Events.count table;
       replication = !replication;
+      hidden_enabled = !hidden_enabled;
     } )
 
 let unroll ?guard ~table ?exposed b c =
-  Obs.span ~name:"unroll.edbf"
+  Obs.span ~name:"unroll"
     ~attrs:[ ("circuit", Obs.String (Circuit.name c)) ]
     (fun () ->
       let n0 = Aig.and_count (Seqprob.graph b) in

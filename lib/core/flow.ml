@@ -94,16 +94,6 @@ let run ?jobs ?limits ?cache ?period a =
   @@ fun () ->
   Circuit.check a;
   let* () = regular_latches_only a in
-  (* one domain pool for the H-vs-J check ([None], or jobs <= 1, keeps it
-     sequential) *)
-  let pool =
-    match jobs with
-    | Some j when j > 1 -> Some (Par.Pool.create ~jobs:j)
-    | Some _ | None -> None
-  in
-  Fun.protect ~finally:(fun () ->
-      match pool with Some p -> Par.Pool.shutdown p | None -> ())
-  @@ fun () ->
   let stages = ref [] in
   (* one span per flow stage; the measured wall clock also lands in the
      row's [stage_seconds] so callers get per-phase times without a sink *)
@@ -137,7 +127,7 @@ let run ?jobs ?limits ?cache ?period a =
   let nl = Circuit.latch_count a in
   let* outcome =
     stage "verify" (fun () ->
-        Verify.check ?jobs ?pool ?limits ?cache ~exposed:exposed_names b c)
+        Verify.check ?jobs ?limits ?cache ~exposed:exposed_names b c)
   in
   Ok
     {

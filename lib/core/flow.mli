@@ -49,14 +49,12 @@ val run :
   ?period:int ->
   Circuit.t ->
   (row, Seqprob.diagnosis) result
-(** Runs the full pipeline on a regular-latch circuit.  With [jobs > 1]
-    one domain pool of that size serves the H-vs-J combinational check,
-    and is shut down before [run] returns; the retiming stages are
-    sequential.
-    [jobs], [limits] and [cache] are passed to that check (see
-    {!Verify.check}; a [Cec.Cache.create ~store] cache persists its
-    verdicts); a blown budget surfaces as a [Verify.Undecided _] verdict
-    in the row, never as an error.  [period], when given, replaces [D]'s
+(** Runs the full pipeline on a regular-latch circuit.  The retiming
+    stages are sequential; [jobs], [limits] and [cache] are passed to the
+    H-vs-J combinational check (see {!Verify.check}; a
+    [Cec.Cache.create ~store] cache persists its verdicts); a blown
+    budget surfaces as a [Verify.Undecided _] verdict in the row, never as
+    an error.  [period], when given, replaces [D]'s
     delay as the clock-period target for the area-constrained retimings
     [E]/[G]; a user-supplied period is a hard constraint, so an
     unachievable one yields [Error (Infeasible_period _)] (the default

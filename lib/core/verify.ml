@@ -45,35 +45,27 @@ let has_hidden_enabled c exposed =
     (fun l -> (not (exposed l)) && snd (Circuit.latch_info c l) <> None)
     (Circuit.latches c)
 
-(* Builds the Seqprob for a pair: both sides unrolled into ONE shared
-   builder, so common logic (and common variables) are hashed once and the
-   engines never see a netlist. *)
+(* Builds the Seqprob for a pair: both sides unrolled by the one traversal
+   into ONE shared builder over one event table, so common logic (and
+   common variables) are hashed once and the engines never see a netlist.
+   A pair with no hidden enabled latch crosses no enable, so it unrolls to
+   its CBF; the method says which theorem the verdict rests on. *)
 let build_problem ~rewrite_events ~guard_events ~ex1 ~ex2 c1 c2 =
-  let needs_edbf = has_hidden_enabled c1 ex1 || has_hidden_enabled c2 ex2 in
+  let method_ =
+    if has_hidden_enabled c1 ex1 || has_hidden_enabled c2 ex2 then Edbf_method
+    else Cbf_method
+  in
   let b = Seqprob.builder () in
-  if needs_edbf then begin
-    let table = Events.create ~rewrite:rewrite_events () in
-    let* o1, i1 = Edbf.unroll ~guard:guard_events ~table ~exposed:ex1 b c1 in
-    let* o2, i2 = Edbf.unroll ~guard:guard_events ~table ~exposed:ex2 b c2 in
-    let* p = Seqprob.problem b ~outs1:o1 ~outs2:o2 in
-    Ok
-      ( p,
-        Edbf_method,
-        max i1.Edbf.depth i2.Edbf.depth,
-        Events.count table,
-        (i1.Edbf.replication, i2.Edbf.replication) )
-  end
-  else begin
-    let* o1, i1 = Cbf.unroll ~exposed:ex1 b c1 in
-    let* o2, i2 = Cbf.unroll ~exposed:ex2 b c2 in
-    let* p = Seqprob.problem b ~outs1:o1 ~outs2:o2 in
-    Ok
-      ( p,
-        Cbf_method,
-        max i1.Cbf.depth i2.Cbf.depth,
-        1,
-        (i1.Cbf.replication, i2.Cbf.replication) )
-  end
+  let table = Events.create ~rewrite:rewrite_events () in
+  let* o1, i1 = Edbf.unroll ~guard:guard_events ~table ~exposed:ex1 b c1 in
+  let* o2, i2 = Edbf.unroll ~guard:guard_events ~table ~exposed:ex2 b c2 in
+  let* p = Seqprob.problem b ~outs1:o1 ~outs2:o2 in
+  Ok
+    ( p,
+      method_,
+      max i1.depth i2.depth,
+      Events.count table,
+      (i1.replication, i2.replication) )
 
 let check ?engine ?jobs ?pool ?limits ?cache ?(rewrite_events = true)
     ?(guard_events = false) ?(exposed = []) c1 c2 =

@@ -1,11 +1,13 @@
 (** Sequential equivalence checking via combinational verification — the
     paper's headline reduction.
 
-    Both circuits are unrolled (CBF for regular latches, EDBF when
-    load-enabled latches are present) {e into one shared AIG} — the
-    {!Seqprob} problem IR — and that problem is handed to the
-    combinational equivalence checker, with no intermediate unrolled
-    netlists.  Latches listed in [exposed] (by name, which must exist in
+    Both circuits are unrolled by the one {!Edbf.unroll} traversal, over
+    one shared event table, {e into one shared AIG} — the {!Seqprob}
+    problem IR — and that problem is handed to the combinational
+    equivalence checker, with no intermediate unrolled netlists.  A pair
+    whose hidden latches are all regular crosses no enable and unrolls to
+    its CBF; the method is [Edbf_method] exactly when either side has a
+    load-enabled latch that is not exposed.  Latches listed in [exposed] (by name, which must exist in
     both circuits) are treated as pseudo-I/O, and their next-state
     functions are verified along with the outputs.
 
@@ -30,7 +32,8 @@ type stats = {
   method_ : method_;
   depth : int;
   variables : int;  (** united unrolled variable count (shared builder) *)
-  events : int;  (** 1 when CBF (just the empty event) *)
+  events : int;  (** events in the shared table: 1 (just the empty
+                     event) when no enable is crossed *)
   unrolled_nodes : int;
       (** AND nodes of the shared unrolled AIG, both sides — the miter
           size the engines actually see *)
@@ -85,9 +88,8 @@ val check :
 
     Diagnoses instead of exceptions: [No_such_latch] when an exposed name
     is missing or not a latch, [Non_exposed_cycle] when a sequential cycle
-    survives the exposure, [Hidden_enabled_latch] (CBF path only — the
-    EDBF path handles enabled latches), [Output_arity_mismatch] when the
-    two sides disagree on output count. *)
+    survives the exposure, [Output_arity_mismatch] when the two sides
+    disagree on output count. *)
 
 (** {1 Counterexample replay}
 

@@ -340,8 +340,6 @@ module Histogram = struct
     buckets : (float * int) list;
   }
 
-  let max_relative_error = 1. /. float_of_int h_sub
-
   let bucket_bounds_of_value v =
     let i = h_index v in
     (h_lower i, h_bound i)

@@ -155,8 +155,8 @@ val observe : string -> float -> unit
     into 8 linear sub-buckets, covering [2^-20, 2^10) (~1 microsecond to
     ~17 minutes when samples are seconds) plus underflow/overflow
     buckets — 242 buckets, so a quantile estimate is off by at most one
-    bucket width, i.e. a relative error of at most 12.5%
-    ({!Histogram.max_relative_error}). *)
+    bucket width, i.e. a relative error of at most 12.5% (1/8, the
+    worst-case relative width of a finite bucket). *)
 module Histogram : sig
   type snap = {
     name : string;
@@ -168,9 +168,6 @@ module Histogram : sig
             previous bucket's bound; the overflow bucket's bound is
             [infinity] *)
   }
-
-  val max_relative_error : float
-  (** Worst-case relative width of a finite bucket: 1/8. *)
 
   val snapshot : unit -> snap list
   (** Current histograms merged across every domain, sorted by name —

@@ -6,10 +6,6 @@
     forward across a gate produces one latch of the same class on the gate
     output (the enable connection travels with the latch). *)
 
-val latch_class : Circuit.t -> Circuit.signal -> Circuit.signal option
-(** The enable of a latch ([None] for a regular latch).
-    @raise Invalid_argument on non-latches. *)
-
 val classes : Circuit.t -> (Circuit.signal option * Circuit.signal list) list
 (** Latches grouped by class. *)
 

@@ -75,8 +75,6 @@ let create () =
     max_learnts = 8192;
   }
 
-let nvars s = s.num_vars
-
 let grow_arrays s n =
   let old = Array.length s.assign in
   if n >= old then begin
@@ -498,7 +496,4 @@ let value s v =
   if v < 1 || v > s.num_vars then invalid_arg "Sat.value";
   s.assign.(v) = 1
 
-let model s = Array.init (s.num_vars + 1) (fun v -> v >= 1 && s.assign.(v) = 1)
-
 let stats s = (s.conflicts, s.decisions, s.propagations)
-let restarts s = s.restarts

@@ -39,8 +39,6 @@ val create : unit -> t
 val new_var : t -> int
 (** Allocates the next variable (1-based). *)
 
-val nvars : t -> int
-
 val add_clause : t -> int list -> unit
 (** Adds a clause.  The empty clause makes the instance trivially
     unsatisfiable.  @raise Invalid_argument on literal 0. *)
@@ -60,11 +58,5 @@ val value : t -> int -> bool
 (** [value s v] is the model value of variable [v] after a [Sat] answer
     (unassigned variables read [false]). *)
 
-val model : t -> bool array
-(** Model indexed by variable (entry 0 unused). *)
-
 val stats : t -> int * int * int
 (** [(conflicts, decisions, propagations)] since creation. *)
-
-val restarts : t -> int
-(** Search restarts since creation. *)

@@ -1,7 +1,7 @@
 type event = int
 
 type table = {
-  bman : Bdd.man;
+  bman : Bdd.man Lazy.t; (* created by the first enable crossed *)
   rewrite : bool;
   vars : (string * int, int) Hashtbl.t; (* (source, shift) -> bdd var index *)
   interned : (int list, int) Hashtbl.t; (* predicate-id list -> event id *)
@@ -15,7 +15,7 @@ type table = {
 let create ?(rewrite = true) () =
   let t =
     {
-      bman = Bdd.man ();
+      bman = lazy (Bdd.man ());
       rewrite;
       vars = Hashtbl.create 64;
       interned = Hashtbl.create 64;
@@ -27,7 +27,7 @@ let create ?(rewrite = true) () =
   Hashtbl.replace t.interned [] 0;
   t
 
-let man t = t.bman
+let man t = Lazy.force t.bman
 
 let empty = 0
 
@@ -41,7 +41,7 @@ let pred_var t ~source ~shift =
         Hashtbl.replace t.vars key i;
         i
   in
-  Bdd.var t.bman idx
+  Bdd.var (man t) idx
 
 (* We need a stable int per distinct predicate BDD.  The BDD handle is such
    an int already (hash-consing), so store lists of raw handles. *)
@@ -72,7 +72,7 @@ let push t ~pred e =
     | qk :: _ ->
         let q = pred_of_key t qk in
         (* rule (5): q ⇒ p makes the new head redundant *)
-        Bdd.leq t.bman q pred
+        Bdd.leq (man t) q pred
   in
   if keep_existing then e else intern t (pred_key t pred :: lst)
 

@@ -24,7 +24,8 @@ val create : ?rewrite:bool -> unit -> table
 (** A fresh shared table ([rewrite] defaults to [true]). *)
 
 val man : table -> Bdd.man
-(** The BDD manager in which predicates live. *)
+(** The BDD manager in which predicates live, created on first use (an
+    unrolling that crosses no enable never creates one). *)
 
 val empty : event
 

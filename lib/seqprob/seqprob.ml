@@ -3,10 +3,12 @@ module Var = struct
   type t = { base : string; index : index }
 
   let time base d = { base; index = Time d }
-  let at base ~shift ~event = { base; index = At { shift; event } }
+  let at base ~shift ~event =
+    if event = Events.empty then time base shift
+    else { base; index = At { shift; event } }
+
   let delay v = match v.index with Time d -> d | At { shift; _ } -> shift
   let equal (a : t) (b : t) = a = b
-  let compare (a : t) (b : t) = Stdlib.compare a b
 
   let to_string v =
     match v.index with
@@ -38,10 +40,8 @@ module Var = struct
                   Option.get
                     (int_of_string_opt (String.sub ev 1 (String.length ev - 1)))
                 in
-                { base; index = At { shift; event } }
+                at base ~shift ~event
             | _ -> fallback))
-
-  let pp ppf v = Format.pp_print_string ppf (to_string v)
 end
 
 type diagnosis =

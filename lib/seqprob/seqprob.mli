@@ -3,13 +3,15 @@
     The paper's whole contribution is a reduction: a sequential
     equivalence question becomes {e one} combinational miter (Fig. 18).
     This module is that miter as a first-class value — the single currency
-    handed between the unrollers ({!Cbf}, {!Edbf}), the combinational
-    engines ({!Cec}) and the counterexample machinery ({!Verify}):
+    handed between the unroller ({!Edbf}, with {!Cbf} over it), the
+    combinational engines ({!Cec}) and the counterexample machinery
+    ({!Verify}):
 
     - a {e typed} variable universe ({!Var}): every unrolled input is a
-      [(base, index)] pair, where the index is a time frame (CBF) or an
-      event-qualified shift (EDBF).  Nothing downstream ever parses a
-      name string like ["x@3"] again — names exist only for printing.
+      [(base, index)] pair, where the index is a time frame (a sample that
+      crossed no enable) or an event-qualified shift (one that crossed an
+      enable).  Nothing downstream ever parses a name string like ["x@3"]
+      again — names exist only for printing.
     - one {e shared, structurally hashed} AIG holding both sides' output
       cones over the united variable array.  Logic replicated across time
       frames, and logic shared between the two sides, is built once.
@@ -24,34 +26,39 @@ module Var : sig
             evaluation instant ([Time 0] = now). *)
     | At of { shift : int; event : Events.event }
         (** EDBF variable: the source sampled [shift] cycles before the
-            instant denoted by [event] (from the check's shared
-            {!Events.table}). *)
+            instant denoted by a non-empty [event] (from the check's
+            shared {!Events.table}). *)
 
   type t = { base : string; index : index }
   (** [base] is the source name in the original circuit (a primary input
       or an exposed latch output). *)
 
   val time : string -> int -> t
+
   val at : string -> shift:int -> event:Events.event -> t
+  (** The EDBF sample of a source [shift] cycles before [event].  A sample
+      of {!Events.empty} is the CBF variable: [at b ~shift:d
+      ~event:Events.empty = time b d], so a sample has one name whichever
+      unrolling took it. *)
 
   val delay : t -> int
   (** The time component ([d] or [shift]). *)
 
   val equal : t -> t -> bool
-  val compare : t -> t -> int
 
   val to_string : t -> string
   (** Canonical printable form, stable for BLIF/debug dumps:
       ["base@d"] for [Time d], ["base@d~eN"] for [At {shift = d; event = N}].
-      {!of_string} inverts it ([of_string (to_string v) = v]) even when
-      [base] itself contains ['@']. *)
+      {!of_string} inverts it ([of_string (to_string v) = v] for every
+      variable built by {!time} or {!at}) even when [base] itself contains
+      ['@']. *)
 
   val of_string : string -> t
-  (** Parses the {!to_string} form (splitting at the {e last} ['@']).  A
-      string with no parseable index suffix is read as [{base = s; index =
-      Time 0}] — convenient for wrapping plain combinational inputs. *)
-
-  val pp : Format.formatter -> t -> unit
+  (** Parses the {!to_string} form (splitting at the {e last} ['@']),
+      building event samples with {!at}, so ["x@2~e0"] reads as
+      [time "x" 2].  A string with no parseable index suffix is read as
+      [{base = s; index = Time 0}] — convenient for wrapping plain
+      combinational inputs. *)
 end
 
 (** {1 Diagnoses}
@@ -78,7 +85,6 @@ type diagnosis =
       (** An [exposed] name that is missing from the circuit, or present
           but not a latch output. *)
 
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
 val diagnosis_to_string : diagnosis -> string
 
 exception Error of diagnosis

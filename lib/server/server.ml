@@ -241,8 +241,8 @@ let phases_json (s : Verify.stats) =
 (* ---------- the request memo ---------- *)
 
 (* A decided verdict depends on exactly the two texts and the exposure
-   spec: the engine, the budgets and [jobs] change only the speed or an
-   Undecided outcome, and the id nothing.  The key is an MD5 of each
+   spec: the engine and the budgets change only the speed or an Undecided
+   outcome, and the id nothing.  The key is an MD5 of each
    text's own MD5 followed by the length-prefixed names, so distinct
    requests have distinct encodings and no text is copied.  MD5 is not
    collision-resistant: as with lib/hier's store keys, clients are
@@ -302,10 +302,9 @@ let check_response t req =
           let c2 = circuit_of right in
           let exposed = exposed_names c1 exposure in
           let limits = limits_of t.cfg req in
-          let jobs = Option.bind (Sjson.member "jobs" req) Sjson.get_int in
           let result =
-            Verify.check ~engine ?jobs ~pool:t.pool ~limits ~cache:t.cache
-              ~exposed c1 c2
+            Verify.check ~engine ~pool:t.pool ~limits ~cache:t.cache ~exposed
+              c1 c2
           in
           (match result with
           | Ok { Verify.verdict = Verify.(Equivalent | Inequivalent _) as v; stats }

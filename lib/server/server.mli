@@ -26,12 +26,12 @@
     not collision-resistant, so the memo trusts its clients: two texts
     crafted to share an MD5 would get the first one's verdict, a
     [certified] counterexample included, for the second.
-    [engine], [timeout], [sat_conflicts], [jobs] and [id] are not in
-    the key: they change only the speed or an [undecided] outcome.  A
+    [engine], [timeout], [sat_conflicts] and [id] are not in the key:
+    they change only the speed or an [undecided] outcome.  A
     hit answers the first response's [verdict], [certified], [cex] and
     [method], with [seconds] the lookup's own time, every phase and
     counter zero, and ["memo_hits":1]; a hit may thus return the
-    counterexample another engine or pool width found first.
+    counterexample another engine found first.
     [undecided] answers, diagnoses and errors are never memoized.  The
     engine name, the exposure shape and the required fields are
     validated before the lookup.  The memo is in memory only, holds at
@@ -93,10 +93,9 @@
     or inline {!Netlist_io} text.  [exposed] is a list of latch names,
     or ["auto"] (the default) for {!Feedback.plan_structural} on [left].
     [engine] is ["sweep"]/["sat"]/["bdd"]; [timeout] and [sat_conflicts]
-    build the request's {!Cec.limits} (defaulting to the server's);
-    [jobs] [1] runs the request's clusters on the executor domain
-    instead of the shared pool; any other value runs them on the whole
-    shared pool.  It never changes how the problem is partitioned.
+    build the request's {!Cec.limits} (defaulting to the server's).
+    Every check runs its clusters on the one shared pool; a field the
+    protocol does not name (such as a [jobs] count) is ignored.
     An [inequivalent] response carries ["cex":[[var,bool],...]] when the
     counterexample is certified (CBF) and ["certified":false] when it is
     the conservative EDBF rejection.  Failures (bad netlist, unknown

@@ -15,11 +15,6 @@ val tv_equal : tv -> tv -> bool
 
 (** {1 Two-valued simulation} *)
 
-val step :
-  Circuit.t -> state:bool array -> inputs:bool array -> bool array * bool array
-(** [step c ~state ~inputs] is [(outputs, next_state)].  [state] is indexed
-    in [Circuit.latches] order, [inputs] in [Circuit.inputs] order. *)
-
 val run :
   Circuit.t -> init:bool array -> inputs:bool array list -> bool array list
 (** Outputs per cycle for a fixed power-up state. *)

@@ -63,9 +63,6 @@ type info = {
           for per-module hierarchical verdicts *)
 }
 
-val default_capacity : int
-(** 262144 entries. *)
-
 val default_dir : string
 (** [".seqver-cache"] — the conventional per-repo cache directory (the
     CLI's [--cache-dir] default for the [cache] subcommand). *)

@@ -53,9 +53,6 @@ let iter_pred g v f = List.iter (fun id -> f id (edge g id)) (pred g v)
 
 let has_self_loop g u = List.exists (fun id -> (edge g id).dst = u) (succ g u)
 
-let copy g =
-  { edges = Vec.copy g.edges; succs = Vec.copy g.succs; preds = Vec.copy g.preds }
-
 let induced g ~keep =
   let t = create () in
   add_nodes t (node_count g);

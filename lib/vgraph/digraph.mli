@@ -29,9 +29,6 @@ val edge : t -> int -> edge
 val succ : t -> int -> int list
 (** Outgoing edge ids of a node. *)
 
-val pred : t -> int -> int list
-(** Incoming edge ids of a node. *)
-
 val iter_edges : (int -> edge -> unit) -> t -> unit
 
 val iter_succ : t -> int -> (int -> edge -> unit) -> unit
@@ -41,8 +38,6 @@ val iter_succ : t -> int -> (int -> edge -> unit) -> unit
 val iter_pred : t -> int -> (int -> edge -> unit) -> unit
 
 val has_self_loop : t -> int -> bool
-
-val copy : t -> t
 
 val induced : t -> keep:(int -> bool) -> t
 (** Subgraph on the nodes satisfying [keep] (node ids preserved; dropped

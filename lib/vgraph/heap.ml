@@ -44,5 +44,3 @@ let pop_min h =
     sift_down h 0
   end;
   root
-
-let clear h = Vec.clear h.data

@@ -2,8 +2,6 @@ type t = { mutable data : int array; mutable len : int }
 
 let create ?(capacity = 64) () = { data = Array.make (max capacity 4) 0; len = 0 }
 
-let size h = h.len
-
 let is_empty h = h.len = 0
 
 let grow h =

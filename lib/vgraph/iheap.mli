@@ -11,8 +11,6 @@ type t
 
 val create : ?capacity:int -> unit -> t
 
-val size : t -> int
-
 val is_empty : t -> bool
 
 val add : t -> int -> unit

@@ -40,10 +40,6 @@ let pop v =
   Array.unsafe_set v.data v.len v.dummy;
   x
 
-let top v =
-  if v.len = 0 then invalid_arg "Vec.top: empty";
-  Array.unsafe_get v.data (v.len - 1)
-
 let clear v =
   Array.fill v.data 0 v.len v.dummy;
   v.len <- 0
@@ -73,14 +69,5 @@ let fold f acc v =
 let to_list v =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (get v i :: acc) in
   loop (v.len - 1) []
-
-let of_list ~dummy xs =
-  let v = create ~capacity:(max 1 (List.length xs)) ~dummy () in
-  List.iter (fun x -> ignore (push v x)) xs;
-  v
-
-let exists p v =
-  let rec loop i = i < v.len && (p (Array.unsafe_get v.data i) || loop (i + 1)) in
-  loop 0
 
 let copy v = { data = Array.copy v.data; len = v.len; dummy = v.dummy }

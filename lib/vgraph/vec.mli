@@ -27,8 +27,6 @@ val pop : 'a t -> 'a
 (** Removes and returns the last element.  @raise Invalid_argument if
     empty. *)
 
-val top : 'a t -> 'a
-
 val clear : 'a t -> unit
 
 val shrink : 'a t -> int -> unit
@@ -42,9 +40,5 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val to_list : 'a t -> 'a list
-
-val of_list : dummy:'a -> 'a list -> 'a t
-
-val exists : ('a -> bool) -> 'a t -> bool
 
 val copy : 'a t -> 'a t

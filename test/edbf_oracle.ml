@@ -19,6 +19,7 @@ let unroll_netlist ?(guard = false) ~table c =
   let used_events : (Events.event, unit) Hashtbl.t = Hashtbl.create 16 in
   let depth = ref 0 in
   let replication = ref 0 in
+  let hidden_enabled = ref None in
   let visiting = Hashtbl.create 64 in
   let pin name d e =
     depth := max !depth d;
@@ -70,6 +71,8 @@ let unroll_netlist ?(guard = false) ~table c =
           | Input -> pin (Circuit.signal_name c s) d e
           | Latch { data; enable = None } -> edbf data (d + 1) e
           | Latch { data; enable = Some en } ->
+              if !hidden_enabled = None then
+                hidden_enabled := Some (Circuit.signal_name c s);
               let p = pred_bdd en d in
               let e' = Events.push table ~pred:p e in
               edbf data 0 e'
@@ -124,4 +127,5 @@ let unroll_netlist ?(guard = false) ~table c =
       variables = Hashtbl.length pins;
       events = Events.count table;
       replication = !replication;
+      hidden_enabled = !hidden_enabled;
     } )

@@ -90,10 +90,31 @@ let test_unroll_rejects_hidden_enables () =
   let q = Circuit.add_latch c ~enable:e ~data:d () in
   Circuit.mark_output c q;
   Circuit.check c;
-  try
-    ignore (Cbf_oracle.unroll_netlist c);
-    Alcotest.fail "enabled latch accepted"
-  with Invalid_argument _ -> ()
+  (try
+     ignore (Cbf_oracle.unroll_netlist c);
+     Alcotest.fail "enabled latch accepted"
+   with Invalid_argument _ -> ());
+  (* the shipped route names the latch it reaches; exposed, or outside
+     every output cone, an enabled latch is no error *)
+  (match Cbf.unroll (Seqprob.builder ()) c with
+  | Error (Seqprob.Hidden_enabled_latch { circuit; latch }) ->
+      Alcotest.(check (pair string string)) "names the reached latch"
+        ("he", Circuit.signal_name c q) (circuit, latch)
+  | Error d -> Alcotest.failf "wrong diagnosis: %s" (Seqprob.diagnosis_to_string d)
+  | Ok _ -> Alcotest.fail "reached enabled latch accepted");
+  (match Cbf.unroll ~exposed:(fun s -> s = q) (Seqprob.builder ()) c with
+  | Ok (outs, _) -> Alcotest.(check int) "output, data and enable" 3 (List.length outs)
+  | Error d -> Alcotest.failf "exposed latch rejected: %s" (Seqprob.diagnosis_to_string d));
+  let c2 = Circuit.create "he2" in
+  let d = Circuit.add_input c2 "d" in
+  let e = Circuit.add_input c2 "e" in
+  Circuit.mark_output c2 (Circuit.add_latch c2 ~data:(Circuit.add_gate c2 And [ d; e ]) ());
+  let _unreached = Circuit.add_latch c2 ~enable:e ~data:d () in
+  Circuit.check c2;
+  match Cbf.unroll (Seqprob.builder ()) c2 with
+  | Ok (_, info) -> Alcotest.(check int) "depth" 1 info.Cbf.depth
+  | Error d ->
+      Alcotest.failf "unreached enabled latch rejected: %s" (Seqprob.diagnosis_to_string d)
 
 (* semantic correctness: the unrolled circuit evaluated on a window of the
    input trace equals the sequential output once the pipeline is full *)

@@ -494,3 +494,54 @@ let test_oracle_differential () =
 
 let suite =
   suite @ [ Alcotest.test_case "shipped route = netlist oracle" `Quick test_oracle_differential ]
+
+(* Fig. 7 is Fig. 8 with every event empty: on circuits whose hidden
+   latches are regular, the EDBF route over a fresh table builds exactly
+   the problem {!Cbf.unroll} builds, every variable a CBF time frame.  Both
+   sides of a pair go into one builder, as {!Verify.check} puts them. *)
+let test_enable_free_is_cbf () =
+  let st = Random.State.make [| 0xCBF7 |] in
+  let build unroll sides =
+    let b = Seqprob.builder () in
+    let outs = List.concat_map (fun (ex, c) -> unroll ~exposed:ex b c) sides in
+    (b, outs)
+  in
+  let same_problem what sides =
+    let cb, co =
+      build (fun ~exposed b c -> fst (get_ok (Cbf.unroll ~exposed b c))) sides
+    in
+    let table = Events.create () in
+    let eb, eo =
+      build (fun ~exposed b c -> fst (get_ok (Edbf.unroll ~table ~exposed b c))) sides
+    in
+    let names b = Array.to_list (Array.map Seqprob.Var.to_string (Seqprob.builder_vars b)) in
+    Alcotest.(check (list string)) (what ^ ": variable names") (names cb) (names eb);
+    Alcotest.(check (list int)) (what ^ ": outputs") co eo;
+    Alcotest.(check int) (what ^ ": AND count")
+      (Aig.and_count (Seqprob.graph cb)) (Aig.and_count (Seqprob.graph eb));
+    Alcotest.(check bool) (what ^ ": every variable a time frame") true
+      (Array.for_all
+         (fun (v : Seqprob.Var.t) ->
+           match v.index with Seqprob.Var.Time _ -> true | Seqprob.Var.At _ -> false)
+         (Seqprob.builder_vars eb))
+  in
+  let none _ = false in
+  for i = 1 to 20 do
+    let c =
+      Gen.acyclic st ~name:(Printf.sprintf "ef%d" i) ~inputs:3 ~gates:30 ~latches:5
+        ~outputs:2 ~enables:false
+    in
+    same_problem (Circuit.name c) [ (none, c); (none, Synth_script.delay_script c) ]
+  done;
+  List.iter
+    (fun (name, a) ->
+      let b, c = get_ok (Flow.circuits a) in
+      let names =
+        List.map (Circuit.signal_name a) (Feedback.plan_structural a).Feedback.exposed
+      in
+      let ex c = get_ok (Verify.exposed_pred c names) in
+      same_problem (name ^ " B vs C") [ (ex b, b); (ex c, c) ])
+    (Workloads.table1_suite_small ())
+
+let suite =
+  suite @ [ Alcotest.test_case "enable-free unroll is the CBF" `Quick test_enable_free_is_cbf ]

@@ -71,6 +71,11 @@ let test_var_roundtrip () =
         true
         (Seqprob.Var.equal v v'))
     vars;
+  (* a sample of the empty event is the CBF time-frame variable *)
+  Alcotest.(check bool) "at empty = time" true
+    (Seqprob.Var.equal
+       (Seqprob.Var.at "x" ~shift:3 ~event:Events.empty)
+       (Seqprob.Var.time "x" 3));
   (* a plain name with no index suffix reads as Time 0 *)
   Alcotest.(check bool) "bare name = Time 0" true
     (Seqprob.Var.equal (Seqprob.Var.of_string "plain") (Seqprob.Var.time "plain" 0))
