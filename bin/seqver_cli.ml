@@ -41,13 +41,6 @@ let save path c =
 let circuit_arg ~pos:p ~doc =
   Arg.(required & pos p (some string) None & info [] ~docv:"CIRCUIT" ~doc)
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum Cec.engines) Cec.Sweep_engine
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:("Combinational engine: " ^ doc_alts_enum Cec.engines ^ "."))
-
 let exposed_arg =
   Arg.(
     value
@@ -356,14 +349,13 @@ let retime_cmd =
 (* ---- verify ---- *)
 
 let verify_cmd =
-  let run p1 p2 engine exposed no_rewrite guard jobs timeout sat_conflicts
-      session =
+  let run p1 p2 exposed no_rewrite guard jobs timeout sat_conflicts session =
     let c1 = load p1 in
     let c2 = load p2 in
     session @@ fun store ->
     let limits = limits_of timeout sat_conflicts in
     match
-      Verify.check ~engine ~jobs ~limits ?cache:(store_cache store)
+      Verify.check ~jobs ~limits ?cache:(store_cache store)
         ~rewrite_events:(not no_rewrite) ~guard_events:guard ~exposed c1 c2
     with
     | Error d ->
@@ -414,7 +406,7 @@ let verify_cmd =
       const run
       $ circuit_arg ~pos:0 ~doc:"First netlist."
       $ circuit_arg ~pos:1 ~doc:"Second netlist."
-      $ engine_arg $ exposed_arg $ no_rewrite $ guard $ jobs_arg $ timeout_arg
+      $ exposed_arg $ no_rewrite $ guard $ jobs_arg $ timeout_arg
       $ sat_conflicts_arg $ session_arg)
   in
   Cmd.v
@@ -590,7 +582,7 @@ let generate_cmd =
 (* ---- hier ---- *)
 
 let hier_cmd =
-  let run name list_only flat engine jobs timeout sat_conflicts session =
+  let run name list_only flat jobs timeout sat_conflicts session =
     let suite = Workloads.hier_suite () in
     if list_only then begin
       List.iter
@@ -627,8 +619,7 @@ let hier_cmd =
           (Feedback.plan_structural c1).Feedback.exposed
       in
       match
-        Verify.check ~engine ~jobs ~limits ?cache:(store_cache store) ~exposed
-          c1 c2
+        Verify.check ~jobs ~limits ?cache:(store_cache store) ~exposed c1 c2
       with
       | Error d ->
           Format.eprintf "error: %s@." (Seqprob.diagnosis_to_string d);
@@ -646,7 +637,7 @@ let hier_cmd =
           | Verify.Undecided _ -> 2)
     end
     else begin
-      let r = Hier.check ~engine ~jobs ~limits ?store dl dr in
+      let r = Hier.check ~jobs ~limits ?store dl dr in
       Format.printf "%-12s %-9s %-6s %-8s %s@." "MODULE" "MODE" "SRC"
         "VERDICT" "SECONDS";
       List.iter
@@ -710,8 +701,8 @@ let hier_cmd =
   in
   let term =
     Term.(
-      const run $ name_arg $ list_arg $ flat_arg $ engine_arg $ jobs_arg
-      $ timeout_arg $ sat_conflicts_arg $ session_arg)
+      const run $ name_arg $ list_arg $ flat_arg $ jobs_arg $ timeout_arg
+      $ sat_conflicts_arg $ session_arg)
   in
   Cmd.v
     (Cmd.info "hier"
@@ -732,7 +723,7 @@ let socket_arg =
 
 let serve_cmd =
   let run socket executors jobs max_pending timeout sat_conflicts cache_dir
-      engine metrics_addr trace_sample slow_ms =
+      metrics_addr trace_sample slow_ms =
     let cfg =
       {
         Server.socket_path = socket;
@@ -740,7 +731,6 @@ let serve_cmd =
         pool_jobs = jobs;
         max_pending;
         limits = limits_of timeout sat_conflicts;
-        engine;
         cache_dir;
         metrics_addr;
         trace_sample;
@@ -804,8 +794,8 @@ let serve_cmd =
   let term =
     Term.(
       const run $ socket_arg $ executors $ jobs_arg $ max_pending $ timeout_arg
-      $ sat_conflicts_arg $ cache_dir_arg $ engine_arg $ metrics_addr
-      $ trace_sample $ slow_ms)
+      $ sat_conflicts_arg $ cache_dir_arg $ metrics_addr $ trace_sample
+      $ slow_ms)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -892,8 +882,7 @@ let client_cmd =
          trees) as one JSON line."
   in
   let check_c =
-    let run socket retries p1 p2 exposed no_expose engine timeout
-        sat_conflicts =
+    let run socket retries p1 p2 exposed no_expose timeout sat_conflicts =
       (* load in argument order, so a bad first netlist is the one reported *)
       let left = wire_circuit p1 in
       let right = wire_circuit p2 in
@@ -912,7 +901,6 @@ let client_cmd =
                 ( "exposed",
                   Sjson.List (List.map (fun n -> Sjson.String n) names) );
               ])
-        @ [ ("engine", Sjson.String (Cec.engine_name engine)) ]
         @ (match timeout with
           | Some s -> [ ("timeout", Sjson.Float s) ]
           | None -> [])
@@ -950,8 +938,7 @@ let client_cmd =
         const run $ socket_arg $ retries_arg
         $ circuit_arg ~pos:0 ~doc:"First netlist (or @suite-name)."
         $ circuit_arg ~pos:1 ~doc:"Second netlist (or @suite-name)."
-        $ exposed_arg $ no_expose $ engine_arg $ timeout_arg
-        $ sat_conflicts_arg)
+        $ exposed_arg $ no_expose $ timeout_arg $ sat_conflicts_arg)
   in
   Cmd.group
     (Cmd.info "client" ~doc:"Talk to a running seqver serve daemon.")

@@ -18,14 +18,17 @@ type man = {
 
 let terminal_var = max_int
 
-let man ?(cache_size = 1 lsl 14) () =
+(* initial size of the unique table and the ITE cache *)
+let table_size = 1 lsl 14
+
+let man () =
   let m =
     {
       var_of = Vgraph.Vec.create ~dummy:0 ();
       low_of = Vgraph.Vec.create ~dummy:0 ();
       high_of = Vgraph.Vec.create ~dummy:0 ();
-      unique = Hashtbl.create cache_size;
-      ite_cache = Hashtbl.create cache_size;
+      unique = Hashtbl.create table_size;
+      ite_cache = Hashtbl.create table_size;
       quant_cache = Hashtbl.create 256;
       compose_cache = Hashtbl.create 256;
       nvars = 0;

@@ -14,7 +14,7 @@ type man
 type t
 (** A BDD node handle (a Boolean function over the manager's variables). *)
 
-val man : ?cache_size:int -> unit -> man
+val man : unit -> man
 
 val zero : man -> t
 val one : man -> t

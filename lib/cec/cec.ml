@@ -432,9 +432,9 @@ type proof = Proved | Disproved | Gave_up
    Cancellation and the deadline are polled before each word; a deadline
    that passes mid-enumeration leaves the miter to a SAT call that gives
    up at once. *)
-let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
+let check_sweep st b (p : Seqprob.t) =
   let g = p.graph in
-  let rng = Random.State.make [| seed |] in
+  let rng = Random.State.make [| 0xC0FFEE |] in
   let n_in = Aig.num_inputs g in
   let n_nodes = Aig.node_count g in
   let exhaustive = n_in <= exhaustive_inputs in
@@ -590,9 +590,11 @@ let check_sweep st b ?(seed = 0xC0FFEE) (p : Seqprob.t) =
 
 (* ---------- engine dispatch, cache, partitioning ---------- *)
 
-let engines = [ ("sweep", Sweep_engine); ("sat", Sat_engine); ("bdd", Bdd_engine) ]
-
-let engine_name e = fst (List.find (fun (_, x) -> x = e) engines)
+(* The engine's name in its [cec.engine.*] span and in span attributes. *)
+let engine_name = function
+  | Sweep_engine -> "sweep"
+  | Sat_engine -> "sat"
+  | Bdd_engine -> "bdd"
 
 let verdict_attr = function
   | Equivalent -> Obs.String "equivalent"

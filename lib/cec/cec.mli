@@ -26,6 +26,11 @@ type verdict =
           human-readable reason ("SAT conflict budget", "BDD node ceiling",
           "partition deadline", "cancelled", prefixed by the partition) *)
 
+(** The engine a check starts on.  Every front end ([Verify.check],
+    [Hier.check], the CLI and the server) starts on [Sweep_engine]; the
+    SAT and BDD engines are the rungs of its escalation ladder, and the
+    benchmark's engine ablation, [Redundancy] and the tests' engine
+    cross-checks start on them directly. *)
 type engine =
   | Bdd_engine  (** monolithic BDDs over the AIG, one variable per input *)
   | Sat_engine  (** one CNF miter, one SAT call *)
@@ -46,14 +51,6 @@ val exhaustive_inputs : int
     to 12 inputs the enumeration beat the SAT merges on every pair
     measured, while at 15 inputs it took ten times as long as SAT on
     s1196's H-vs-J check. *)
-
-val engines : (string * engine) list
-(** Every engine under its CLI/wire spelling: ["sweep"], ["sat"], ["bdd"]
-    (the default first).  The CLI's [--engine], the server's ["engine"]
-    request field and [seqver client check] all read this table. *)
-
-val engine_name : engine -> string
-(** The engine's spelling in {!engines}. *)
 
 type limits = {
   sat_conflicts : int option;

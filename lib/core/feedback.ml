@@ -112,7 +112,11 @@ let cone_sources c l =
   done;
   !n
 
-let analyze ?(max_cone = 64) c =
+(* a self-feedback latch whose next-state cone has more sources than this
+   is reported not unate without building its BDD *)
+let max_cone = 64
+
+let analyze c =
   let g, latches = latch_graph c in
   let comp_id, _ = Vgraph.Scc.component_ids g in
   let comps = Vgraph.Scc.components g in
@@ -139,9 +143,9 @@ let plan_structural c =
   let fvs = Vgraph.Mfvs.solve g ~candidates:(fun _ -> true) in
   { exposed = List.map (fun i -> latches.(i)) fvs; converted = [] }
 
-let plan_functional ?max_cone c =
+let plan_functional c =
   let g, latches = latch_graph c in
-  let analyses = Array.of_list (analyze ?max_cone c) in
+  let analyses = Array.of_list (analyze c) in
   (* drop self-loops of positive-unate self-feedback regular latches (an
      already-enabled latch keeps its enable; we do not compose enables) *)
   let convertible =

@@ -30,9 +30,9 @@ val latch_graph : Circuit.t -> Vgraph.Digraph.t * Circuit.signal array
     array, which follows [Circuit.latches] order); an edge [u -> v] when
     [u]'s output feeds the data or enable cone of [v]. *)
 
-val analyze : ?max_cone:int -> Circuit.t -> analysis list
-(** Per-latch feedback analysis.  Cones with more than [max_cone] (default
-    64) sources are conservatively reported not unate. *)
+val analyze : Circuit.t -> analysis list
+(** Per-latch feedback analysis.  Cones with more than 64 sources are
+    conservatively reported not unate. *)
 
 type plan = {
   exposed : Circuit.signal list;  (** latches to expose (made observable) *)
@@ -44,7 +44,7 @@ val plan_structural : Circuit.t -> plan
 (** The paper's experimental mode: no functional analysis, expose a minimal
     feedback vertex set (Table 2's "# Exposed"). *)
 
-val plan_functional : ?max_cone:int -> Circuit.t -> plan
+val plan_functional : Circuit.t -> plan
 (** Unateness-aware mode: self-loops of positive-unate latches are removed
     by conversion; the remaining cycles are broken by exposure.  The paper
     predicts this "would lead to reduced number of exposed latches". *)

@@ -67,7 +67,7 @@ let build_problem ~rewrite_events ~guard_events ~ex1 ~ex2 c1 c2 =
       Events.count table,
       (i1.replication, i2.replication) )
 
-let check ?engine ?jobs ?pool ?limits ?cache ?(rewrite_events = true)
+let check ?jobs ?pool ?limits ?cache ?(rewrite_events = true)
     ?(guard_events = false) ?(exposed = []) c1 c2 =
   Obs.span ~name:"verify.check"
     ~attrs:
@@ -85,7 +85,7 @@ let check ?engine ?jobs ?pool ?limits ?cache ?(rewrite_events = true)
       in
       let* p, method_, depth, events, unrolled_gates = unrolled in
       let cec_verdict, cec =
-        Cec.check_problem_with_stats ?engine ?jobs ?pool ?limits ?cache p
+        Cec.check_problem_with_stats ?jobs ?pool ?limits ?cache p
       in
       let verdict =
         match (cec_verdict, method_) with

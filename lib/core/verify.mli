@@ -59,7 +59,6 @@ val exposed_pred :
     [seqver retime --exposed]. *)
 
 val check :
-  ?engine:Cec.engine ->
   ?jobs:int ->
   ?pool:Par.Pool.t ->
   ?limits:Cec.limits ->
@@ -74,6 +73,8 @@ val check :
     [guard_events] (default false) additionally applies the
     event-consistency refinement of {!Edbf.unroll} — a sound strengthening
     beyond the published method that removes more EDBF false negatives.
+    The unrolled miter goes to the one combinational checker, the sweep
+    with its escalation ladder ({!Cec.check_problem_with_stats}).
     [jobs] (default 1) is the number of domains that run the
     combinational check's output-cone clusters; whether the check is
     partitioned at all is the cost model's decision, the same at every
@@ -81,7 +82,7 @@ val check :
     [pool] runs it on a caller-owned (possibly shared) pool instead, which
     is left running afterwards — the verification server passes one pool
     to every concurrent request; [limits] (default {!Cec.no_limits})
-    bounds the combinational engines and turns a blown budget into an
+    bounds the checker and its ladder and turns a blown budget into an
     [Undecided] verdict; [cache] shares a combinational result cache
     across checks, backed by a persistent verdict store when created with
     [Cec.Cache.create ~store].

@@ -181,13 +181,12 @@ type report = {
   verdict : verdict;
   modules : module_report list;  (** leaf-first, as processed *)
   store_hits : int;
-  checked : int;  (** module pairs decided by running an engine *)
+  checked : int;  (** module pairs decided by running the checker *)
   flat_fallbacks : int;
   seconds : float;
 }
 
 val check :
-  ?engine:Cec.engine ->
   ?jobs:int ->
   ?limits:Cec.limits ->
   ?store:Store.t ->
@@ -197,10 +196,10 @@ val check :
 (** Leaf-first compositional check of two designs.  Modules are paired by
     name; a hierarchy or boundary mismatch falls back to one flat check
     of the whole pair.  Each module pair is answered from the store when
-    possible, otherwise checked ({!mode}) and its verdict persisted
-    (kind ["hier"]; [Undecided] is never stored).  The first refuted
-    module pair stops the run with an attributed [Inequivalent]; an
-    undecidable one stops with [Undecided].  With a store, each inner
+    possible, otherwise checked ({!mode}, one {!Verify.check}) and its
+    verdict persisted (kind ["hier"]; [Undecided] is never stored).  The
+    first refuted module pair stops the run with an attributed
+    [Inequivalent]; an undecidable one stops with [Undecided].  With a store, each inner
     combinational check gets a fresh {!Cec.Cache} backed by it, so even a
     cold ancestor re-check reuses surviving cone verdicts.  Obs: span [hier.module] per check, counters
     [hier.module_checked], [hier.module_store_hits],

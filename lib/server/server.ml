@@ -20,7 +20,6 @@ type config = {
   pool_jobs : int;
   max_pending : int;
   limits : Cec.limits;
-  engine : Cec.engine;
   cache_dir : string option;
   metrics_addr : string option;
   trace_sample : int;
@@ -34,7 +33,6 @@ let default_config ~socket_path =
     pool_jobs = Par.cpu_count ();
     max_pending = 64;
     limits = Cec.default_limits;
-    engine = Cec.Sweep_engine;
     cache_dir = None;
     metrics_addr = None;
     trace_sample = 0;
@@ -60,7 +58,6 @@ type pending = {
 (* What a response and a trace entry report about a decided or undecided
    check (error responses have none). *)
 type checked = {
-  ck_engine : Cec.engine;  (* the requested engine *)
   ck_stats : Verify.stats;  (* zero but [method_] and [seconds] on a hit *)
   ck_memo_hit : bool;  (* answered from the request memo *)
 }
@@ -205,14 +202,6 @@ let exposed_names c1 = function
       let plan = Feedback.plan_structural c1 in
       List.map (Circuit.signal_name c1) plan.Feedback.exposed
 
-let engine_of cfg req =
-  match Option.bind (Sjson.member "engine" req) Sjson.get_string with
-  | None -> cfg.engine
-  | Some name -> (
-      match List.assoc_opt name Cec.engines with
-      | Some e -> e
-      | None -> failwith (Printf.sprintf "unknown engine %S" name))
-
 let limits_of cfg req =
   let timeout = Option.bind (Sjson.member "timeout" req) Sjson.get_float in
   let sc = Option.bind (Sjson.member "sat_conflicts" req) Sjson.get_int in
@@ -241,8 +230,8 @@ let phases_json (s : Verify.stats) =
 (* ---------- the request memo ---------- *)
 
 (* A decided verdict depends on exactly the two texts and the exposure
-   spec: the engine and the budgets change only the speed or an Undecided
-   outcome, and the id nothing.  The key is an MD5 of each
+   spec: the budgets change only the speed or an Undecided outcome, and
+   the id nothing.  The key is an MD5 of each
    text's own MD5 followed by the length-prefixed names, so distinct
    requests have distinct encodings and no text is copied.  MD5 is not
    collision-resistant: as with lib/hier's store keys, clients are
@@ -290,7 +279,6 @@ let check_response t req =
     let left = text_of req "left" in
     let right = text_of req "right" in
     let exposure = exposure_of req in
-    let engine = engine_of t.cfg req in
     let key = memo_key left right exposure in
     let result, memo_hit =
       match Cec.Lru.find t.memo key with
@@ -303,8 +291,7 @@ let check_response t req =
           let exposed = exposed_names c1 exposure in
           let limits = limits_of t.cfg req in
           let result =
-            Verify.check ~engine ~pool:t.pool ~limits ~cache:t.cache ~exposed
-              c1 c2
+            Verify.check ~pool:t.pool ~limits ~cache:t.cache ~exposed c1 c2
           in
           (match result with
           | Ok { Verify.verdict = Verify.(Equivalent | Inequivalent _) as v; stats }
@@ -369,7 +356,7 @@ let check_response t req =
                     ("memo_hits", Sjson.Int (if memo_hit then 1 else 0));
                   ] );
               ]),
-          Some { ck_engine = engine; ck_stats = s; ck_memo_hit = memo_hit } )
+          Some { ck_stats = s; ck_memo_hit = memo_hit } )
   with e -> (error_response id (Printexc.to_string e), None)
 
 (* ---------- traces, stats, metrics (reader thread, answered inline) ---------- *)
@@ -393,7 +380,6 @@ let trace_entry_json ~with_spans e =
     | None -> []
     | Some c ->
         [
-          ("engine", Sjson.String (Cec.engine_name c.ck_engine));
           ("memo_hit", Sjson.Bool c.ck_memo_hit);
           ("escalations", Sjson.Int c.ck_stats.Verify.cec.Cec.escalations);
           ("phases", phases_json c.ck_stats);
@@ -449,7 +435,6 @@ let config_json cfg =
       ("executors", Sjson.Int cfg.executors);
       ("pool_jobs", Sjson.Int cfg.pool_jobs);
       ("max_pending", Sjson.Int cfg.max_pending);
-      ("engine", Sjson.String (Cec.engine_name cfg.engine));
       ( "timeout_seconds",
         match cfg.limits.Cec.seconds with
         | None -> Sjson.Null

@@ -26,16 +26,15 @@
     not collision-resistant, so the memo trusts its clients: two texts
     crafted to share an MD5 would get the first one's verdict, a
     [certified] counterexample included, for the second.
-    [engine], [timeout], [sat_conflicts] and [id] are not in the key:
-    they change only the speed or an [undecided] outcome.  A
-    hit answers the first response's [verdict], [certified], [cex] and
-    [method], with [seconds] the lookup's own time, every phase and
-    counter zero, and ["memo_hits":1]; a hit may thus return the
-    counterexample another engine found first.
+    [timeout], [sat_conflicts] and [id] are not in the key: they change
+    only the speed or an [undecided] outcome.  A hit answers the first
+    response's [verdict], [certified], [cex] and [method], with
+    [seconds] the lookup's own time, every phase and counter zero, and
+    ["memo_hits":1].
     [undecided] answers, diagnoses and errors are never memoized.  The
-    engine name, the exposure shape and the required fields are
-    validated before the lookup.  The memo is in memory only, holds at
-    most 4,096 entries and evicts the least recently hit in batches
+    exposure shape and the required fields are validated before the
+    lookup.  The memo is in memory only, holds at most 4,096 entries
+    and evicts the least recently hit in batches
     ({!Cec.Lru}); a restarted daemon re-derives each pair once, and a
     configured store answers that check's cones.  The lookup runs on an
     executor, so a hit is admitted, completed, timed and traced like any
@@ -61,7 +60,7 @@
     admission sequence number, so sampling is deterministic), plus every
     check slower than [slow_ms], lands in a bounded in-memory ring that
     keeps the 64 most recently completed such checks: trace id, verdict,
-    seconds, queue wait, engine, escalations, phase breakdown, and — when
+    seconds, queue wait, escalations, phase breakdown, and — when
     the request was captured — its span tree ({!Obs.capture}; spans
     emitted by pool-worker domains on the request's behalf are not
     included).  The ring is served by the [trace] op in admission order;
@@ -79,7 +78,7 @@
 
     {v
     -> {"id":1,"op":"check","left":"@fifo64x16s","right":"@fifo64x16m",
-        "exposed":"auto","engine":"sweep","timeout":30,"sat_conflicts":50000}
+        "exposed":"auto","timeout":30,"sat_conflicts":50000}
     <- {"id":1,"ok":true,"verdict":"equivalent","method":"CBF",
         "seconds":1.93,
         "phases":{"unroll_seconds":0.12,"cec_elapsed_seconds":1.71,
@@ -92,10 +91,12 @@
     [left]/[right] are ["@name"] (a {!Workloads.by_name} suite circuit)
     or inline {!Netlist_io} text.  [exposed] is a list of latch names,
     or ["auto"] (the default) for {!Feedback.plan_structural} on [left].
-    [engine] is ["sweep"]/["sat"]/["bdd"]; [timeout] and [sat_conflicts]
-    build the request's {!Cec.limits} (defaulting to the server's).
-    Every check runs its clusters on the one shared pool; a field the
-    protocol does not name (such as a [jobs] count) is ignored.
+    [timeout] and [sat_conflicts] build the request's {!Cec.limits}
+    (defaulting to the server's).  Every check runs the one
+    combinational checker (the sweep and its escalation ladder, see
+    {!Cec.check_problem_with_stats}) with its clusters on the one shared
+    pool; a field the protocol does not name (such as a [jobs] count or
+    an [engine] name) is ignored.
     An [inequivalent] response carries ["cex":[[var,bool],...]] when the
     counterexample is certified (CBF) and ["certified":false] when it is
     the conservative EDBF rejection.  Failures (bad netlist, unknown
@@ -109,7 +110,7 @@
         "server":{"connections","checks","completed","shed","errors",
                   "memo_hits","inflight","pending","executors",
                   "pool_jobs","pool_spawned"},
-        "config":{"executors","pool_jobs","max_pending","engine",
+        "config":{"executors","pool_jobs","max_pending",
                   "timeout_seconds","sat_conflicts","cache_dir",
                   "metrics_addr","trace_sample","slow_ms"},
         "counters":{...live Obs counter totals...},
@@ -131,14 +132,14 @@
       entries in admission order (ascending [trace_id]), whatever order
       their checks completed in; each entry is
       [{"trace_id","id","verdict","seconds","queue_wait_seconds",
-        "slow","sampled","engine","memo_hit","escalations",
+        "slow","sampled","memo_hit","escalations",
         "phases":{"unroll_seconds","cec_elapsed_seconds",
                   "partition_seconds","sweep_cpu_seconds",
                   "sat_cpu_seconds","bdd_cpu_seconds"},
         "spans":[{"name","count","total_seconds","self_seconds",
                   "children":[...]}]}]
       ([verdict] is the response's, or ["error"]; error responses omit
-      [engine]/[memo_hit]/[escalations]/[phases]; [spans] is [null] when the entry
+      [memo_hit]/[escalations]/[phases]; [spans] is [null] when the entry
       was kept for slowness without a capture). *)
 
 type config = {
@@ -150,7 +151,6 @@ type config = {
   pool_jobs : int;  (** parallelism of the one shared {!Par.Pool} *)
   max_pending : int;  (** admission bound: queued (unstarted) requests *)
   limits : Cec.limits;  (** default per-request budgets *)
-  engine : Cec.engine;  (** default engine *)
   cache_dir : string option;
       (** back the shared cache with one persistent store *)
   metrics_addr : string option;
@@ -170,7 +170,7 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** 2 executors, pool of {!Par.cpu_count} jobs, 64 pending,
-    {!Cec.default_limits}, sweep engine, no store, no HTTP metrics
+    {!Cec.default_limits}, no store, no HTTP metrics
     listener, no periodic sampling, [slow_ms = 500.]. *)
 
 type t

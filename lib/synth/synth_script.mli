@@ -1,8 +1,8 @@
 (** The synthesis script of Fig. 17 ("script.delay", modified), as a
     composable pipeline:
 
-    sweep → balance/remap into the INV+NAND2 library → optional fanout
-    limiting → final sweep.
+    sweep → balance/remap into the INV+NAND2 library → sweep → optional
+    fanout limiting.
 
     Function-preserving on the sequential circuit (latch positions fixed
     between passes — this is pure combinational synthesis in the paper's
@@ -10,7 +10,6 @@
 
 type options = {
   fanout_limit : int option;  (** paper uses 4; [None] disables the pass *)
-  final_sweep : bool;
   rewrite : bool;  (** cut-based AIG rewriting ({!Aig_rewrite}) before balancing *)
 }
 

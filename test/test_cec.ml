@@ -966,7 +966,7 @@ let test_engines_agree_on_undersampled_pairs () =
             Alcotest.(check bool)
               (what ^ ": counterexamples refined the classes")
               true (s.Cec.sim_rounds > 4))
-        Cec.engines;
+        engines;
       judge (name ^ ", partitioned")
         (fst (Cec.check_problem_with_stats ~partition:true ~jobs:2 p));
       (* at jobs 1 clusters run in order, so the warm re-check reaches
@@ -1043,7 +1043,7 @@ let test_checks_leave_problem_graph_alone () =
         (name ^ ": problem graph unchanged")
         nodes
         (Aig.node_count p.Seqprob.graph))
-    Cec.engines
+    engines
 
 let test_sat_time_charged_to_sat () =
   (* regression: every SAT call's time lands in sat_seconds — the sweep

@@ -239,6 +239,17 @@ let test_node_budget () =
     Alcotest.fail "budget not enforced"
   with Feedback.Node_budget_exceeded -> ()
 
+(* latch graphs whose redundancy pass was the costliest step of a plan;
+   every latch the three expose has a self-loop *)
+let test_mfvs_oracle_on_latch_graphs () =
+  List.iter
+    (fun name ->
+      let g, _ = Feedback.latch_graph (Workloads.by_name name) in
+      Alcotest.(check (list int)) name
+        (Mfvs_oracle.solve g ~candidates:(fun _ -> true))
+        (Vgraph.Mfvs.solve g ~candidates:(fun _ -> true)))
+    [ "s38417"; "fifo64x16s"; "ex4" ]
+
 let suite =
   [
     Alcotest.test_case "analyze classifies latches" `Quick test_analyze_classifies;
@@ -252,4 +263,5 @@ let suite =
     Alcotest.test_case "latch graph edges" `Quick test_latch_graph_edges;
     Alcotest.test_case "latch graph through enables" `Quick test_enable_cone_counts;
     Alcotest.test_case "BDD node budget" `Quick test_node_budget;
+    Alcotest.test_case "MFVS = oracle on latch graphs" `Quick test_mfvs_oracle_on_latch_graphs;
   ]

@@ -169,11 +169,11 @@ let xor_texts () =
 
 let test_request_limits () =
   with_server (fun _ c ->
-      (* an already-expired per-request deadline: the engine gives up
+      (* an already-expired per-request deadline: the checker gives up
          before doing any work, deterministically *)
       let left, right = xor_texts () in
       let r =
-        Server.Client.request c (check_req ~engine:"sat" ~timeout:0.0 left right)
+        Server.Client.request c (check_req ~timeout:0.0 left right)
       in
       check_ok "ok" r;
       Alcotest.(check (option string)) "expired budget -> undecided"
@@ -267,8 +267,6 @@ let test_stats () =
         | None -> false);
       Alcotest.(check (option int)) "config echoes executors" (Some 2)
         (sint s [ "config"; "executors" ]);
-      Alcotest.(check (option string)) "config echoes engine" (Some "sweep")
-        (sstr s [ "config"; "engine" ]);
       Alcotest.(check (option string)) "config echoes cache_dir" (Some dir)
         (sstr s [ "config"; "cache_dir" ]);
       Alcotest.(check bool) "live gauges exposed" true
@@ -566,8 +564,6 @@ let test_trace_sampling () =
             (sbool e [ "slow" ]);
           Alcotest.(check (option string)) "verdict" (Some "equivalent")
             (sstr e [ "verdict" ]);
-          Alcotest.(check bool) "engine attributed" true
-            (sstr e [ "engine" ] <> None);
           Alcotest.(check (list string)) "phases as in the response"
             !response_phases (phase_fields e);
           Alcotest.(check bool) "span tree captured" true
@@ -608,17 +604,13 @@ let test_trace_slow_log () =
       | _ -> Alcotest.fail "no slow list in stats")
 
 let test_trace_admission_order () =
-  (* two executors: the check admitted first (a SAT-engine FIFO check)
-     completes after the small sweep check admitted second; the ring fills
-     in completion order, the trace op still lists admission order *)
+  (* two executors: the check admitted first (the large-tier fifo64x16
+     pair) completes after the fifo8x4 check admitted second; the ring
+     fills in completion order, the trace op still lists admission order *)
   with_server ~executors:2 ~trace_sample:1 ~slow_ms:infinity (fun cfg c ->
-      let fifo16 style =
-        Netlist_io.to_string (Workloads.fifo ~entries:16 ~width:4 ~style ())
-      in
       let slow = raw_connect cfg.Server.socket_path in
       raw_send slow
-        (Sjson.to_string
-           (check_req ~id:1 ~engine:"sat" (fifo16 `Sop) (fifo16 `Mux)));
+        (Sjson.to_string (check_req ~id:1 "@fifo64x16s" "@fifo64x16m"));
       let rec wait_admitted () =
         let s =
           Server.Client.request c
@@ -795,16 +787,18 @@ let test_memo_repeats () =
           | Some e -> contains e "no_such_latch"
           | None -> false)
       done;
-      (* an unknown engine is rejected before the lookup *)
+      (* an engine field is ignored like any field the protocol does not
+         name, so a memoized pair is still a hit *)
       let resp = ask (check_req ~engine:"frob" l r) in
-      Alcotest.(check (option bool)) "unknown engine on a memoized pair" (Some false)
-        (sbool resp [ "ok" ]);
+      Alcotest.(check (option int)) "an engine field on a memoized pair hits"
+        (Some 1) (memo_hits resp);
       (* hits keep the accounting: completed, observed, traced, no errors *)
       let s = ask Sjson.(Obj [ ("id", Int 0); ("op", String "stats") ]) in
-      Alcotest.(check int) "hits: five repeats of three pairs, one list" 16 !hits;
+      Alcotest.(check int) "hits: five repeats of three pairs, one list, the engine"
+        17 !hits;
       Alcotest.(check (option int)) "server memo_hits" (Some !hits)
         (sint s [ "server"; "memo_hits" ]);
-      Alcotest.(check (option int)) "errors: two diagnoses and the engine" (Some 3)
+      Alcotest.(check (option int)) "errors: two diagnoses" (Some 2)
         (sint s [ "server"; "errors" ]);
       let checks = Option.value ~default:(-1) (sint s [ "server"; "checks" ]) in
       Alcotest.(check (option int)) "every check completed" (Some checks)
@@ -819,8 +813,6 @@ let test_memo_repeats () =
       Alcotest.(check int) "a trace entry per hit" !hits (List.length hit_entries);
       List.iter
         (fun e ->
-          Alcotest.(check bool) "hit entry names its engine" true
-            (sstr e [ "engine" ] <> None);
           Alcotest.(check int) "hit entry has the six phases" 6
             (match sget e [ "phases" ] with
             | Some (Sjson.Obj kvs) -> List.length kvs
@@ -836,7 +828,7 @@ let test_memo_skips_undecided () =
       List.iter
         (fun (id, timeout, verdict, hit) ->
           let r =
-            Server.Client.request c (check_req ~id ~engine:"sat" ?timeout left right)
+            Server.Client.request c (check_req ~id ?timeout left right)
           in
           check_ok "ok" r;
           Alcotest.(check (option string)) (Printf.sprintf "request %d verdict" id)

@@ -312,7 +312,7 @@ let test_rewrite_compacts_redundant_logic () =
   in
   Circuit.mark_output c (Circuit.add_gate c Or [ t1; t2 ]);
   Circuit.check c;
-  let options = { Synth_script.default_options with rewrite = true; fanout_limit = None } in
+  let options = { Synth_script.rewrite = true; fanout_limit = None } in
   let o = Synth_script.delay_script ~options c in
   (* a AND b needs 1 NAND + 1 INV *)
   Alcotest.(check bool) "collapsed" true (Circuit.area o <= 2);

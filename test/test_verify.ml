@@ -4,8 +4,8 @@
 let st = Random.State.make [| 0xF1F |]
 
 (* unwrap a check expected to produce a verdict (not a diagnosis) *)
-let vcheck ?engine ?rewrite_events ?guard_events ?exposed c1 c2 =
-  match Verify.check ?engine ?rewrite_events ?guard_events ?exposed c1 c2 with
+let vcheck ?rewrite_events ?guard_events ?exposed c1 c2 =
+  match Verify.check ?rewrite_events ?guard_events ?exposed c1 c2 with
   | Ok o -> (o.Verify.verdict, o.Verify.stats)
   | Error d ->
       Alcotest.failf "unexpected diagnosis: %s" (Seqprob.diagnosis_to_string d)

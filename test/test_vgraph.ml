@@ -468,6 +468,22 @@ let test_mfvs_no_candidate () =
     (Invalid_argument "Mfvs.solve: a cycle contains no candidate node") (fun () ->
       ignore (Vgraph.Mfvs.solve g ~candidates:(fun _ -> false)))
 
+(* the shipped redundancy pass keeps self-loop picks untested; the
+   oracle tests every pick, so the sets must agree with self-loops and
+   without them *)
+let test_mfvs_matches_oracle () =
+  List.iter
+    (fun allow_self ->
+      for i = 1 to 100 do
+        let nodes = 5 + (i mod 30) in
+        let g = random_digraph ~allow_self ~nodes ~edges:(nodes * (1 + (i mod 3))) () in
+        Alcotest.(check (list int))
+          (Printf.sprintf "graph %d, self-loops %b" i allow_self)
+          (Mfvs_oracle.solve g ~candidates:(fun _ -> true))
+          (Vgraph.Mfvs.solve g ~candidates:(fun _ -> true))
+      done)
+    [ true; false ]
+
 let suite =
   [
     Alcotest.test_case "vec push/pop" `Quick test_vec_push_pop;
@@ -496,4 +512,5 @@ let suite =
     Alcotest.test_case "mfvs self-loops forced" `Quick test_mfvs_self_loops_forced;
     Alcotest.test_case "mfvs empty on DAG" `Quick test_mfvs_acyclic_empty;
     Alcotest.test_case "mfvs missing candidate" `Quick test_mfvs_no_candidate;
+    Alcotest.test_case "mfvs matches the oracle" `Quick test_mfvs_matches_oracle;
   ]
