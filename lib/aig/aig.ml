@@ -1,12 +1,13 @@
 type lit = int
 
-(* Node storage: fanin arrays; inputs have fanin0 = -1.  Node 0 is the
-   constant false. *)
+(* Node storage: one int per node.  An AND node holds its ordered fanin
+   pair packed as [(lit0 lsl 31) lor lit1] (lit0 <= lit1), which is also
+   its structural-hash key; an input holds -1, and node 0, the constant
+   false, holds -2. *)
 type t = {
-  fanin0 : lit Vgraph.Vec.t;
-  fanin1 : lit Vgraph.Vec.t;
-  levels : int Vgraph.Vec.t;
-  strash : (int * int, int) Hashtbl.t; (* (lit0, lit1) with lit0 <= lit1 -> node *)
+  nodes : int Vgraph.Vec.t;
+  levels : int Vgraph.Vec.t; (* filled up to the highest node asked for *)
+  strash : Vgraph.Itbl.t; (* packed fanin pair -> AND node *)
   inputs : int Vgraph.Vec.t; (* node ids *)
 }
 
@@ -17,59 +18,79 @@ let is_complement l = l land 1 = 1
 let node_of l = l lsr 1
 let mk_lit node compl = (2 * node) lor (if compl then 1 else 0)
 
+(* Literals stay below 2^31, so a fanin pair packs into one int *)
+let max_nodes = 1 lsl 30
+let fanin0_of p = p lsr 31
+let fanin1_of p = p land 0x7FFF_FFFF
+
 let create () =
   let g =
     {
-      fanin0 = Vgraph.Vec.create ~dummy:0 ();
-      fanin1 = Vgraph.Vec.create ~dummy:0 ();
+      nodes = Vgraph.Vec.create ~dummy:0 ();
       levels = Vgraph.Vec.create ~dummy:0 ();
-      strash = Hashtbl.create 4096;
+      strash = Vgraph.Itbl.create 64;
       inputs = Vgraph.Vec.create ~dummy:0 ();
     }
   in
-  (* constant node *)
-  ignore (Vgraph.Vec.push g.fanin0 (-2));
-  ignore (Vgraph.Vec.push g.fanin1 (-2));
-  ignore (Vgraph.Vec.push g.levels 0);
+  ignore (Vgraph.Vec.push g.nodes (-2));
   g
 
-let node_count g = Vgraph.Vec.length g.fanin0
+let node_count g = Vgraph.Vec.length g.nodes
+
+(* The id the next node gets *)
+let next_node g =
+  let n = node_count g in
+  if n >= max_nodes then invalid_arg "Aig: more than 2^30 nodes";
+  n
 
 let input g =
-  let n = Vgraph.Vec.push g.fanin0 (-1) in
-  ignore (Vgraph.Vec.push g.fanin1 (-1));
-  ignore (Vgraph.Vec.push g.levels 0);
+  let n = next_node g in
+  ignore (Vgraph.Vec.push g.nodes (-1));
   ignore (Vgraph.Vec.push g.inputs n);
   mk_lit n false
 
 let num_inputs g = Vgraph.Vec.length g.inputs
 let input_lit g i = mk_lit (Vgraph.Vec.get g.inputs i) false
 
-let is_input_node g n = Vgraph.Vec.get g.fanin0 n = -1
+let is_input_node g n = Vgraph.Vec.get g.nodes n = -1
 
 let fanins g n =
-  let f0 = Vgraph.Vec.get g.fanin0 n in
-  if f0 < 0 then invalid_arg "Aig.fanins: not an AND node";
-  (f0, Vgraph.Vec.get g.fanin1 n)
+  let p = Vgraph.Vec.get g.nodes n in
+  if p < 0 then invalid_arg "Aig.fanins: not an AND node";
+  (fanin0_of p, fanin1_of p)
 
-let level g n = Vgraph.Vec.get g.levels n
+(* Levels are computed when first asked for, in id order (fanins come
+   first), so only a graph whose levels are read pays for them *)
+let level g n =
+  if n < 0 || n >= node_count g then invalid_arg "Aig.level: no such node";
+  for m = Vgraph.Vec.length g.levels to n do
+    let p = Vgraph.Vec.get g.nodes m in
+    let lv =
+      if p < 0 then 0
+      else
+        1
+        + max
+            (Vgraph.Vec.get g.levels (node_of (fanin0_of p)))
+            (Vgraph.Vec.get g.levels (node_of (fanin1_of p)))
+    in
+    ignore (Vgraph.Vec.push g.levels lv)
+  done;
+  Vgraph.Vec.get g.levels n
 
-let and_ g a b =
-  let a, b = if a <= b then (a, b) else (b, a) in
-  if a = lit_false then lit_false
+let rec and_ g a b =
+  if a > b then and_ g b a
+  else if a = lit_false then lit_false
   else if a = lit_true then b
   else if a = b then a
   else if a = neg b then lit_false
   else
-    match Hashtbl.find_opt g.strash (a, b) with
-    | Some n -> mk_lit n false
-    | None ->
-        let n = Vgraph.Vec.push g.fanin0 a in
-        ignore (Vgraph.Vec.push g.fanin1 b);
-        let lv = 1 + max (level g (node_of a)) (level g (node_of b)) in
-        ignore (Vgraph.Vec.push g.levels lv);
-        Hashtbl.add g.strash (a, b) n;
+    let p = (a lsl 31) lor b in
+    let n = next_node g in
+    match Vgraph.Itbl.find_or_add g.strash p n with
+    | -1 ->
+        ignore (Vgraph.Vec.push g.nodes p);
         mk_lit n false
+    | m -> mk_lit m false
 
 let or_ g a b = neg (and_ g (neg a) (neg b))
 
@@ -95,13 +116,13 @@ let simulate g in_words =
   let vals = Array.make n 0L in
   let next_input = ref 0 in
   for v = 1 to n - 1 do
-    let f0 = Vgraph.Vec.get g.fanin0 v in
-    if f0 = -1 then begin
+    let p = Vgraph.Vec.get g.nodes v in
+    if p = -1 then begin
       vals.(v) <- in_words.(!next_input);
       incr next_input
     end
     else begin
-      let f1 = Vgraph.Vec.get g.fanin1 v in
+      let f0 = fanin0_of p and f1 = fanin1_of p in
       let w0 = vals.(node_of f0) in
       let w0 = if is_complement f0 then Int64.lognot w0 else w0 in
       let w1 = vals.(node_of f1) in
@@ -182,9 +203,10 @@ let cone w roots =
   List.iter (fun l -> push (node_of l)) roots;
   while not (Vgraph.Vec.is_empty w.stack) do
     let n = Vgraph.Vec.pop w.stack in
-    if n > 0 && not (is_input_node g n) then begin
-      push (node_of (Vgraph.Vec.get g.fanin0 n));
-      push (node_of (Vgraph.Vec.get g.fanin1 n))
+    let p = Vgraph.Vec.get g.nodes n in
+    if p >= 0 then begin
+      push (node_of (fanin0_of p));
+      push (node_of (fanin1_of p))
     end
   done;
   w.cone
@@ -213,10 +235,8 @@ let extract w roots =
           rev_inputs := w.input_pos.(n) :: !rev_inputs
         end
         else
-          w.map.(n) <-
-            and_ sub
-              (sub_lit (Vgraph.Vec.get g.fanin0 n))
-              (sub_lit (Vgraph.Vec.get g.fanin1 n)))
+          let p = Vgraph.Vec.get g.nodes n in
+          w.map.(n) <- and_ sub (sub_lit (fanin0_of p)) (sub_lit (fanin1_of p)))
     nodes;
   {
     sub;
@@ -272,17 +292,26 @@ let cone_signature g ~input_label groups =
     groups;
   Buffer.contents buf
 
+(* [Array.fold_left (f g) init ins] without a closure per gate: the
+   n-ary gates fold left to right from their identity *)
+let fold_lits f g init ins =
+  let acc = ref init in
+  for i = 0 to Array.length ins - 1 do
+    acc := f g !acc ins.(i)
+  done;
+  !acc
+
 let apply_fn g fn ins =
   match (fn : Circuit.gate_fn) with
   | Const b -> if b then lit_true else lit_false
   | Buf -> ins.(0)
   | Not -> neg ins.(0)
-  | And -> Array.fold_left (and_ g) lit_true ins
-  | Nand -> neg (Array.fold_left (and_ g) lit_true ins)
-  | Or -> Array.fold_left (or_ g) lit_false ins
-  | Nor -> neg (Array.fold_left (or_ g) lit_false ins)
-  | Xor -> Array.fold_left (xor_ g) lit_false ins
-  | Xnor -> neg (Array.fold_left (xor_ g) lit_false ins)
+  | And -> fold_lits and_ g lit_true ins
+  | Nand -> neg (fold_lits and_ g lit_true ins)
+  | Or -> fold_lits or_ g lit_false ins
+  | Nor -> neg (fold_lits or_ g lit_false ins)
+  | Xor -> fold_lits xor_ g lit_false ins
+  | Xnor -> neg (fold_lits xor_ g lit_false ins)
   | Mux -> mux g ins.(0) ins.(1) ins.(2)
 
 type env = { of_signal : lit array }

@@ -52,7 +52,9 @@ val fanins : t -> int -> lit * lit
 (** Fanins of an AND node.  @raise Invalid_argument for inputs/constant. *)
 
 val level : t -> int -> int
-(** Depth of a node: inputs at 0, an AND at [1 + max fanin levels]. *)
+(** Depth of a node: inputs at 0, an AND at [1 + max fanin levels].
+    Computed on first use, up to the node asked for, so a graph whose
+    levels nobody reads pays nothing for them. *)
 
 (** {1 Simulation} *)
 

@@ -36,6 +36,7 @@ type stats = {
   mutable conflicts : int;
   mutable budget_hits : int;
   mutable deadline_hits : int;
+  mutable cancelled : int;
   mutable escalations : int;
   mutable undecided : int;
   mutable elapsed_seconds : float;
@@ -57,6 +58,7 @@ let fresh_stats () =
     conflicts = 0;
     budget_hits = 0;
     deadline_hits = 0;
+    cancelled = 0;
     escalations = 0;
     undecided = 0;
     elapsed_seconds = 0.;
@@ -81,6 +83,7 @@ let add a b =
     conflicts = a.conflicts + b.conflicts;
     budget_hits = a.budget_hits + b.budget_hits;
     deadline_hits = a.deadline_hits + b.deadline_hits;
+    cancelled = a.cancelled + b.cancelled;
     escalations = a.escalations + b.escalations;
     undecided = a.undecided + b.undecided;
     elapsed_seconds = a.elapsed_seconds +. b.elapsed_seconds;
@@ -92,25 +95,30 @@ let add a b =
 
 let stats_pp ppf s =
   Format.fprintf ppf
-    "%d partitions, %d SAT calls, %d sim rounds, %d cache hits, %d store hits, %d store writes, %d cache evictions, %d conflicts, %d budget hits, %d deadline hits, %d escalations, %d undecided, elapsed %.3fs (partitioning %.3fs), engine CPU-seconds bdd %.3f sat %.3f sweep %.3f"
+    "%d partitions, %d SAT calls, %d sim rounds, %d cache hits, %d store hits, %d store writes, %d cache evictions, %d conflicts, %d budget hits, %d deadline hits, %d cancelled, %d escalations, %d undecided, elapsed %.3fs (partitioning %.3fs), engine CPU-seconds bdd %.3f sat %.3f sweep %.3f"
     s.partitions s.sat_calls s.sim_rounds s.cache_hits s.store_hits
     s.store_writes s.cache_evictions s.conflicts s.budget_hits s.deadline_hits
-    s.escalations s.undecided s.elapsed_seconds s.partition_seconds
+    s.cancelled s.escalations s.undecided s.elapsed_seconds s.partition_seconds
     s.bdd_seconds s.sat_seconds s.sweep_seconds
 
 (* Monotonic: NTP steps must neither fire per-partition deadlines early
    nor skew the reported engine seconds. *)
 let now () = Obs.Clock.now ()
 
-(* Budget/deadline exhaustion counters double as trace instants, so a blown
-   budget is attributed to the partition span it happened in. *)
+(* Budget, deadline and cancellation counters double as trace instants,
+   so an interruption is attributed to the partition span it happened
+   in. *)
 let note_budget_hit st reason =
   st.budget_hits <- st.budget_hits + 1;
   Obs.instant "cec.budget_hit" ~attrs:[ ("reason", Obs.String reason) ]
 
-let note_deadline_hit st reason =
+let note_deadline_hit st =
   st.deadline_hits <- st.deadline_hits + 1;
-  Obs.instant "cec.deadline_hit" ~attrs:[ ("reason", Obs.String reason) ]
+  Obs.instant "cec.deadline_hit"
+
+let note_cancelled st =
+  st.cancelled <- st.cancelled + 1;
+  Obs.instant "cec.cancelled"
 
 (* Budget context for one partition: the limits, an absolute wall-clock
    deadline (fixed when the partition starts, so escalation rungs share it),
@@ -195,12 +203,12 @@ let check_bdd st b (p : Seqprob.t) =
      is approximate, so a single wide conjunction may overshoot it *)
   let poll () =
     if cancelled b then begin
-      note_deadline_hit st "cancelled";
+      note_cancelled st;
       raise (Bdd_give_up "cancelled")
     end;
     incr steps;
     if !steps land 255 = 0 && expired b then begin
-      note_deadline_hit st "partition deadline";
+      note_deadline_hit st;
       raise (Bdd_give_up "partition deadline")
     end
   in
@@ -289,9 +297,8 @@ let sat_solve_counted st b ?(factor = 1) solver ?assumptions () =
   st.conflicts <- st.conflicts + (c1 - c0);
   (match r with
   | Sat.Unknown ->
-      if cancelled b || expired b then
-        note_deadline_hit st
-          (if cancelled b then "cancelled" else "partition deadline")
+      if cancelled b then note_cancelled st
+      else if expired b then note_deadline_hit st
       else note_budget_hit st "SAT conflict budget"
   | Sat.Sat | Sat.Unsat -> ());
   r
@@ -853,7 +860,7 @@ let check_partitioned ~engine ~jobs ~pool ~limits ~cache ~forced (p : Seqprob.t)
             | Undecided "cancelled" ->
                 (* a sibling's counterexample set [cancel] and decided the
                    check: this cluster was abandoned, not left undecided
-                   (an interrupted engine still counts in deadline_hits) *)
+                   (an interrupted engine run counts in [cancelled]) *)
                 None
             | Undecided reason ->
                 st.undecided <- st.undecided + 1;

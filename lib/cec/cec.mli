@@ -99,7 +99,11 @@ type stats = {
   mutable budget_hits : int;
       (** engine runs stopped by a blown conflict budget or node ceiling *)
   mutable deadline_hits : int;
-      (** engine runs stopped by a partition deadline or cancellation *)
+      (** engine runs stopped by a blown partition deadline *)
+  mutable cancelled : int;
+      (** engine runs stopped because a sibling cluster's counterexample
+          decided the check (cross-partition cancellation); never a
+          deadline hit *)
   mutable escalations : int;  (** ladder rungs climbed after a blown budget *)
   mutable undecided : int;
       (** partitions left undecided by a budget or deadline; a partition

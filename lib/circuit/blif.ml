@@ -92,11 +92,7 @@ let parse text =
       | Inputs names -> List.iter (fun n -> ignore (Circuit.add_input c n)) names
       | Model _ | Outputs _ | Names _ | Latch _ | End -> ())
     statements;
-  let resolve n =
-    match Circuit.find_signal c n with
-    | Some s -> s
-    | None -> Circuit.declare c ~name:n ()
-  in
+  let resolve n = Circuit.resolve c n ~pos:0 ~len:(String.length n) in
   (* declare every file-referenced name up front, so the helper gates
      created while expanding covers cannot steal a file name *)
   List.iter
@@ -167,13 +163,13 @@ let parse text =
             | many -> Circuit.add_gate c Or many
           in
           match (on_rows, off_rows) with
-          | [], [] -> Circuit.set_gate c out_sig (Const false) []
+          | [], [] -> Circuit.set_gate c out_sig (Const false) [||]
           | on_rows, [] ->
               let f = build_rows on_rows in
-              Circuit.set_gate c out_sig Buf [ f ]
+              Circuit.set_gate c out_sig Buf [| f |]
           | [], off_rows ->
               let f = build_rows off_rows in
-              Circuit.set_gate c out_sig Not [ f ]
+              Circuit.set_gate c out_sig Not [| f |]
           | _ -> invalid_arg "Blif.parse: mixed on-set and off-set cover"))
     statements;
   Circuit.check c;

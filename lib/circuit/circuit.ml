@@ -22,7 +22,8 @@ type t = {
   cname : string;
   drivers : driver Vgraph.Vec.t;
   names : string Vgraph.Vec.t;
-  by_name : (string, signal) Hashtbl.t;
+  mutable index : int array; (* name index: signal ids by name, -1 empty *)
+  mutable index_bits : int; (* Array.length index = 2^index_bits *)
   mutable inputs_rev : signal list;
   mutable outputs_rev : signal list;
   mutable out_set : (signal, unit) Hashtbl.t;
@@ -30,12 +31,22 @@ type t = {
   mutable c1 : signal;
 }
 
-let create cname =
+let index_bits_for size =
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * size do
+    incr bits
+  done;
+  !bits
+
+let create ?(size = 64) cname =
+  let size = max size 1 in
+  let bits = index_bits_for size in
   {
     cname;
-    drivers = Vgraph.Vec.create ~dummy:Undriven ();
-    names = Vgraph.Vec.create ~dummy:"" ();
-    by_name = Hashtbl.create 64;
+    drivers = Vgraph.Vec.create ~capacity:size ~dummy:Undriven ();
+    names = Vgraph.Vec.create ~capacity:size ~dummy:"" ();
+    index = Array.make (1 lsl bits) (-1);
+    index_bits = bits;
     inputs_rev = [];
     outputs_rev = [];
     out_set = Hashtbl.create 16;
@@ -45,29 +56,87 @@ let create cname =
 
 let name c = c.cname
 let signal_count c = Vgraph.Vec.length c.drivers
+let driver c s = Vgraph.Vec.get c.drivers s
+let signal_name c s = Vgraph.Vec.get c.names s
+
+(* The name index is open addressing with linear probing over signal ids,
+   kept at most half full.  It hashes a name given as a slice of a larger
+   string, so a parser looks a token up without copying it. *)
+let hash_sub s pos len =
+  let h = ref 0 in
+  for i = pos to pos + len - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3
+  done;
+  !h
+
+let rec same_from n s pos i len =
+  i = len
+  || String.unsafe_get n i = String.unsafe_get s (pos + i)
+     && same_from n s pos (i + 1) len
+
+(* The index slot holding the signal named [String.sub s pos len], or the
+   empty slot where its probe ends *)
+let probe c s pos len =
+  let idx = c.index in
+  let mask = Array.length idx - 1 in
+  let i = ref ((hash_sub s pos len * 0x278DDE6E5FD29F05) lsr (Sys.int_size - c.index_bits)) in
+  while
+    let id = Array.unsafe_get idx !i in
+    id >= 0
+    &&
+    let n = Vgraph.Vec.get c.names id in
+    not (String.length n = len && same_from n s pos 0 len)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* Make room for one more name, so a slot found by [probe] stays valid *)
+let reserve c =
+  if 2 * (signal_count c + 1) > Array.length c.index then begin
+    c.index_bits <- c.index_bits + 1;
+    c.index <- Array.make (1 lsl c.index_bits) (-1);
+    Vgraph.Vec.iteri
+      (fun id n -> c.index.(probe c n 0 (String.length n)) <- id)
+      c.names
+  end
+
+(* A new undriven signal named [n], filed at the free index slot [slot] *)
+let add_signal c n slot =
+  let id = Vgraph.Vec.push c.drivers Undriven in
+  ignore (Vgraph.Vec.push c.names n);
+  c.index.(slot) <- id;
+  id
+
+let find_signal c n =
+  let id = c.index.(probe c n 0 (String.length n)) in
+  if id >= 0 then Some id else None
 
 let declare c ?name () =
-  let id = Vgraph.Vec.push c.drivers Undriven in
   let n =
     match name with
     | None ->
+        let id = signal_count c in
         let rec fresh k =
           let cand = if k = 0 then Printf.sprintf "n%d" id else Printf.sprintf "n%d_%d" id k in
-          if Hashtbl.mem c.by_name cand then fresh (k + 1) else cand
+          if find_signal c cand <> None then fresh (k + 1) else cand
         in
         fresh 0
-    | Some n ->
-        if Hashtbl.mem c.by_name n then
-          invalid_arg (Printf.sprintf "Circuit.declare: duplicate name %S" n);
-        n
+    | Some n -> n
   in
-  ignore (Vgraph.Vec.push c.names n);
-  Hashtbl.replace c.by_name n id;
-  id
+  reserve c;
+  let slot = probe c n 0 (String.length n) in
+  if c.index.(slot) >= 0 then
+    invalid_arg (Printf.sprintf "Circuit.declare: duplicate name %S" n);
+  add_signal c n slot
 
-let driver c s = Vgraph.Vec.get c.drivers s
-let signal_name c s = Vgraph.Vec.get c.names s
-let find_signal c n = Hashtbl.find_opt c.by_name n
+let resolve c s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Circuit.resolve: bad slice";
+  reserve c;
+  let slot = probe c s pos len in
+  let id = c.index.(slot) in
+  if id >= 0 then id else add_signal c (String.sub s pos len) slot
 
 let arity_ok fn n =
   match fn with
@@ -102,10 +171,12 @@ let check_signal c s =
 
 let set_gate c s fn fanins =
   check_signal c s;
-  List.iter (check_signal c) fanins;
-  if not (arity_ok fn (List.length fanins)) then
+  for i = 0 to Array.length fanins - 1 do
+    check_signal c fanins.(i)
+  done;
+  if not (arity_ok fn (Array.length fanins)) then
     invalid_arg (Printf.sprintf "Circuit.set_gate: bad arity for %s" (fn_name fn));
-  set_driver c s (Gate (fn, Array.of_list fanins))
+  set_driver c s (Gate (fn, fanins))
 
 let set_latch c s ?enable ~data () =
   check_signal c s;
@@ -121,7 +192,7 @@ let add_input c n =
 
 let add_gate c ?name fn fanins =
   let s = declare c ?name () in
-  set_gate c s fn fanins;
+  set_gate c s fn (Array.of_list fanins);
   s
 
 let add_latch c ?name ?enable ~data () =
@@ -190,30 +261,34 @@ let fanout_counts c =
   List.iter (fun s -> counts.(s) <- counts.(s) + 1) (outputs c);
   counts
 
-(* Topological order of gate-driven signals.  Latch outputs and inputs are
-   sources; only gate->gate dependencies are followed. *)
-let comb_topo c =
+(* Depth-first over gate-to-gate dependencies from every signal in id
+   order (inputs and latch outputs are sources), calling [finish] on each
+   gate after its fanins. *)
+let comb_dfs c finish =
   let n = signal_count c in
-  let state = Array.make n 0 in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let order = ref [] in
+  let state = Bytes.make n '\000' in
+  (* '\000' unvisited, '\001' on stack, '\002' done *)
   let rec visit s =
     match driver c s with
     | Undriven | Input | Latch _ -> ()
     | Gate (_, fs) ->
-        if state.(s) = 1 then
+        if Bytes.get state s = '\001' then
           invalid_arg
             (Printf.sprintf "Circuit: combinational cycle through %s" (signal_name c s));
-        if state.(s) = 0 then begin
-          state.(s) <- 1;
+        if Bytes.get state s = '\000' then begin
+          Bytes.set state s '\001';
           Array.iter visit fs;
-          state.(s) <- 2;
-          order := s :: !order
+          Bytes.set state s '\002';
+          finish s
         end
   in
   for s = 0 to n - 1 do
     visit s
-  done;
+  done
+
+let comb_topo c =
+  let order = ref [] in
+  comb_dfs c (fun s -> order := s :: !order);
   List.rev !order
 
 let check c =
@@ -224,7 +299,7 @@ let check c =
         invalid_arg (Printf.sprintf "Circuit.check: undriven signal %s" (signal_name c s))
     | Input | Latch _ | Gate _ -> ()
   done;
-  ignore (comb_topo c)
+  comb_dfs c ignore
 
 let cone c roots =
   let marked = Array.make (signal_count c) false in
@@ -296,7 +371,8 @@ let copy ?name c =
     cname;
     drivers = Vgraph.Vec.copy c.drivers;
     names = Vgraph.Vec.copy c.names;
-    by_name = Hashtbl.copy c.by_name;
+    index = Array.copy c.index;
+    index_bits = c.index_bits;
     inputs_rev = c.inputs_rev;
     outputs_rev = c.outputs_rev;
     out_set = Hashtbl.copy c.out_set;
@@ -323,7 +399,7 @@ let extract c ~keep_outputs =
       | Input ->
           Vgraph.Vec.set nc.drivers (get s) Input;
           nc.inputs_rev <- get s :: nc.inputs_rev
-      | Gate (fn, fs) -> set_gate nc (get s) fn (Array.to_list (Array.map get fs))
+      | Gate (fn, fs) -> set_gate nc (get s) fn (Array.map get fs)
       | Latch { data; enable } ->
           set_latch nc (get s) ?enable:(Option.map get enable) ~data:(get data) ()
     end

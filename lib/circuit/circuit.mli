@@ -35,13 +35,23 @@ type t
 
 (** {1 Construction} *)
 
-val create : string -> t
+val create : ?size:int -> string -> t
+(** An empty circuit.  [size] (default 64) is the expected signal count:
+    the name table and signal vectors start sized for it and grow past
+    it. *)
 
 val name : t -> string
 
 val declare : t -> ?name:string -> unit -> signal
 (** A fresh, undriven signal (for forward references when building feedback
     paths).  @raise Invalid_argument if [name] is already taken. *)
+
+val resolve : t -> string -> pos:int -> len:int -> signal
+(** [resolve c s ~pos ~len] is the signal named [String.sub s pos len],
+    declared (undriven) when no signal has that name yet: one name-table
+    probe, and a string is copied only for a new name.  The one
+    find-or-declare behind the netlist and BLIF readers.
+    @raise Invalid_argument if the slice is out of bounds. *)
 
 val add_input : t -> string -> signal
 
@@ -50,9 +60,11 @@ val add_gate : t -> ?name:string -> gate_fn -> signal list -> signal
 
 val add_latch : t -> ?name:string -> ?enable:signal -> data:signal -> unit -> signal
 
-val set_gate : t -> signal -> gate_fn -> signal list -> unit
-(** Drive a previously declared signal.  @raise Invalid_argument if the
-    signal is already driven. *)
+val set_gate : t -> signal -> gate_fn -> signal array -> unit
+(** Drive a previously declared signal.  The fanin array becomes the
+    driver's own (it is not copied), so the caller must not change it
+    afterwards.  @raise Invalid_argument on a bad signal id or arity, or
+    if the signal is already driven. *)
 
 val set_latch : t -> signal -> ?enable:signal -> data:signal -> unit -> unit
 

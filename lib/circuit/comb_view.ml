@@ -12,7 +12,7 @@ let of_sequential c =
   done;
   for s = 0 to Circuit.signal_count c - 1 do
     match Circuit.driver c s with
-    | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.to_list (Array.map get fs))
+    | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.map get fs)
     | Undriven | Input | Latch _ -> ()
   done;
   List.iter (fun o -> Circuit.mark_output nc (get o)) (Circuit.outputs c);

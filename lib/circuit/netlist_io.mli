@@ -11,10 +11,15 @@
     v}
 
     [<fn>] is one of [const0 const1 buf not and or nand nor xor xnor mux].
-    Lines starting with [#] are comments.  Signals may be referenced before
-    definition. *)
+    A [#] starts a comment that runs to the end of its line; tokens are
+    separated by spaces.  Signals may be referenced before definition.
+    A second [.model] starts the circuit afresh, and text after [.end] is
+    ignored. *)
 
 val to_string : Circuit.t -> string
 
 val parse : string -> Circuit.t
-(** @raise Invalid_argument on malformed input. *)
+(** One pass over the text.  Signal ids follow the order in which names
+    are first met: a gate's fanins left to right, then its output; a
+    latch's data (and enable), then the latch.
+    @raise Invalid_argument on malformed input. *)

@@ -9,8 +9,16 @@ type info = {
 let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
   Circuit.check c;
   let g = Seqprob.graph b in
-  let memo : (Circuit.signal * int * Events.event, Aig.lit) Hashtbl.t =
-    Hashtbl.create 256
+  (* The memo keys a context (s, d, e) as s + n * (d + (latches + 1) * e):
+     a delay counts the regular latches on the current DFS path, which the
+     cycle guard keeps distinct, so it never exceeds the latch count *)
+  let n = Circuit.signal_count c in
+  let stride = n * (Circuit.latch_count c + 1) in
+  let max_event = (max_int / max stride 1) - 1 in
+  let memo = Vgraph.Itbl.create n in
+  let key s d e =
+    if e > max_event then invalid_arg "Edbf.unroll: too many events to memoize";
+    s + (n * d) + (stride * e)
   in
   let used_vars : (Seqprob.Var.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let pred_at : (int, Circuit.signal -> Bdd.t) Hashtbl.t = Hashtbl.create 4 in
@@ -18,10 +26,10 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
   let depth = ref 0 in
   let replication = ref 0 in
   let hidden_enabled = ref None in
-  (* keyed by signal alone: a signal repeated on the current DFS path is a
-     dependency cycle whatever the context, and an un-exposed cycle would
+  (* one byte per signal, whatever the context: a signal repeated on the
+     current DFS path is a dependency cycle, and an un-exposed cycle would
      otherwise unroll forever (each lap shifts the delay) *)
-  let visiting : (Circuit.signal, unit) Hashtbl.t = Hashtbl.create 64 in
+  let visiting = Bytes.make n '\000' in
   let pin name d e =
     depth := max !depth d;
     if guard then Hashtbl.replace used_events e ();
@@ -50,10 +58,10 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
      along a path that crosses no enable it is Compute_CBF_Recursively
      (Fig. 7), and [pin] names its samples as CBF time frames *)
   let rec edbf s d e =
-    match Hashtbl.find_opt memo (s, d, e) with
-    | Some r -> r
-    | None ->
-        if Hashtbl.mem visiting s then
+    let k = key s d e in
+    match Vgraph.Itbl.find memo k with
+    | -1 ->
+        if Bytes.get visiting s <> '\000' then
           raise
             (Seqprob.Error
                (Non_exposed_cycle
@@ -61,7 +69,7 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
                     circuit = Circuit.name c;
                     signal = Circuit.signal_name c s;
                   }));
-        Hashtbl.replace visiting s ();
+        Bytes.set visiting s '\001';
         let r =
           match Circuit.driver c s with
           | Input -> pin (Circuit.signal_name c s) d e
@@ -75,12 +83,17 @@ let unroll_exn ?(guard = false) ~table ?(exposed = fun _ -> false) b c =
               edbf data 0 e'
           | Gate (fn, fs) ->
               incr replication;
-              Aig.apply_fn g fn (Array.map (fun f -> edbf f d e) fs)
+              let ins = Array.make (Array.length fs) Aig.lit_false in
+              for i = 0 to Array.length fs - 1 do
+                ins.(i) <- edbf fs.(i) d e
+              done;
+              Aig.apply_fn g fn ins
           | Undriven -> assert false
         in
-        Hashtbl.remove visiting s;
-        Hashtbl.replace memo (s, d, e) r;
+        Bytes.set visiting s '\000';
+        Vgraph.Itbl.add memo k r;
         r
+    | r -> r
   in
   let outs = List.map (fun o -> edbf o 0 Events.empty) (Circuit.outputs c) in
   (* exposed latches: data (and enable) functions become outputs, ordered by

@@ -202,7 +202,7 @@ let apply_plan ?(dchoice = D_low) c plan =
         match Circuit.driver c s with
         | Undriven | Input -> ()
         | Gate (fn, fs) ->
-            Circuit.set_gate nc (get s) fn (Array.to_list (Array.map get fs))
+            Circuit.set_gate nc (get s) fn (Array.map get fs)
         | Latch { data; enable } ->
             if Hashtbl.mem to_convert s then begin
               assert (enable = None);

@@ -218,7 +218,7 @@ let rec instantiate c d ~prefix m inputs =
         instantiate c d ~prefix:(prefix ^ iname ^ "/") child drivers
       in
       List.iter2
-        (fun ph o -> Circuit.set_gate c ph Circuit.Buf [ o ])
+        (fun ph o -> Circuit.set_gate c ph Circuit.Buf [| o |])
         placeholders child_outs)
     cut_sigs;
   List.init m.out_count (fun k -> get outs.(k))

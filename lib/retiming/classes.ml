@@ -67,19 +67,18 @@ let forward_move c ~gate =
         if s = gate then begin
           (* the gate now reads the latch data inputs *)
           let datas =
-            Array.to_list
-              (Array.map
-                 (fun f ->
-                   match Circuit.driver c f with
-                   | Latch { data; _ } -> get data
-                   | Undriven | Input | Gate _ -> assert false)
-                 latch_fanins)
+            Array.map
+              (fun f ->
+                match Circuit.driver c f with
+                | Latch { data; _ } -> get data
+                | Undriven | Input | Gate _ -> assert false)
+              latch_fanins
           in
           Circuit.set_gate nc moved fn datas;
           (* the old gate signal becomes the output of the moved latch *)
           Circuit.set_latch nc (get s) ?enable:(Option.map get enable) ~data:moved ()
         end
-        else Circuit.set_gate nc (get s) fn' (Array.to_list (Array.map get fs))
+        else Circuit.set_gate nc (get s) fn' (Array.map get fs)
   done;
   List.iter (fun o -> Circuit.mark_output nc (get o)) (Circuit.outputs c);
   Circuit.check nc;
@@ -120,7 +119,7 @@ let map_enables c ~f =
   for s = 0 to Circuit.signal_count c - 1 do
     match Circuit.driver c s with
     | Undriven | Input -> ()
-    | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.to_list (Array.map get fs))
+    | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.map get fs)
     | Latch { data; enable } ->
         let enable' = f (Option.map get enable) in
         Circuit.set_latch nc (get s) ?enable:enable' ~data:(get data) ()

@@ -249,8 +249,7 @@ let apply g ~r =
         match Circuit.driver c s with
         | Gate (fn, _) ->
             let fanins =
-              Array.to_list
-                (Array.map (fun o -> tap o.src (retimed_weight v o)) g.fanin_origin.(v))
+              Array.map (fun o -> tap o.src (retimed_weight v o)) g.fanin_origin.(v)
             in
             Circuit.set_gate nc (Hashtbl.find new_of s) fn fanins
         | Undriven | Input | Latch _ -> assert false

@@ -37,7 +37,7 @@ let product_circuit c1 c2 =
     for s = 0 to Circuit.signal_count c - 1 do
       match Circuit.driver c s with
       | Undriven | Input -> ()
-      | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.to_list (Array.map get fs))
+      | Gate (fn, fs) -> Circuit.set_gate nc (get s) fn (Array.map get fs)
       | Latch { data; enable } ->
           Circuit.set_latch nc (get s) ?enable:(Option.map get enable) ~data:(get data) ()
     done;

@@ -890,6 +890,7 @@ let create cfg =
         try Some (bind_metrics a)
         with e ->
           (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+          (try Sys.remove cfg.socket_path with Sys_error _ -> ());
           Option.iter Store.close store;
           raise e)
   in

@@ -73,8 +73,7 @@ let run ~max_fanout:k c =
     match Circuit.driver c s with
     | Undriven | Input -> ()
     | Gate (fn, fs) ->
-        Circuit.set_gate nc (Hashtbl.find base s) fn
-          (Array.to_list (Array.map consume fs))
+        Circuit.set_gate nc (Hashtbl.find base s) fn (Array.map consume fs)
     | Latch { data; enable } ->
         Circuit.set_latch nc (Hashtbl.find base s)
           ?enable:(Option.map consume enable)

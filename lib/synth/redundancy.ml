@@ -21,8 +21,7 @@ let with_fault c ~gate ~pos ~const =
         Circuit.set_latch nc (get s) ?enable:(Option.map get enable) ~data:(get data) ()
     | Gate (fn, fs) ->
         let fanins =
-          Array.to_list
-            (Array.mapi (fun j f -> if s = gate && j = pos then const_sig else get f) fs)
+          Array.mapi (fun j f -> if s = gate && j = pos then const_sig else get f) fs
         in
         Circuit.set_gate nc (get s) fn fanins
   done;

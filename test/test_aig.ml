@@ -151,6 +151,93 @@ let test_levels () =
   Alcotest.(check int) "and level" 1 (Aig.level g (Aig.node_of x));
   Alcotest.(check int) "deeper" 2 (Aig.level g (Aig.node_of y))
 
+(* Reference strash: the AIG's rules over a Hashtbl keyed by the ordered
+   literal pair, with the derived operators written as Aig writes them (so
+   their argument evaluation order, and hence node creation order, is the
+   same). *)
+module Ref_strash = struct
+  type t = { fanins : (int * int) Vgraph.Vec.t; strash : (int * int, int) Hashtbl.t }
+
+  let create () =
+    let r = { fanins = Vgraph.Vec.create ~dummy:(0, 0) (); strash = Hashtbl.create 16 } in
+    ignore (Vgraph.Vec.push r.fanins (-2, -2));
+    r
+
+  let input r = 2 * Vgraph.Vec.push r.fanins (-1, -1)
+
+  let and_ r a b =
+    let a, b = if a <= b then (a, b) else (b, a) in
+    if a = 0 then 0
+    else if a = 1 then b
+    else if a = b then a
+    else if a = b lxor 1 then 0
+    else
+      match Hashtbl.find_opt r.strash (a, b) with
+      | Some n -> 2 * n
+      | None ->
+          let n = Vgraph.Vec.push r.fanins (a, b) in
+          Hashtbl.add r.strash (a, b) n;
+          2 * n
+
+  let or_ r a b = and_ r (a lxor 1) (b lxor 1) lxor 1
+  let xor_ r a b = and_ r (or_ r a b) (and_ r a b lxor 1)
+  let mux r s t e = or_ r (and_ r s t) (and_ r (s lxor 1) e)
+end
+
+(* Random and/or/xor/mux calls over literals drawn from everything built
+   so far (constants, complements and repeated operands included) return
+   the reference's literal at every call and leave the same nodes; the
+   largest graph makes the flat table grow many times. *)
+let test_strash_matches_reference () =
+  let st = Random.State.make [| 0x57A5 |] in
+  List.iter
+    (fun (inputs, calls, min_nodes) ->
+      let g = Aig.create () and r = Ref_strash.create () in
+      let pool = Vgraph.Vec.create ~dummy:0 () in
+      ignore (Vgraph.Vec.push pool Aig.lit_false);
+      for _ = 1 to inputs do
+        let l = Aig.input g in
+        Alcotest.(check int) "input" (Ref_strash.input r) l;
+        ignore (Vgraph.Vec.push pool l)
+      done;
+      let last = ref Aig.lit_true in
+      let pick () =
+        let l =
+          match Random.State.int st 10 with
+          | 0 -> !last
+          | 1 -> Random.State.int st 2
+          | _ -> Vgraph.Vec.get pool (Random.State.int st (Vgraph.Vec.length pool))
+        in
+        let l = if Random.State.bool st then Aig.neg l else l in
+        last := l;
+        l
+      in
+      for i = 1 to calls do
+        let a = pick () in
+        let b = pick () in
+        let got, want =
+          match Random.State.int st 4 with
+          | 0 -> (Aig.and_ g a b, Ref_strash.and_ r a b)
+          | 1 -> (Aig.or_ g a b, Ref_strash.or_ r a b)
+          | 2 -> (Aig.xor_ g a b, Ref_strash.xor_ r a b)
+          | _ ->
+              let e = pick () in
+              (Aig.mux g a b e, Ref_strash.mux r a b e)
+        in
+        if got <> want then Alcotest.failf "call %d: literal %d, reference %d" i got want;
+        ignore (Vgraph.Vec.push pool got)
+      done;
+      Alcotest.(check int) "node count" (Vgraph.Vec.length r.fanins) (Aig.node_count g);
+      Alcotest.(check bool) "enough nodes" true (Aig.node_count g >= min_nodes);
+      for n = 1 to Aig.node_count g - 1 do
+        let want = Vgraph.Vec.get r.fanins n in
+        let got = if Aig.is_input_node g n then (-1, -1) else Aig.fanins g n in
+        if got <> want then Alcotest.failf "node %d: fanins differ" n
+      done)
+    (* 2^14 nodes or more: the table has doubled at least eight times,
+       from 128 slots *)
+    [ (2, 50, 0); (6, 2_000, 0); (24, 40_000, 1 lsl 14) ]
+
 let suite =
   [
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
@@ -160,4 +247,5 @@ let suite =
     Alcotest.test_case "CNF equisatisfiable" `Quick test_cnf_equisatisfiable;
     Alcotest.test_case "circuit compilation" `Quick test_of_circuit_comb;
     Alcotest.test_case "levels" `Quick test_levels;
+    Alcotest.test_case "strash matches a reference" `Quick test_strash_matches_reference;
   ]

@@ -643,6 +643,7 @@ let test_stats_pp_prints_every_field () =
       conflicts = 105;
       budget_hits = 106;
       deadline_hits = 107;
+      cancelled = 118;
       escalations = 108;
       undecided = 109;
       elapsed_seconds = 110.5;
@@ -664,6 +665,7 @@ let test_stats_pp_prints_every_field () =
     [
       "101"; "102"; "103"; "104"; "105"; "106"; "107"; "108"; "109";
       "110.5"; "111.5"; "112.5"; "113.5"; "114.5"; "115"; "116"; "117";
+      "118 cancelled";
     ]
 
 (* elapsed_seconds is the true wall clock: sequentially the per-engine
@@ -909,7 +911,10 @@ let test_cancelled_siblings_not_undecided () =
       | Cec.Inequivalent _ -> ()
       | _ -> Alcotest.failf "jobs=%d: mutant not refuted" jobs);
       Alcotest.(check int) (Printf.sprintf "jobs=%d: undecided" jobs) 0
-        s.Cec.undecided)
+        s.Cec.undecided;
+      (* no deadline was set, so an abandoned sibling is only cancelled *)
+      Alcotest.(check int) (Printf.sprintf "jobs=%d: deadline hits" jobs) 0
+        s.Cec.deadline_hits)
     [ 2; 4 ]
 
 let fifo4 ?bug entries style = Workloads.fifo ?bug ~entries ~width:4 ~style ()

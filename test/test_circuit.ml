@@ -32,7 +32,7 @@ let test_comb_cycle_rejected () =
   let c = Circuit.create "cyc" in
   let x = Circuit.declare c ~name:"x" () in
   let y = Circuit.add_gate c Not [ x ] in
-  Circuit.set_gate c x Not [ y ];
+  Circuit.set_gate c x Not [| y |];
   Circuit.mark_output c x;
   (try
      Circuit.check c;
@@ -61,7 +61,7 @@ let test_double_drive_rejected () =
   let a = Circuit.add_input c "a" in
   let g = Circuit.add_gate c Not [ a ] in
   (try
-     Circuit.set_gate c g Buf [ a ];
+     Circuit.set_gate c g Buf [| a |];
      Alcotest.fail "double drive accepted"
    with Invalid_argument _ -> ())
 

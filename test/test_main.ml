@@ -8,6 +8,7 @@ let () =
       ("bdd", Test_bdd.suite);
       ("sat", Test_sat.suite);
       ("circuit", Test_circuit.suite);
+      ("netlist_io", Test_netlist_io.suite);
       ("blif", Test_blif.suite);
       ("aig", Test_aig.suite);
       ("sim", Test_sim.suite);

@@ -867,6 +867,19 @@ let test_executor_cap () =
   | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "no socket bound" false (Sys.file_exists socket_path)
 
+(* a metrics address that cannot be used fails the start after the Unix
+   socket is bound, and the socket file goes with it *)
+let test_bad_metrics_addr () =
+  let socket_path = fresh_sock () in
+  let cfg =
+    { (Server.default_config ~socket_path) with Server.metrics_addr = Some "127.0.0.1:bad" }
+  in
+  (match Server.create cfg with
+  | _ -> Alcotest.fail "bad metrics address accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "Server: bad --metrics-addr port in 127.0.0.1:bad" msg);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists socket_path)
+
 let suite =
   [
     Alcotest.test_case "ping" `Quick test_ping;
@@ -891,4 +904,6 @@ let suite =
     Alcotest.test_case "memo skips undecided" `Quick test_memo_skips_undecided;
     Alcotest.test_case "memo per server" `Quick test_memo_per_server;
     Alcotest.test_case "at most 64 executors" `Quick test_executor_cap;
+    Alcotest.test_case "bad metrics address removes the socket" `Quick
+      test_bad_metrics_addr;
   ]

@@ -484,6 +484,33 @@ let test_mfvs_matches_oracle () =
       done)
     [ true; false ]
 
+(* The flat int table against a Hashtbl: packed keys of both small and
+   wide spread, absent keys, many doublings from the smallest size *)
+let test_itbl_vs_hashtbl () =
+  let st = Random.State.make [| 0x17B1 |] in
+  let t = Vgraph.Itbl.create 0 and h = Hashtbl.create 16 in
+  for i = 1 to 50_000 do
+    let k =
+      if i land 1 = 0 then (Random.State.int st 1_000 lsl 31) lor Random.State.int st 1_000
+      else Random.State.bits st
+    in
+    match Hashtbl.find_opt h k with
+    | Some v ->
+        Alcotest.(check int) "bound" v (Vgraph.Itbl.find t k);
+        Alcotest.(check int) "found, not added" v (Vgraph.Itbl.find_or_add t k 0)
+    | None ->
+        Alcotest.(check int) "absent" (-1) (Vgraph.Itbl.find t k);
+        if i land 2 = 0 then Vgraph.Itbl.add t k i
+        else Alcotest.(check int) "added" (-1) (Vgraph.Itbl.find_or_add t k i);
+        Hashtbl.add h k i
+  done;
+  Alcotest.(check int) "length" (Hashtbl.length h) (Vgraph.Itbl.length t);
+  Hashtbl.iter (fun k v -> Alcotest.(check int) "kept" v (Vgraph.Itbl.find t k)) h;
+  Alcotest.check_raises "rebinding" (Invalid_argument "Itbl.add: key already bound")
+    (fun () -> Hashtbl.iter (fun k _ -> Vgraph.Itbl.add t k 0) h);
+  Alcotest.check_raises "negative key" (Invalid_argument "Itbl: negative key or value")
+    (fun () -> Vgraph.Itbl.add t (-1) 0)
+
 let suite =
   [
     Alcotest.test_case "vec push/pop" `Quick test_vec_push_pop;
@@ -513,4 +540,5 @@ let suite =
     Alcotest.test_case "mfvs empty on DAG" `Quick test_mfvs_acyclic_empty;
     Alcotest.test_case "mfvs missing candidate" `Quick test_mfvs_no_candidate;
     Alcotest.test_case "mfvs matches the oracle" `Quick test_mfvs_matches_oracle;
+    Alcotest.test_case "itbl = hashtbl" `Quick test_itbl_vs_hashtbl;
   ]
